@@ -10,6 +10,30 @@ pairs get 0, grades add under composition, and a grade-k pair factors into
 k grade-1 steps.  Such a grading exists exactly when the relation is the
 order generated by an out-forest, and then it is the covering-chain
 length; both facts are decided here at the finite level.
+
+Representation.  The N diagonal units are numbered block by block, in
+sorted order, and the relation is stored as one Python int per unit:
+bit j of row i is set when the pair (unit i, unit j) is present.  Row i
+holds the sources of range i; column j, bit j read across all rows, holds
+the ranges of source j.  A row operation (and, or, subset test) costs
+O(N/64) machine words.  With |R| pairs in the relation:
+
+* constructor: transitivity as "row j is a subset of row i" for every
+  pair (i, j), then antisymmetry as "no two rows are equal": |R| row
+  operations;
+* from_generators: Warshall's closure on the rows, N^2 row operations;
+* covering_pairs: the transitive reduction, strict minus strict∘strict
+  (Aho, Garey and Ullman, SIAM J. Comput. 1972): |R| row operations;
+* is_tree_semigroupoid: the strict sources of x must lie in row y or
+  column y, for every pair (x, y): |R| row operations;
+* solve_grading: under the tree condition the strict sources of a unit
+  are its ancestors in the covering forest, so a grade is a difference
+  of two depths (popcounts): O(|R|);
+* Grading, validating a caller's grades: one step per composable pair
+  (i, j) * (j, k), grouped by the middle unit j, which is O(N^3) for a
+  full triangular block but never |R|^2.
+
+The relation as a frozenset of pairs is built from the rows on first use.
 """
 
 from __future__ import annotations
@@ -28,36 +52,80 @@ def unit_name(u: Unit) -> str:
     return f"{u[0]}:{u[1]}"
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _columns(rows: tuple[int, ...]) -> list[int]:
+    """The transpose: bit i of column j is bit j of row i."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            cols[j] |= bit
+    return cols
+
+
 class DigraphAlgebra:
     """Block sizes plus a reflexive transitive antisymmetric unit relation."""
 
-    __slots__ = ("_blocks", "_relation")
+    __slots__ = ("_blocks", "_units", "_rows", "_relation")
 
     def __init__(self, blocks: Iterable[int], units: Iterable[Pair] = ()) -> None:
+        self._set(*self._rows_of(blocks, units))
+
+    @staticmethod
+    def _rows_of(
+        blocks: Iterable[int], pairs: Iterable[Pair]
+    ) -> tuple[tuple[int, ...], tuple[Unit, ...], list[int]]:
+        """Validated block sizes, the units, and the reflexive rows
+        holding the pairs."""
         bl = tuple(blocks)
         if not bl or any(not isinstance(n, int) or n < 1 for n in bl):
             raise ValueError("blocks must be a nonempty list of positive sizes")
-        rel: set[Pair] = set()
-        for b, n in enumerate(bl):
-            for r in range(1, n + 1):
-                rel.add(((b, r), (b, r)))
-        for i, j in units:
-            self._check_unit(bl, i)
-            self._check_unit(bl, j)
+        units = tuple((b, r) for b, n in enumerate(bl) for r in range(1, n + 1))
+        index = {u: k for k, u in enumerate(units)}
+        rows = [1 << k for k in range(len(units))]
+        for i, j in pairs:
+            for u in (i, j):
+                if u not in index:
+                    DigraphAlgebra._check_unit(bl, u)
             if i[0] != j[0]:
                 raise ValueError(f"pair {i} / {j} crosses blocks")
-            rel.add((i, j))
-        for i, j in rel:
-            if i != j and (j, i) in rel:
-                raise ValueError(f"pairs ({i},{j}) and ({j},{i}) break antisymmetry")
-        for i, j in rel:
-            for k, l in rel:
-                if j == k and (i, l) not in rel:
-                    raise ValueError(
-                        f"missing composite ({i},{l}) of ({i},{j}) and ({k},{l})"
-                    )
-        self._blocks = bl
-        self._relation = frozenset(rel)
+            rows[index[i]] |= 1 << index[j]
+        return bl, units, rows
+
+    def _set(self, blocks: tuple[int, ...], units: tuple[Unit, ...], rows: list[int]) -> None:
+        """Check transitivity and antisymmetry of the rows, then store them."""
+        for i, row in enumerate(rows):
+            composites = 0
+            for j in _bits(row):
+                composites |= rows[j]
+            if composites != row:
+                # A two-cycle is reported ahead of a missing composite.
+                _raise_two_cycle(units, rows)
+                j = next(j for j in _bits(row) if rows[j] & ~row)
+                l = _lowest(rows[j] & ~row)
+                ui, uj, ul = units[i], units[j], units[l]
+                raise ValueError(f"missing composite ({ui},{ul}) of ({ui},{uj}) and ({uj},{ul})")
+        # In a transitive relation, pairs (i, j) and (j, i) make rows i and
+        # j equal, and equal rows i != j hold both pairs.
+        if len(set(rows)) != len(rows):
+            _raise_two_cycle(units, rows)
+        self._blocks = blocks
+        self._units = units
+        self._rows = tuple(rows)
+        self._relation = None
 
     @staticmethod
     def _check_unit(blocks: tuple[int, ...], u: Unit) -> None:
@@ -67,17 +135,20 @@ class DigraphAlgebra:
 
     @classmethod
     def from_generators(cls, blocks: Iterable[int], units: Iterable[Pair]) -> "DigraphAlgebra":
-        """Close the given pairs transitively, then build the algebra."""
-        rel = set(units)
-        changed = True
-        while changed:
-            changed = False
-            for i, j in list(rel):
-                for k, l in list(rel):
-                    if j == k and (i, l) not in rel:
-                        rel.add((i, l))
-                        changed = True
-        return cls(blocks, rel)
+        """Close the given pairs transitively, then build the algebra.
+
+        Warshall's closure: after step k, every row holding unit k also
+        holds row k.
+        """
+        bl, us, rows = cls._rows_of(blocks, units)
+        for k in range(len(rows)):
+            bit, through = 1 << k, rows[k]
+            for i, row in enumerate(rows):
+                if row & bit:
+                    rows[i] = row | through
+        a = cls.__new__(cls)
+        a._set(bl, us, rows)
+        return a
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
@@ -107,36 +178,72 @@ class DigraphAlgebra:
 
     @property
     def relation(self) -> frozenset[Pair]:
+        if self._relation is None:
+            us = self._units
+            self._relation = frozenset(
+                (us[i], us[j]) for i, row in enumerate(self._rows) for j in _bits(row)
+            )
         return self._relation
 
     def units(self) -> list[Unit]:
-        return [(b, r) for b, n in enumerate(self._blocks) for r in range(1, n + 1)]
+        return list(self._units)
 
     def irreflexive_pairs(self) -> list[Pair]:
-        out = [(i, j) for i, j in self._relation if i != j]
-        out.sort()
-        return out
+        """The pairs (i, j) with i != j, sorted."""
+        us = self._units
+        return [
+            (us[i], us[j])
+            for i, row in enumerate(self._rows)
+            for j in _bits(row & ~(1 << i))
+        ]
 
     def has_pair(self, i: Unit, j: Unit) -> bool:
-        return (i, j) in self._relation
+        return (i, j) in self.relation
+
+    def composable(self) -> list[tuple[Unit, list[Unit], list[Unit]]]:
+        """Every composable pair (i, j) * (j, k) with i != j != k, grouped
+        by the middle unit.
+
+        One entry (j, ranges, sources) per unit j that has both: the units
+        i != j with (i, j) present, and the units k != j with (j, k).
+        """
+        us = self._units
+        ranges: list[list[Unit]] = [[] for _ in us]
+        sources = []
+        for i, row in enumerate(self._rows):
+            src = _bits(row & ~(1 << i))
+            sources.append([us[k] for k in src])
+            for k in src:
+                ranges[k].append(us[i])
+        return [(us[j], ranges[j], sources[j]) for j in range(len(us)) if ranges[j] and sources[j]]
 
     def is_full_upper_triangular(self) -> bool:
+        """One block whose row i holds exactly the units i, i+1, ..., n."""
         if len(self._blocks) != 1:
             return False
-        n = self._blocks[0]
-        return len(self._relation) == n * (n + 1) // 2
+        full = (1 << self._blocks[0]) - 1
+        return all(row == full ^ ((1 << i) - 1) for i, row in enumerate(self._rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DigraphAlgebra):
             return NotImplemented
-        return self._blocks == other._blocks and self._relation == other._relation
+        return self._blocks == other._blocks and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._blocks, self._relation))
+        return hash((self._blocks, self._rows))
 
     def __repr__(self) -> str:
-        off = sum(1 for i, j in self._relation if i != j)
+        off = sum(row.bit_count() for row in self._rows) - len(self._rows)
         return f"DigraphAlgebra(blocks={list(self._blocks)}, {off} off-diagonal units)"
+
+
+def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
+    """Raise for the first pairs (i, j), (j, i) with i != j, if any."""
+    for i, row in enumerate(rows):
+        for j in _bits(row & ~(1 << i)):
+            if rows[j] >> i & 1:
+                ui, uj = units[i], units[j]
+                raise ValueError(f"pairs ({ui},{uj}) and ({uj},{ui}) break antisymmetry")
 
 
 def semigroupoid_graph(a: DigraphAlgebra) -> DirectedGraph:
@@ -160,7 +267,11 @@ class NonTreeTriple:
 
 @dataclass(frozen=True)
 class DoubleReceiver:
-    """A unit receiving two covering pairs, with the two sources."""
+    """A unit receiving two covering pairs, with the two sources.
+
+    Under the tree condition no unit receives two covering pairs, so the
+    tensor decision reports a NonTreeTriple wherever this could arise.
+    """
 
     x: Unit
     sources: tuple[Unit, Unit]
@@ -169,50 +280,36 @@ class DoubleReceiver:
         return False
 
 
-@dataclass(frozen=True)
-class AdditivityConflict:
-    """Composable pairs whose candidate grades fail to add up."""
-
-    left: Pair
-    right: Pair
-    expected: int
-    got: int
-
-    def __bool__(self) -> bool:
-        return False
-
-
-InfeasibilityWitness = NonTreeTriple | DoubleReceiver | AdditivityConflict
-
-
 def is_tree_semigroupoid(a: DigraphAlgebra) -> "bool | NonTreeTriple":
     """True, or a falsy counterexample triple.
 
     The condition: whenever pairs (x, y) and (x, z) are present with
-    y != z, then y and z are comparable.
+    y != z, then y and z are comparable.  The triple returned is the
+    first in sorted order: smallest x, then y, then z.
     """
-    by_range: dict[Unit, list[Unit]] = {}
-    for i, j in a.irreflexive_pairs():
-        by_range.setdefault(i, []).append(j)
-    for x, sources in by_range.items():
-        for p in range(len(sources)):
-            for q in range(p + 1, len(sources)):
-                y, z = sources[p], sources[q]
-                if not (a.has_pair(y, z) or a.has_pair(z, y)):
-                    return NonTreeTriple(x, y, z)
+    rows, us = a._rows, a._units
+    cols = _columns(rows)
+    for x, row in enumerate(rows):
+        strict = row & ~(1 << x)
+        for y in _bits(strict):
+            # Any z below y would have met y as its own incomparable
+            # partner first, so the lowest bit lies above y.
+            bad = strict & ~(rows[y] | cols[y])
+            if bad:
+                return NonTreeTriple(us[x], us[y], us[_lowest(bad)])
     return True
 
 
 def covering_pairs(a: DigraphAlgebra) -> frozenset[Pair]:
     """Pairs (i, j) with no unit strictly between j and i."""
-    out = set()
-    units = a.units()
-    for i, j in a.irreflexive_pairs():
-        if not any(
-            m not in (i, j) and a.has_pair(i, m) and a.has_pair(m, j)
-            for m in units
-        ):
-            out.add((i, j))
+    us = a._units
+    strict = [row & ~(1 << i) for i, row in enumerate(a._rows)]
+    out = []
+    for i, row in enumerate(strict):
+        two_steps = 0
+        for j in _bits(row):
+            two_steps |= strict[j]
+        out.extend((us[i], us[j]) for j in _bits(row & ~two_steps))
     return frozenset(out)
 
 
@@ -224,29 +321,31 @@ class Grading:
     grade: dict[Pair, int]
 
     def __post_init__(self) -> None:
-        rel = self.algebra.relation
-        if set(self.grade) != set(rel):
+        grade = self.grade
+        if grade.keys() != self.algebra.relation:
             raise ValueError("grading must cover the relation exactly")
-        for (i, j), g in self.grade.items():
+        for (i, j), g in grade.items():
             if (g == 0) != (i == j):
                 raise ValueError(f"grade of {(i, j)} must be 0 iff diagonal, got {g}")
             if g < 0:
                 raise ValueError("grades must be nonnegative")
-        for i, j in rel:
-            for k, l in rel:
-                if j == k:
-                    if self.grade[(i, l)] != self.grade[(i, j)] + self.grade[(k, l)]:
-                        raise ValueError(
-                            f"grades fail to add on ({i},{j}) * ({k},{l})"
-                        )
-        # Coherence: a grade-k pair splits off a grade-1 step at the top.
-        for (i, j), g in self.grade.items():
-            if g >= 2:
-                if not any(
-                    self.grade.get((i, m)) == 1 and self.grade.get((m, j)) == g - 1
-                    for m in self.algebra.units()
-                ):
-                    raise ValueError(f"pair {(i, j)} of grade {g} has no factorization")
+        # Pairs with a diagonal factor add up trivially, so only strict
+        # composable pairs are checked.  Coherence: a pair (i, k) of grade
+        # at least 2 must split off a grade-1 step (i, j) at the top; with
+        # additivity the rest (j, k) then has the remaining grade.
+        split: dict[Unit, set[Unit]] = {}
+        for j, ranges, sources in self.algebra.composable():
+            above = [(k, grade[(j, k)]) for k in sources]
+            for i in ranges:
+                gij = grade[(i, j)]
+                for k, gjk in above:
+                    if grade[(i, k)] != gij + gjk:
+                        raise ValueError(f"grades fail to add on ({i},{j}) * ({j},{k})")
+                if gij == 1:
+                    split.setdefault(i, set()).update(sources)
+        for (i, k), g in grade.items():
+            if g >= 2 and k not in split.get(i, ()):
+                raise ValueError(f"pair {(i, k)} of grade {g} has no factorization")
 
     def of(self, pair: Pair) -> int:
         return self.grade[pair]
@@ -255,55 +354,24 @@ class Grading:
         return True
 
 
-def solve_grading(a: DigraphAlgebra) -> Grading | InfeasibilityWitness:
+def solve_grading(a: DigraphAlgebra) -> Grading | NonTreeTriple:
     """Find the unique coherent grading, or say why none exists.
 
-    Strategy: the relation must satisfy the tree condition; then its
-    covering pairs form an out-forest on the diagonal units and the grade
-    of a pair is the length of the covering chain joining its source to
-    its range.  Additivity is re-checked explicitly, so any internal
-    inconsistency surfaces as a witness rather than a wrong grading.
+    The relation must satisfy the tree condition.  Then the strict
+    sources of a unit form a chain, its ancestors in the covering forest,
+    so their number is the unit's depth there, and the grade of a pair,
+    the length of the covering chain from its range up to its source, is
+    the difference of the two depths.  Such grades add up by
+    construction.
     """
     tree = is_tree_semigroupoid(a)
     if not tree:
         return tree
-
-    covers = covering_pairs(a)
-    received: dict[Unit, Unit] = {}
-    for i, j in covers:
-        if i in received:
-            return DoubleReceiver(i, (received[i], j))
-        received[i] = j
-
-    # Walk up the (unique) covering chain from each unit.
-    def chain_length(i: Unit, j: Unit) -> int | None:
-        steps = 0
-        cur = i
-        while cur != j:
-            nxt = received.get(cur)
-            if nxt is None:
-                return None
-            cur = nxt
-            steps += 1
-        return steps
-
-    grade: dict[Pair, int] = {}
-    for i, j in a.relation:
-        if i == j:
-            grade[(i, j)] = 0
-            continue
-        k = chain_length(i, j)
-        if k is None:
-            # Cannot happen for a valid finite order, kept as a guard.
-            return AdditivityConflict((i, j), (j, j), expected=-1, got=-1)
-        grade[(i, j)] = k
-
-    for i, j in a.relation:
-        for k, l in a.relation:
-            if j == k:
-                want = grade[(i, j)] + grade[(k, l)]
-                if grade[(i, l)] != want:
-                    return AdditivityConflict((i, j), (k, l), want, grade[(i, l)])
+    rows, us = a._rows, a._units
+    depth = [row.bit_count() for row in rows]
+    grade = {
+        (us[i], us[j]): depth[i] - depth[j] for i, row in enumerate(rows) for j in _bits(row)
+    }
     return Grading(a, grade)
 
 

@@ -3,9 +3,10 @@
 Commands read JSON documents (see formats), run the library, and print
 a report.  Exit codes are a contract: 0 carries a positive verdict
 (yes, equivalent, isomorphic, relations pass), 1 a negative one, 2 an
-inconclusive or undetermined one; 64 flags a usage error and 65 an
-unreadable or ill-formed input.  Identical inputs give identical
-output; nothing here consults clocks or global state.
+inconclusive or undetermined one; 64 flags a usage error, 65 an
+unreadable or ill-formed input, and 70 an internal error.  Identical
+inputs give identical output; nothing here consults clocks or global
+state.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .tower import (
 
 USAGE_ERROR = 64
 DATA_ERROR = 65
+INTERNAL_ERROR = 70
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class RunConfig:
     ampliation_bound: int = 3
     cutoff: int = 4
     fmt: str | None = None
-    seed: int = 0
     out: str | None = None
     multiplicity: int = 1
     steps: int = 1
@@ -94,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, fmt=("json", "text")) -> None:
         p.add_argument("--format", choices=fmt, default=None, dest="fmt")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized generation (current commands are deterministic)")
 
     p = sub.add_parser("check-tensor", help="decide whether a tower presents a tensor algebra")
     p.add_argument("tower", help="tower JSON file")
@@ -157,7 +156,6 @@ def _config(ns: argparse.Namespace) -> RunConfig:
         ampliation_bound=getattr(ns, "ampliation_bound", 3),
         cutoff=getattr(ns, "cutoff", 4),
         fmt=ns.fmt,
-        seed=ns.seed,
         out=ns.out,
         multiplicity=getattr(ns, "multiplicity", 1),
         steps=getattr(ns, "steps", 1),
@@ -375,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"treealg: error: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except Exception as exc:
+        # Exit 1 means "no", so a crash must not end with it.
+        print(f"treealg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def entrypoint() -> None:

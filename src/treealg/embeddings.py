@@ -43,18 +43,20 @@ class RegularEmbedding:
         image: Mapping[Pair, Iterable[Pair]],
     ) -> None:
         img: dict[Pair, frozenset[Pair]] = {p: frozenset(v) for p, v in image.items()}
-        if set(img) != set(source.relation):
-            missing = set(source.relation) - set(img)
-            extra = set(img) - set(source.relation)
+        rel = source.relation
+        if img.keys() != rel:
+            missing = rel - img.keys()
+            extra = img.keys() - rel
             raise ValueError(
                 f"image must cover the source relation exactly "
                 f"(missing {len(missing)}, extra {len(extra)})"
             )
+        target_rel = target.relation
         for p, v in img.items():
             if not v:
                 raise ValueError(f"pair {p} has an empty image")
             for q in v:
-                if q not in target.relation:
+                if q not in target_rel:
                     raise ValueError(f"image pair {q} of {p} is not in the target relation")
         diag: dict[Unit, frozenset[Unit]] = {}
         for d in source.units():
@@ -85,19 +87,19 @@ class RegularEmbedding:
                     f"sources of the image of {(i, j)} must enumerate the "
                     f"diagonal image of {j} exactly once each"
                 )
-        rel = source.relation
-        for i, j in rel:
-            for k, l in rel:
-                if j != k:
-                    continue
-                composed = frozenset(
-                    (a, c) for a, b in img[(i, j)] for b2, c in img[(k, l)] if b == b2
-                )
-                if composed != img[(i, l)]:
-                    raise ValueError(
-                        f"images of ({i},{j}) and ({k},{l}) compose to "
-                        f"{sorted(composed)} but ({i},{l}) maps to {sorted(img[(i, l)])}"
-                    )
+        # The image of (i, j) now matches each unit of diag[j] to one unit
+        # of diag[i].  Images with a diagonal factor compose trivially, so
+        # only strict composable pairs are checked, grouped by the middle.
+        for j, ranges, sources in source.composable():
+            for i in ranges:
+                left = {b: a for a, b in img[(i, j)]}
+                for k in sources:
+                    composed = frozenset((left[b], c) for b, c in img[(j, k)])
+                    if composed != img[(i, k)]:
+                        raise ValueError(
+                            f"images of ({i},{j}) and ({j},{k}) compose to "
+                            f"{sorted(composed)} but ({i},{k}) maps to {sorted(img[(i, k)])}"
+                        )
         self._source = source
         self._target = target
         self._image = img

@@ -293,15 +293,22 @@ def rule_from_json(obj: Json, path: str = "rule") -> Rule | None:
         return None
     doc = _as_dict(obj, path)
     kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
+
+    def positive(key: str) -> int:
+        value = _as_int(_get(doc, key, path), f"{path}.{key}")
+        if value < 1:
+            raise FormatError(f"{path}.{key}: expected a positive integer, found {value}")
+        return value
+
     if kind == "standard":
-        return StandardRule(_as_int(_get(doc, "m", path), f"{path}.m"))
+        return StandardRule(positive("m"))
     if kind == "refinement":
-        return RefinementRule(_as_int(_get(doc, "l", path), f"{path}.l"))
+        return RefinementRule(positive("l"))
     if kind == "nest":
         return NestRule()
     if kind == "tree-refinement":
         tree = forest_from_json(_get(doc, "tree", path), f"{path}.tree")
-        return TreeRefinementRule(tree, _as_int(_get(doc, "l", path), f"{path}.l"))
+        return TreeRefinementRule(tree, positive("l"))
     raise FormatError(f"{path}.kind: unknown rule kind {kind!r}")
 
 

@@ -27,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .algebra import (
     DigraphAlgebra,
     DoubleReceiver,
-    Grading,
     NonTreeTriple,
     Pair,
     Unit,
@@ -197,13 +195,11 @@ def materialize(t: Tower, depth: int) -> tuple[list[DigraphAlgebra], list[Regula
     return levels, maps
 
 
-@lru_cache(maxsize=256)
 def _local_grades(a: DigraphAlgebra) -> dict[Pair, int]:
     """Grades per pair: the solved grading, or longest factorization length."""
     solved = solve_grading(a)
     if solved:
-        assert isinstance(solved, Grading)
-        return dict(solved.grade)
+        return solved.grade
     covers = covering_pairs(a)
     up: dict[Unit, list[Unit]] = {u: [] for u in a.units()}
     for i, j in covers:
@@ -315,30 +311,10 @@ class Decision:
     certificate: Certificate
 
 
-def _structure_witness(a: DigraphAlgebra) -> NonTreeTriple | DoubleReceiver | None:
-    tree = is_tree_semigroupoid(a)
-    if not tree:
-        return tree
-    received: dict[Unit, Unit] = {}
-    for i, j in covering_pairs(a):
-        if i in received:
-            return DoubleReceiver(i, (received[i], j))
-        received[i] = j
-    return None
-
-
-def _persists(
-    w: NonTreeTriple | DoubleReceiver,
-    emb: RegularEmbedding,
-    nxt: DigraphAlgebra,
-) -> bool:
+def _persists(w: NonTreeTriple, emb: RegularEmbedding, nxt: DigraphAlgebra) -> bool:
     """Does the failure descend to the next level along the embedding?"""
-    if isinstance(w, NonTreeTriple):
-        left, right = (w.x, w.y), (w.x, w.z)
-    else:
-        left, right = (w.x, w.sources[0]), (w.x, w.sources[1])
-    for x1, y1 in emb.of(left):
-        for x2, z1 in emb.of(right):
+    for x1, y1 in emb.of((w.x, w.y)):
+        for x2, z1 in emb.of((w.x, w.z)):
             if x1 != x2 or y1 == z1:
                 continue
             if not nxt.has_pair(y1, z1) and not nxt.has_pair(z1, y1):
@@ -407,7 +383,7 @@ def _forest_presentation(
             img = {q: maps[k].of(q) for q in algs[k].relation}
             emb = RegularEmbedding(algs[k], algs[k + 1], img)
         entries.append(PresentationLevel(k + 1, forest, algs[k], emb))
-    if algs[d - 1].relation != levels[d - 1].relation:
+    if algs[d - 1] != levels[d - 1]:
         raise AssertionError("grade-1 units must generate the final level")
     return ForestPresentation(tuple(entries))
 
@@ -425,12 +401,15 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
 
     levels, maps = materialize(t, depth)
     d = len(levels)
-    grades = [_local_grades(a) for a in levels]
 
-    failures: list[tuple[int, NonTreeTriple | DoubleReceiver]] = []
+    # Under the tree condition no unit receives two covering pairs: if
+    # (x, y) and (x, z) both cover, y and z are comparable, so one of the
+    # two pairs factors through the other.  The tree check alone finds
+    # every structure failure.
+    failures: list[tuple[int, NonTreeTriple]] = []
     for k, a in enumerate(levels, start=1):
-        w = _structure_witness(a)
-        if w is not None:
+        w = is_tree_semigroupoid(a)
+        if not w:
             failures.append((k, w))
     for k, w in failures:
         if k < d:
@@ -453,6 +432,7 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
             ),
         )
 
+    grades = [_local_grades(a) for a in levels]
     chains = _all_chain_grades(levels, maps, grades)
     stationary = isinstance(t.rule, (StandardRule, RefinementRule, TreeRefinementRule))
     for cg in chains:

@@ -1,0 +1,109 @@
+"""Quadratic reference versions of the relation checks in treealg.algebra.
+
+These are the loops the algebra layer ran before it stored relations as
+row bitmasks.  They work on plain sets of (range, source) unit pairs and
+cost up to |R|^2 steps each, so they serve only as the oracle that
+test_kernel.py compares the bitmask kernel against on small relations.
+"""
+
+from __future__ import annotations
+
+Unit = tuple[int, int]
+Pair = tuple[Unit, Unit]
+
+
+def units_of(blocks) -> list[Unit]:
+    return [(b, r) for b, n in enumerate(blocks) for r in range(1, n + 1)]
+
+
+def relation(blocks, pairs) -> frozenset[Pair]:
+    """The reflexive relation the constructor accepts, or ValueError."""
+    rel: set[Pair] = {(u, u) for u in units_of(blocks)}
+    for i, j in pairs:
+        for u in (i, j):
+            if not (0 <= u[0] < len(blocks)) or not (1 <= u[1] <= blocks[u[0]]):
+                raise ValueError(f"unit {u} is out of range")
+        if i[0] != j[0]:
+            raise ValueError(f"pair {i} / {j} crosses blocks")
+        rel.add((i, j))
+    for i, j in rel:
+        if i != j and (j, i) in rel:
+            raise ValueError("antisymmetry")
+    for i, j in rel:
+        for k, l in rel:
+            if j == k and (i, l) not in rel:
+                raise ValueError("composite")
+    return frozenset(rel)
+
+
+def closure(pairs) -> set[Pair]:
+    """Close a set of pairs under composition."""
+    rel = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(rel):
+            for k, l in list(rel):
+                if j == k and (i, l) not in rel:
+                    rel.add((i, l))
+                    changed = True
+    return rel
+
+
+def covering_pairs(rel, units) -> frozenset[Pair]:
+    """Pairs (i, j), i != j, with no unit strictly between j and i."""
+    out = set()
+    for i, j in rel:
+        if i != j and not any(
+            m not in (i, j) and (i, m) in rel and (m, j) in rel for m in units
+        ):
+            out.add((i, j))
+    return frozenset(out)
+
+
+def non_tree_triple(rel) -> tuple[Unit, Unit, Unit] | None:
+    """The first (x, y, z) in sorted order with (x, y), (x, z) present and
+    y, z incomparable."""
+    by_range: dict[Unit, list[Unit]] = {}
+    for i, j in sorted(p for p in rel if p[0] != p[1]):
+        by_range.setdefault(i, []).append(j)
+    for x, sources in by_range.items():
+        for p in range(len(sources)):
+            for q in range(p + 1, len(sources)):
+                y, z = sources[p], sources[q]
+                if (y, z) not in rel and (z, y) not in rel:
+                    return (x, y, z)
+    return None
+
+
+def chain_grades(rel, units) -> dict[Pair, int]:
+    """Grades as covering-chain lengths, for a relation that passes the
+    tree condition."""
+    received = {i: j for i, j in covering_pairs(rel, units)}
+    grade = {}
+    for i, j in rel:
+        steps, cur = 0, i
+        while cur != j:
+            cur = received[cur]
+            steps += 1
+        grade[(i, j)] = steps
+    return grade
+
+
+def grading_ok(rel, units, grade) -> bool:
+    """The checks a caller-supplied grading must pass."""
+    if set(grade) != set(rel):
+        return False
+    for (i, j), g in grade.items():
+        if (g == 0) != (i == j) or g < 0:
+            return False
+    for i, j in rel:
+        for k, l in rel:
+            if j == k and grade[(i, l)] != grade[(i, j)] + grade[(k, l)]:
+                return False
+    for (i, j), g in grade.items():
+        if g >= 2 and not any(
+            grade.get((i, m)) == 1 and grade.get((m, j)) == g - 1 for m in units
+        ):
+            return False
+    return True

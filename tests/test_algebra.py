@@ -112,6 +112,9 @@ def test_upper_triangular_relation_size():
     a = DigraphAlgebra.upper_triangular(3)
     assert len(a.relation) == 6
     assert a.is_full_upper_triangular()
+    # same number of pairs, opposite order
+    assert not DigraphAlgebra([2], pairs((2, 1))).is_full_upper_triangular()
+    assert not DigraphAlgebra([3], pairs((1, 2), (1, 3), (3, 2))).is_full_upper_triangular()
 
 
 def test_from_graph_unit_assignment():

@@ -261,3 +261,36 @@ def test_outputs_deterministic(capsys, tmp_path):
     first = run(capsys, "check-tensor", yes, "--depth", "3", "--format", "json")
     second = run(capsys, "check-tensor", yes, "--depth", "3", "--format", "json")
     assert first == second
+
+
+def test_lower_triangular_tower_gets_a_verdict(capsys, tmp_path):
+    # The order with the single pair (2, 1) has as many pairs as the full
+    # upper-triangular one; it must be continued by translated copies of
+    # itself, not by the standard embedding of the upper-triangular order.
+    doc = {
+        "levels": [{"blocks": [2], "units": [[[0, 2], [0, 1]]]}],
+        "maps": [],
+        "rule": {"kind": "standard", "m": 2},
+    }
+    path = write(tmp_path, "lower.json", doc)
+    code, out, _ = run(capsys, "check-tensor", path, "--depth", "3")
+    assert code == 0 and "verdict: yes" in out
+
+
+def test_nonpositive_rule_parameters_exit_65(capsys, tmp_path):
+    for rule in ({"kind": "standard", "m": 0}, {"kind": "refinement", "l": -1}):
+        doc = {"levels": [{"blocks": [2], "units": []}], "maps": [], "rule": rule}
+        code, out, err = run(capsys, "check-tensor", write(tmp_path, "t.json", doc))
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and "positive" in err
+
+
+def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
+    def crash(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("treealg.cli.decide_tensor", crash)
+    path = write(tmp_path, "t.json", tower_to_json(triple_copy_tower(2)))
+    code, out, err = run(capsys, "check-tensor", path)
+    assert code == 70 and out == ""
+    assert err == "treealg: internal error: KeyError: 'boom'\n"

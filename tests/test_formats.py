@@ -170,6 +170,9 @@ def test_rule_round_trips():
             assert back == r
     with pytest.raises(FormatError, match="rule.kind"):
         rule_from_json({"kind": "spiral"})
+    for bad in ({"kind": "standard", "m": 0}, {"kind": "refinement", "l": 0}):
+        with pytest.raises(FormatError, match="positive"):
+            rule_from_json(bad)
 
 
 def test_tower_round_trips():
