@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CyclicGraph
-from .graphs import DirectedGraph, OutForest, recognize_out_forest, transitive_completion
+from .graphs import DirectedGraph, OutForest, find_cycle
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -163,14 +163,18 @@ class DigraphAlgebra:
         """The algebra of the strict order generated by an acyclic graph.
 
         Vertex k in declaration order becomes diagonal unit (0, k+1); an
-        edge u -> v of the closure contributes the pair (unit(v), unit(u)).
-        Returns the algebra together with the vertex-to-unit map.
+        edge u -> v contributes the pair (unit(v), unit(u)), and the pairs
+        are closed transitively by from_generators.  Returns the algebra
+        together with the vertex-to-unit map; raises CyclicGraph when the
+        graph has a directed cycle.
         """
         graph = g.graph if isinstance(g, OutForest) else g
-        comp = transitive_completion(graph)
-        to_unit = {v: (0, k + 1) for k, v in enumerate(comp.vertices)}
-        pairs = [(to_unit[t], to_unit[s]) for s, t in comp.edges]
-        return cls([len(comp.vertices)], pairs), to_unit
+        cyc = find_cycle(graph)
+        if cyc is not None:
+            raise CyclicGraph(f"graph has a directed cycle: {' -> '.join(cyc)}")
+        to_unit = {v: (0, k + 1) for k, v in enumerate(graph.vertices)}
+        pairs = [(to_unit[t], to_unit[s]) for s, t in graph.edges]
+        return cls.from_generators([len(graph.vertices)], pairs), to_unit
 
     @property
     def blocks(self) -> tuple[int, ...]:
@@ -244,13 +248,6 @@ def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
             if rows[j] >> i & 1:
                 ui, uj = units[i], units[j]
                 raise ValueError(f"pairs ({ui},{uj}) and ({uj},{ui}) break antisymmetry")
-
-
-def semigroupoid_graph(a: DigraphAlgebra) -> DirectedGraph:
-    """Diagonal units as vertices; a pair (i, j) becomes the edge j -> i."""
-    vs = [unit_name(u) for u in a.units()]
-    edges = [(unit_name(j), unit_name(i)) for i, j in a.irreflexive_pairs()]
-    return DirectedGraph(vs, edges)
 
 
 @dataclass(frozen=True)
@@ -373,20 +370,3 @@ def solve_grading(a: DigraphAlgebra) -> Grading | NonTreeTriple:
         (us[i], us[j]): depth[i] - depth[j] for i, row in enumerate(rows) for j in _bits(row)
     }
     return Grading(a, grade)
-
-
-def one_elementary_units(a: DigraphAlgebra, g: Grading) -> frozenset[Pair]:
-    """The grade-1 pairs of a graded algebra."""
-    if g.algebra != a:
-        raise ValueError("grading belongs to a different algebra")
-    return frozenset(p for p, k in g.grade.items() if k == 1)
-
-
-def grade_1_forest(a: DigraphAlgebra, g: Grading) -> OutForest:
-    """The grade-1 pairs as an out-forest on the diagonal units."""
-    vs = [unit_name(u) for u in a.units()]
-    edges = [(unit_name(j), unit_name(i)) for i, j in one_elementary_units(a, g)]
-    got = recognize_out_forest(DirectedGraph(vs, edges))
-    if not got:
-        raise CyclicGraph("grade-1 pairs of a graded algebra must form a forest")
-    return got

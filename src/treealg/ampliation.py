@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DigraphAlgebra, Pair, Unit
-from .embeddings import RegularEmbedding
+from .algebra import DigraphAlgebra
+from .embeddings import RegularEmbedding, refinement_rows, translation_embedding
 from .errors import NotATree
 from .graphs import DirectedGraph, OutForest
 from .tower import Tower, TreeRefinementRule
@@ -73,75 +73,17 @@ class TreeRefinementSpec:
         )
 
 
-def refinement_factor_chain(source_pair: Pair, s: int, l: int) -> list[Pair]:
-    """The factor sequence showing a refinement image pair lies in the
-    ampliated order.
-
-    For the source pair with range row i and source row j, copy s, the
-    image unit e_{(i,s),(j,s)} equals the product of the climb along the
-    copy chain of i, the unit e_{(i,1),(j,l)}, and the climb along the
-    copy chain of j.  Rows refer to the ampliated level.
-    """
-    (_, i), (_, j) = source_pair
-    def row(base_row: int, t: int) -> int:
-        return (base_row - 1) * l + t
-    factors: list[Pair] = []
-    for z in range(s - 1, 0, -1):
-        factors.append(((0, row(i, z + 1)), (0, row(i, z))))
-    factors.append(((0, row(i, 1)), (0, row(j, l))))
-    for w in range(l - 1, s - 1, -1):
-        factors.append(((0, row(j, w + 1)), (0, row(j, w))))
-    return factors
-
-
-def _check_refinement_inclusion(
-    src: DigraphAlgebra, tgt: DigraphAlgebra, tree: OutForest, l: int
-) -> None:
-    # Each image unit must factor through the ampliated order exactly as
-    # the chain construction predicts.
-    for pair in src.irreflexive_pairs():
-        (_, i), (_, j) = pair
-        for s in range(1, l + 1):
-            factors = refinement_factor_chain(pair, s, l)
-            for f in factors:
-                if f not in tgt.relation:
-                    raise AssertionError(
-                        f"factor {f} of the image of {pair} is missing upstairs"
-                    )
-            for a, b in zip(factors, factors[1:]):
-                if a[1] != b[0]:
-                    raise AssertionError("factor chain fails to compose")
-            product = (factors[0][0], factors[-1][1])
-            want = ((0, (i - 1) * l + s), (0, (j - 1) * l + s))
-            if product != want:
-                raise AssertionError(
-                    f"factor chain of {pair} composes to {product}, expected {want}"
-                )
-
-
 def level_algebra(tree: OutForest) -> DigraphAlgebra:
     """The order algebra of a tree, rows following declaration order."""
     return DigraphAlgebra.from_graph(tree.graph)[0]
 
 
-def refinement_between(tree: OutForest, nxt: OutForest, l: int) -> RegularEmbedding:
-    """The refinement embedding from a tree level onto its ampliation.
-
-    nxt must be the ampliation of tree by l, name for name.
-    """
-    if nxt.graph != ampliate(tree, l).graph:
-        raise ValueError("the target is not the multiplicity-l ampliation of the source")
-    src = level_algebra(tree)
-    tgt = level_algebra(nxt)
-    _check_refinement_inclusion(src, tgt, tree, l)
-    n = src.blocks[0]
-    image = {
-        ((0, i), (0, j)): frozenset(
-            ((0, (i - 1) * l + s), (0, (j - 1) * l + s)) for s in range(1, l + 1)
-        )
-        for (_, i), (__, j) in src.relation
-    }
-    return RegularEmbedding(src, tgt, image)
+def refinement_between(tree: OutForest, l: int) -> tuple[OutForest, RegularEmbedding]:
+    """The ampliation of tree by l, and the refinement embedding from the
+    order algebra of tree onto the order algebra of the ampliation."""
+    nxt = ampliate(tree, l)
+    e = translation_embedding(level_algebra(tree), refinement_rows(l), level_algebra(nxt))
+    return nxt, e
 
 
 def build_tree_refinement_tower(spec: TreeRefinementSpec, depth: int) -> Tower:
@@ -153,15 +95,14 @@ def build_tree_refinement_tower(spec: TreeRefinementSpec, depth: int) -> Tower:
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    trees = [spec.base]
+    tree = spec.base
+    levels = [level_algebra(tree)]
+    maps = []
     for step in range(depth - 1):
-        trees.append(ampliate(trees[-1], spec.multiplicity(step)))
-    levels = [level_algebra(t) for t in trees]
-    maps = [
-        refinement_between(trees[k], trees[k + 1], spec.multiplicity(k))
-        for k in range(depth - 1)
-    ]
+        tree, e = refinement_between(tree, spec.multiplicity(step))
+        levels.append(e.target)
+        maps.append(e)
     rule = None
     if spec.stationary is not None and len(spec.multiplicities) <= depth - 1:
-        rule = TreeRefinementRule(trees[-1], spec.stationary)
+        rule = TreeRefinementRule(tree, spec.stationary)
     return Tower(levels, maps, rule)

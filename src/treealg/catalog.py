@@ -10,8 +10,14 @@ decides yes on stabilized evidence alone.
 
 from __future__ import annotations
 
-from .algebra import DigraphAlgebra, Pair
-from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
+from .algebra import DigraphAlgebra
+from .embeddings import (
+    RegularEmbedding,
+    refinement_embedding,
+    standard_embedding,
+    standard_rows,
+    translation_embedding,
+)
 from .graphs import DirectedGraph, OutForest, recognize_out_forest
 from .tower import RefinementRule, StandardRule, Tower
 
@@ -72,15 +78,8 @@ def standard_image_tower(n: int, m: int) -> Tower:
     the m translated chains.
     """
     src = DigraphAlgebra.upper_triangular(n)
-    image: dict[Pair, frozenset[Pair]] = {}
-    for (_, i), (_, j) in src.relation:
-        image[((0, i), (0, j))] = frozenset(
-            ((0, i + k * n), (0, j + k * n)) for k in range(m)
-        )
-    off = {q for v in image.values() for q in v if q[0] != q[1]}
-    img_alg = DigraphAlgebra([n * m], off)
-    emb = RegularEmbedding(src, img_alg, image)
-    return Tower([src, img_alg], [emb], StandardRule(m))
+    emb = translation_embedding(src, standard_rows(n, m))
+    return Tower([src, emb.target], [emb], StandardRule(m))
 
 
 def mixed_tower(depth: int = 2) -> Tower:
@@ -118,14 +117,11 @@ def triple_copy_tower(depth: int) -> Tower:
     maps: list[RegularEmbedding] = []
     for k in range(1, depth):
         scale = 3 ** (k - 1)
-        src = levels[-1]
-        tgt = DigraphAlgebra.upper_triangular(3 ** (k + 1))
-        image: dict[Pair, frozenset[Pair]] = {}
-        for (_, i), (_, j) in src.relation:
-            image[((0, i), (0, j))] = frozenset(
-                ((0, _triple_lift(i, scale, c)), (0, _triple_lift(j, scale, c)))
-                for c in _TRIPLE_COPIES
-            )
-        maps.append(RegularEmbedding(src, tgt, image))
-        levels.append(tgt)
+        e = translation_embedding(
+            levels[-1],
+            lambda i: [_triple_lift(i, scale, c) for c in _TRIPLE_COPIES],
+            DigraphAlgebra.upper_triangular(3 ** (k + 1)),
+        )
+        maps.append(e)
+        levels.append(e.target)
     return Tower(levels, maps, rule=None)

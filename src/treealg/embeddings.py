@@ -9,25 +9,21 @@ must have to come from a star-extendable algebra homomorphism:
   source units,
 * images compose: im(i,j) * im(j,k) = im(i,k) pairwise.
 
-The two classical single-block constructors are provided.  With block
-size n and multiplicity m, the standard embedding sends e_ij to the sum
-of e_{i+kn, j+kn} over k < m; with step l the refinement embedding sends
-e_ij to the sum of e_{(i-1)l+s, (j-1)l+s} over 1 <= s <= l.
+Embeddings that place copies of a single-block level along a row formula
+are built by one helper, translation_embedding.  The two classical row
+formulas: with block size n and multiplicity m, the standard embedding
+sends e_ij to the sum of e_{i+kn, j+kn} over k < m; with step l the
+refinement embedding sends e_ij to the sum of e_{(i-1)l+s, (j-1)l+s} over
+1 <= s <= l.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .algebra import DigraphAlgebra, Pair, Unit
-from .errors import (
-    IllFormedAttachment,
-    InconsistentMultiplicity,
-    MismatchedLevels,
-    MultiBlockUnsupported,
-)
+from .errors import IllFormedAttachment, MismatchedLevels, MultiBlockUnsupported
 from .graphs import OutForest
 
 
@@ -150,89 +146,67 @@ class RegularEmbedding:
         return f"RegularEmbedding({self._source!r} -> {self._target!r})"
 
 
-@dataclass(frozen=True)
-class MultiplicityData:
-    """Copy counts per (target block, source block), derived on demand.
-
-    counts[c][b] tells how many times source block b is copied into
-    target block c.  Never stored on the embedding; recompute as needed.
-    """
-
-    counts: tuple[tuple[int, ...], ...]
-
-
-def multiplicity_data(e: RegularEmbedding) -> MultiplicityData:
-    """Copy counts of e, checked for consistency across each source block.
-
-    Raises InconsistentMultiplicity when two units of one source block
-    are copied a different number of times into some target block; such a
-    map cannot extend to the enveloping sum of full matrix algebras.
-    """
-    sb = len(e.source.blocks)
-    tb = len(e.target.blocks)
-    counts = [[0] * sb for _ in range(tb)]
-    for b in range(sb):
-        per_unit = []
-        for r in range(1, e.source.blocks[b] + 1):
-            tally = [0] * tb
-            for c, _row in e.diag_image((b, r)):
-                tally[c] += 1
-            per_unit.append(tally)
-        first = per_unit[0]
-        for r, tally in enumerate(per_unit[1:], start=2):
-            if tally != first:
-                raise InconsistentMultiplicity(
-                    f"units (b{b}, r1) and (b{b}, r{r}) have diagonal images "
-                    f"of different shape: {first} vs {tally}"
-                )
-        for c in range(tb):
-            counts[c][b] = first[c]
-    for c in range(tb):
-        used = sum(counts[c][b] * e.source.blocks[b] for b in range(sb))
-        if used > e.target.blocks[c]:
-            raise InconsistentMultiplicity(
-                f"target block {c} of size {e.target.blocks[c]} cannot hold "
-                f"{used} copied rows"
-            )
-    return MultiplicityData(tuple(tuple(row) for row in counts))
-
-
 def identity_embedding(a: DigraphAlgebra) -> RegularEmbedding:
     return RegularEmbedding(a, a, {p: {p} for p in a.relation})
 
 
-def standard_embedding(n: int, m: int) -> RegularEmbedding:
-    """The multiplicity-m standard embedding on upper triangular algebras.
+Rows = Callable[[int], list[int]]
 
-    e_ij goes to the sum of its m diagonal translates e_{i+kn, j+kn}.
+
+def standard_rows(n: int, m: int) -> Rows:
+    """Row i goes to its m translates i + kn, k < m."""
+    return lambda i: [i + k * n for k in range(m)]
+
+
+def refinement_rows(l: int) -> Rows:
+    """Row i goes to the l rows (i-1)l + s, 1 <= s <= l."""
+    return lambda i: [(i - 1) * l + s for s in range(1, l + 1)]
+
+
+def translation_embedding(
+    source: DigraphAlgebra, rows: Rows, target: DigraphAlgebra | None = None
+) -> RegularEmbedding:
+    """Place copies of a single-block source along a row formula.
+
+    rows(i) lists the target rows of source row i, one per copy, in copy
+    order; e_ij goes to the sum over copies c of e_{rows(i)[c], rows(j)[c]}.
+    Without a target the image algebra is used: one block of size n times
+    the number of copies, holding exactly the image pairs.
     """
+    if len(source.blocks) != 1:
+        raise MultiBlockUnsupported("row translations need a single-block source")
+    n = source.blocks[0]
+    at = {i: rows(i) for i in range(1, n + 1)}
+    image = {
+        (u, v): frozenset(((0, pi), (0, pj)) for pi, pj in zip(at[u[1]], at[v[1]]))
+        for u, v in source.relation
+    }
+    if target is None:
+        off = {q for im in image.values() for q in im if q[0] != q[1]}
+        target = DigraphAlgebra([n * len(at[1])], off)
+    return RegularEmbedding(source, target, image)
+
+
+def standard_embedding(n: int, m: int) -> RegularEmbedding:
+    """The multiplicity-m standard embedding on upper triangular algebras."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    src = DigraphAlgebra.upper_triangular(n)
-    tgt = DigraphAlgebra.upper_triangular(n * m)
-    image = {
-        ((0, i), (0, j)): frozenset(((0, i + k * n), (0, j + k * n)) for k in range(m))
-        for (_, i), (__, j) in src.relation
-    }
-    return RegularEmbedding(src, tgt, image)
+    return translation_embedding(
+        DigraphAlgebra.upper_triangular(n),
+        standard_rows(n, m),
+        DigraphAlgebra.upper_triangular(n * m),
+    )
 
 
 def refinement_embedding(n: int, l: int) -> RegularEmbedding:
-    """The step-l refinement embedding on upper triangular algebras.
-
-    e_ij goes to the sum of e_{(i-1)l+s, (j-1)l+s} over 1 <= s <= l.
-    """
+    """The step-l refinement embedding on upper triangular algebras."""
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 and l >= 1")
-    src = DigraphAlgebra.upper_triangular(n)
-    tgt = DigraphAlgebra.upper_triangular(n * l)
-    image = {
-        ((0, i), (0, j)): frozenset(
-            ((0, (i - 1) * l + s), (0, (j - 1) * l + s)) for s in range(1, l + 1)
-        )
-        for (_, i), (__, j) in src.relation
-    }
-    return RegularEmbedding(src, tgt, image)
+    return translation_embedding(
+        DigraphAlgebra.upper_triangular(n),
+        refinement_rows(l),
+        DigraphAlgebra.upper_triangular(n * l),
+    )
 
 
 def compose(f: RegularEmbedding, g: RegularEmbedding) -> RegularEmbedding:

@@ -25,10 +25,6 @@ class MultiBlockUnsupported(TreealgError):
     """The operation is defined for single-block algebras only."""
 
 
-class InconsistentMultiplicity(TreealgError):
-    """Diagonal image sizes vary within one source block."""
-
-
 class GraphMismatch(TreealgError):
     """Two correspondence vectors live over different graphs."""
 

@@ -10,18 +10,13 @@ output only.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any
 
 from .algebra import DigraphAlgebra, DoubleReceiver, NonTreeTriple, Pair, Unit
 from .ampliation import TreeRefinementSpec
 from .classify import ClassificationResult, Distinct, Equivalent, Undetermined
 from .correspondence import CKTReport, GraphCorrespondenceVector, NeatCheck
-from .embeddings import (
-    RegularEmbedding,
-    refinement_embedding,
-    standard_embedding,
-    tree_standard_embedding,
-)
+from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
 from .errors import FormatError
 from .graphs import DirectedGraph, OutForest
 from .tower import (
@@ -76,6 +71,13 @@ def _get(obj: dict, key: str, path: str) -> Json:
     if key not in obj:
         raise FormatError(f"{path}: missing field {key!r}")
     return obj[key]
+
+
+def _positive(obj: dict, key: str, path: str) -> int:
+    value = _as_int(_get(obj, key, path), f"{path}.{key}")
+    if value < 1:
+        raise FormatError(f"{path}.{key}: expected a positive integer, found {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +195,18 @@ def embedding_from_json(
     path: str = "embedding",
     source: DigraphAlgebra | None = None,
     target: DigraphAlgebra | None = None,
-    forests: tuple[list[OutForest], OutForest] | None = None,
 ) -> RegularEmbedding:
     """Decode an embedding document.
 
     The explicit form needs the enclosing source and target algebras;
-    the tree-standard form needs the source and target forests.  Tower
-    files supply the algebras from the surrounding levels.
+    tower files supply them from the surrounding levels.
     """
     doc = _as_dict(obj, path)
     kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
     if kind == "standard":
-        n = _as_int(_get(doc, "n", path), f"{path}.n")
-        m = _as_int(_get(doc, "m", path), f"{path}.m")
-        return standard_embedding(n, m)
+        return standard_embedding(_positive(doc, "n", path), _positive(doc, "m", path))
     if kind == "refinement":
-        n = _as_int(_get(doc, "n", path), f"{path}.n")
-        l = _as_int(_get(doc, "l", path), f"{path}.l")
-        return refinement_embedding(n, l)
+        return refinement_embedding(_positive(doc, "n", path), _positive(doc, "l", path))
     if kind == "explicit":
         if source is None or target is None:
             raise FormatError(
@@ -230,20 +226,6 @@ def embedding_from_json(
             image[src] = tgts
         try:
             return RegularEmbedding(source, target, _complete_diagonal(source, image))
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    if kind == "tree-standard":
-        if forests is None:
-            raise FormatError(
-                f"{path}: tree-standard embeddings need source and target forests"
-            )
-        attach: list[Mapping[str, str]] = []
-        for k, item in enumerate(_as_list(_get(doc, "attach", path), f"{path}.attach")):
-            ap = f"{path}.attach[{k}]"
-            m = _as_dict(item, ap)
-            attach.append({_as_str(s, ap): _as_str(t, f"{ap}.{s}") for s, t in m.items()})
-        try:
-            return tree_standard_embedding(forests[0], forests[1], attach)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from exc
     raise FormatError(f"{path}.kind: unknown embedding kind {kind!r}")
@@ -293,22 +275,15 @@ def rule_from_json(obj: Json, path: str = "rule") -> Rule | None:
         return None
     doc = _as_dict(obj, path)
     kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
-
-    def positive(key: str) -> int:
-        value = _as_int(_get(doc, key, path), f"{path}.{key}")
-        if value < 1:
-            raise FormatError(f"{path}.{key}: expected a positive integer, found {value}")
-        return value
-
     if kind == "standard":
-        return StandardRule(positive("m"))
+        return StandardRule(_positive(doc, "m", path))
     if kind == "refinement":
-        return RefinementRule(positive("l"))
+        return RefinementRule(_positive(doc, "l", path))
     if kind == "nest":
         return NestRule()
     if kind == "tree-refinement":
         tree = forest_from_json(_get(doc, "tree", path), f"{path}.tree")
-        return TreeRefinementRule(tree, positive("l"))
+        return TreeRefinementRule(tree, _positive(doc, "l", path))
     raise FormatError(f"{path}.kind: unknown rule kind {kind!r}")
 
 

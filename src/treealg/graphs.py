@@ -1,9 +1,10 @@
-"""Finite directed graphs, out-forests, and transitive structure.
+"""Finite directed graphs and out-forests.
 
 Vertices are opaque strings and keep their declaration order; every
 deterministic ordering in the package derives from that order.  Graphs are
 irreflexive (self-loops are rejected) and immutable after construction.
-Reflexivity, where it matters, is handled at the algebra layer.
+Reflexivity and transitive closure, where they matter, are handled at the
+algebra layer.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import CyclicGraph, NotATree
+from .errors import NotATree
 
 Edge = tuple[str, str]
 
@@ -165,32 +166,6 @@ def find_cycle(g: DirectedGraph) -> list[str] | None:
     return None
 
 
-def transitive_completion(g: DirectedGraph) -> DirectedGraph:
-    """The transitive closure of g on the same vertices and weights.
-
-    Raises CyclicGraph if g has a directed cycle, since the closures this
-    package cares about are strict partial orders.
-    """
-    cyc = find_cycle(g)
-    if cyc is not None:
-        raise CyclicGraph(f"graph has a directed cycle: {' -> '.join(cyc)}")
-    reach: dict[str, set[str]] = {v: set(g.successors(v)) for v in g.vertices}
-    # Process targets in reverse topological manner via simple iteration to
-    # a fixed point; the graphs here are desk-scale.
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            extra = set()
-            for w in reach[v]:
-                extra |= reach[w] - reach[v]
-            if extra:
-                reach[v] |= extra
-                changed = True
-    edges = [(v, w) for v in g.vertices for w in reach[v]]
-    return DirectedGraph(g.vertices, edges, g.weights)
-
-
 @dataclass(frozen=True)
 class ForestRejection:
     """Why a graph is not an out-forest.
@@ -324,36 +299,3 @@ def recognize_out_forest(g: DirectedGraph) -> OutForest | ForestRejection:
     if cyc is not None:
         return ForestRejection("directed-cycle", cycle=tuple(cyc))
     return OutForest(g)
-
-
-def covering_edges(g: DirectedGraph) -> frozenset[Edge]:
-    """Edges (u, v) of g admitting no intermediate w with u -> w -> v in g."""
-    out = set()
-    for u, v in g.edges:
-        if not any(
-            g.has_edge(u, w) and g.has_edge(w, v)
-            for w in g.vertices
-            if w not in (u, v)
-        ):
-            out.add((u, v))
-    return frozenset(out)
-
-
-def is_transitive_completion_of_out_forest(
-    g: DirectedGraph,
-) -> tuple[bool, OutForest | None]:
-    """Decide whether g is the strict order generated by some out-forest.
-
-    The candidate forest is the covering relation of g; g qualifies exactly
-    when that candidate is an out-forest whose transitive closure gives back
-    the edges of g.
-    """
-    if find_cycle(g) is not None:
-        return False, None
-    cover = DirectedGraph(g.vertices, covering_edges(g), g.weights)
-    forest = recognize_out_forest(cover)
-    if not forest:
-        return False, None
-    if transitive_completion(cover).edges != g.edges:
-        return False, None
-    return True, forest

@@ -40,7 +40,12 @@ from .algebra import (
     solve_grading,
     unit_name,
 )
-from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
+from .embeddings import (
+    RegularEmbedding,
+    refinement_rows,
+    standard_rows,
+    translation_embedding,
+)
 from .errors import MismatchedLevels, NotDecidedYes
 from .graphs import DirectedGraph, OutForest, recognize_out_forest
 
@@ -120,58 +125,32 @@ class Tower:
         return f"Tower({len(self._levels)} stored levels, {r})"
 
 
-def _formula_step(
-    level: DigraphAlgebra, positions, size: int
-) -> tuple[DigraphAlgebra, RegularEmbedding]:
-    """Build the next level as the image algebra of a row-translation formula.
-
-    positions(row) yields the target rows of one diagonal unit, one per
-    copy, in copy order.
-    """
-    if len(level.blocks) != 1:
-        raise MismatchedLevels("rule generation needs single-block levels")
-    image = {}
-    for (b, i), (_, j) in level.relation:
-        image[((b, i), (b, j))] = frozenset(
-            ((0, pi), (0, pj)) for pi, pj in zip(positions(i), positions(j))
-        )
-    off = {q for p, v in image.items() for q in v if q[0] != q[1]}
-    target = DigraphAlgebra([size], off)
-    return target, RegularEmbedding(level, target, image)
-
-
 def _rule_step(
     level: DigraphAlgebra, rule: Rule
 ) -> tuple[DigraphAlgebra, RegularEmbedding, Rule]:
-    if isinstance(rule, StandardRule):
-        n = level.blocks[0] if len(level.blocks) == 1 else None
-        if n is None:
-            raise MismatchedLevels("standard rule needs single-block levels")
+    if isinstance(rule, (StandardRule, RefinementRule)):
+        standard = isinstance(rule, StandardRule)
+        if len(level.blocks) != 1:
+            kind = "standard" if standard else "refinement"
+            raise MismatchedLevels(f"{kind} rule needs single-block levels")
+        n = level.blocks[0]
+        copies = rule.m if standard else rule.l
+        rows = standard_rows(n, copies) if standard else refinement_rows(copies)
+        # A full triangular level continues into the full level one size
+        # up; any other level into the image of the step.
+        target = None
         if level.is_full_upper_triangular():
-            e = standard_embedding(n, rule.m)
-            return e.target, e, rule
-        target, e = _formula_step(
-            level, lambda r: [r + k * n for k in range(rule.m)], n * rule.m
-        )
-        return target, e, rule
-    if isinstance(rule, RefinementRule):
-        n = level.blocks[0] if len(level.blocks) == 1 else None
-        if n is None:
-            raise MismatchedLevels("refinement rule needs single-block levels")
-        if level.is_full_upper_triangular():
-            e = refinement_embedding(n, rule.l)
-            return e.target, e, rule
-        target, e = _formula_step(
-            level,
-            lambda r: [(r - 1) * rule.l + s for s in range(1, rule.l + 1)],
-            n * rule.l,
-        )
-        return target, e, rule
+            target = DigraphAlgebra.upper_triangular(n * copies)
+        e = translation_embedding(level, rows, target)
+        return e.target, e, rule
     if isinstance(rule, TreeRefinementRule):
-        from .ampliation import ampliate, refinement_between
+        from .ampliation import refinement_between
 
-        nxt = ampliate(rule.tree, rule.l)
-        e = refinement_between(rule.tree, nxt, rule.l)
+        nxt, e = refinement_between(rule.tree, rule.l)
+        if e.source != level:
+            raise MismatchedLevels(
+                "the tree of the tree-refinement rule does not give the last level"
+            )
         return e.target, e, TreeRefinementRule(nxt, rule.l)
     raise MismatchedLevels(f"cannot generate levels from rule {rule!r}")
 

@@ -4,9 +4,16 @@ These are the loops the algebra layer ran before it stored relations as
 row bitmasks.  They work on plain sets of (range, source) unit pairs and
 cost up to |R|^2 steps each, so they serve only as the oracle that
 test_kernel.py compares the bitmask kernel against on small relations.
+
+The graph-level closure, covering edges and out-forest completion test
+at the end once duplicated the kernel on DirectedGraph values; they stay
+here as the oracle of test_graphs.py and of the grading solver.
 """
 
 from __future__ import annotations
+
+from treealg.errors import CyclicGraph
+from treealg.graphs import DirectedGraph, OutForest, find_cycle, recognize_out_forest
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -107,3 +114,59 @@ def grading_ok(rel, units, grade) -> bool:
         ):
             return False
     return True
+
+
+def transitive_completion(g: DirectedGraph) -> DirectedGraph:
+    """The transitive closure of g on the same vertices and weights.
+
+    Raises CyclicGraph if g has a directed cycle.
+    """
+    cyc = find_cycle(g)
+    if cyc is not None:
+        raise CyclicGraph(f"graph has a directed cycle: {' -> '.join(cyc)}")
+    reach: dict[str, set[str]] = {v: set(g.successors(v)) for v in g.vertices}
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            extra = set()
+            for w in reach[v]:
+                extra |= reach[w] - reach[v]
+            if extra:
+                reach[v] |= extra
+                changed = True
+    edges = [(v, w) for v in g.vertices for w in reach[v]]
+    return DirectedGraph(g.vertices, edges, g.weights)
+
+
+def covering_edges(g: DirectedGraph) -> frozenset[tuple[str, str]]:
+    """Edges (u, v) of g admitting no intermediate w with u -> w -> v in g."""
+    out = set()
+    for u, v in g.edges:
+        if not any(
+            g.has_edge(u, w) and g.has_edge(w, v)
+            for w in g.vertices
+            if w not in (u, v)
+        ):
+            out.add((u, v))
+    return frozenset(out)
+
+
+def is_transitive_completion_of_out_forest(
+    g: DirectedGraph,
+) -> tuple[bool, OutForest | None]:
+    """Decide whether g is the strict order generated by some out-forest.
+
+    The candidate forest is the covering relation of g; g qualifies exactly
+    when that candidate is an out-forest whose transitive closure gives back
+    the edges of g.
+    """
+    if find_cycle(g) is not None:
+        return False, None
+    cover = DirectedGraph(g.vertices, covering_edges(g), g.weights)
+    forest = recognize_out_forest(cover)
+    if not forest:
+        return False, None
+    if transitive_completion(cover).edges != g.edges:
+        return False, None
+    return True, forest

@@ -13,23 +13,18 @@ import random
 import pytest
 
 from conftest import random_dag, random_out_forest
+from reference_kernel import is_transitive_completion_of_out_forest, transitive_completion
 from treealg.algebra import (
     DigraphAlgebra,
     Grading,
     NonTreeTriple,
     covering_pairs,
-    grade_1_forest,
     is_tree_semigroupoid,
-    one_elementary_units,
-    semigroupoid_graph,
     solve_grading,
     unit_name,
 )
-from treealg.graphs import (
-    DirectedGraph,
-    is_transitive_completion_of_out_forest,
-    transitive_completion,
-)
+from treealg.errors import CyclicGraph
+from treealg.graphs import DirectedGraph
 
 
 def u(r):
@@ -126,10 +121,21 @@ def test_from_graph_unit_assignment():
     assert not a.has_pair(u(2), u(3))
 
 
-def test_semigroupoid_graph_orientation():
-    g = semigroupoid_graph(DigraphAlgebra.upper_triangular(3))
-    assert g.vertices == ("0:1", "0:2", "0:3")
-    assert g.edges == {("0:2", "0:1"), ("0:3", "0:2"), ("0:3", "0:1")}
+def test_from_graph_rejects_cycle():
+    with pytest.raises(CyclicGraph):
+        DigraphAlgebra.from_graph(DirectedGraph(["a", "b"], [("a", "b"), ("b", "a")]))
+
+
+def test_from_graph_matches_graph_level_completion():
+    # Closing at the algebra layer gives the same pairs as closing the graph.
+    rng = random.Random(5)
+    for _ in range(40):
+        dag = random_dag(rng, rng.randint(1, 8), p=0.35)
+        # declaration order need not be topological
+        dag = DirectedGraph(rng.sample(dag.vertices, len(dag.vertices)), dag.edges)
+        a, to_unit = DigraphAlgebra.from_graph(dag)
+        comp = transitive_completion(dag)
+        assert set(a.irreflexive_pairs()) == {(to_unit[t], to_unit[s]) for s, t in comp.edges}
 
 
 def test_unit_name_format():
@@ -169,7 +175,7 @@ def test_grading_of_branching_example():
     assert g.of((u(3), u(1))) == 1
     assert g.of((u(4), u(3))) == 1
     assert g.of((u(4), u(1))) == 2
-    assert one_elementary_units(a, g) == set(pairs((2, 1), (3, 1), (4, 3)))
+    assert {q for q, k in g.grade.items() if k == 1} == set(pairs((2, 1), (3, 1), (4, 3)))
 
 
 def test_grading_matches_brute_force_and_is_unique():
@@ -234,9 +240,9 @@ def test_grade_1_forest_roundtrip():
         # grades equal depth differences in the source forest
         for s, t in f.graph.edges:
             assert g.of((to_unit[t], to_unit[s])) == 1
-        back = grade_1_forest(a, g)
-        assert back.edges == {
-            (unit_name(to_unit[s]), unit_name(to_unit[t])) for s, t in f.edges
+        # and the grade-1 pairs are exactly the forest edges
+        assert {q for q, k in g.grade.items() if k == 1} == {
+            (to_unit[t], to_unit[s]) for s, t in f.edges
         }
 
 
@@ -248,7 +254,12 @@ def test_solver_agrees_with_forest_completion_test():
         dag = random_dag(rng, rng.randint(1, 7), p=0.35)
         a, _ = DigraphAlgebra.from_graph(dag)
         solved = solve_grading(a)
-        ok, _forest = is_transitive_completion_of_out_forest(semigroupoid_graph(a))
+        # the semigroupoid graph: a pair (i, j) becomes the edge j -> i
+        semigroupoid = DirectedGraph(
+            [unit_name(v) for v in a.units()],
+            [(unit_name(j), unit_name(i)) for i, j in a.irreflexive_pairs()],
+        )
+        ok, _forest = is_transitive_completion_of_out_forest(semigroupoid)
         assert bool(solved) == ok
         if not solved:
             assert isinstance(solved, NonTreeTriple)

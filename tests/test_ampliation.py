@@ -8,9 +8,8 @@ from treealg.ampliation import (
     build_tree_refinement_tower,
     level_algebra,
     refinement_between,
-    refinement_factor_chain,
 )
-from treealg.catalog import branching_tree, chain_forest, lambda_tree
+from treealg.catalog import branching_tree, lambda_tree
 from treealg.errors import NotATree
 from treealg.graphs import DirectedGraph, OutForest, recognize_out_forest
 from treealg.tower import TreeRefinementRule
@@ -54,32 +53,17 @@ def test_rejects_forests_and_bad_multiplicity():
         ampliate(lambda_tree(), 0)
 
 
-def test_factor_chain_composes_to_the_image_unit():
-    l = 3
-    for i, j in [(1, 2), (1, 3), (2, 5)]:
-        for s in range(1, l + 1):
-            factors = refinement_factor_chain(((0, i), (0, j)), s, l)
-            for a, b in zip(factors, factors[1:]):
-                assert a[1] == b[0]
-            assert factors[0][0] == (0, (i - 1) * l + s)
-            assert factors[-1][1] == (0, (j - 1) * l + s)
-
-
 def test_refinement_between_images_are_the_copy_translates():
     tree = lambda_tree()
-    emb = refinement_between(tree, ampliate(tree, 2), 2)
+    nxt, emb = refinement_between(tree, 2)
+    assert nxt == ampliate(tree, 2)
+    assert emb.source == level_algebra(tree)
+    assert emb.target == level_algebra(nxt)
     # root row 1, child a row 2: base pair has range row 2, source row 1
     assert emb.of(((0, 2), (0, 1))) == frozenset(
         {((0, 3), (0, 1)), ((0, 4), (0, 2))}
     )
     assert emb.multiplicity_of((0, 1)) == 2
-
-
-def test_refinement_inclusion_rejects_wrong_target():
-    tree = lambda_tree()
-    other = ampliate(chain_forest(3), 2)
-    with pytest.raises(Exception):
-        refinement_between(tree, other, 2)
 
 
 def test_tower_structure_and_rule():

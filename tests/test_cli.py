@@ -278,11 +278,42 @@ def test_lower_triangular_tower_gets_a_verdict(capsys, tmp_path):
 
 
 def test_nonpositive_rule_parameters_exit_65(capsys, tmp_path):
-    for rule in ({"kind": "standard", "m": 0}, {"kind": "refinement", "l": -1}):
-        doc = {"levels": [{"blocks": [2], "units": []}], "maps": [], "rule": rule}
+    docs = [
+        {"levels": [{"blocks": [2], "units": []}], "maps": [], "rule": rule}
+        for rule in ({"kind": "standard", "m": 0}, {"kind": "refinement", "l": -1})
+    ]
+    levels = [{"blocks": [2]}, {"blocks": [4]}]
+    docs += [
+        {"levels": levels, "maps": [emb]}
+        for emb in (
+            {"kind": "standard", "n": 0, "m": 2},
+            {"kind": "standard", "n": 2, "m": 0},
+            {"kind": "refinement", "n": -1, "l": 2},
+            {"kind": "refinement", "n": 2, "l": 0},
+        )
+    ]
+    for doc in docs:
         code, out, err = run(capsys, "check-tensor", write(tmp_path, "t.json", doc))
         assert code == 65 and out == ""
         assert err.count("\n") == 1 and "positive" in err
+
+
+def test_tree_rule_off_the_last_level_exits_65(capsys, tmp_path):
+    # The rule's tree gives the order (2, 1), (3, 1); the stored level is
+    # the order (2, 3), (3, 1), so no level can be generated from it.
+    tree = {"vertices": ["r", "a", "b"], "edges": [["r", "a"], ["r", "b"]]}
+    doc = {
+        "levels": [{"blocks": [3], "units": [[[0, 2], [0, 3]], [[0, 3], [0, 1]]]}],
+        "maps": [],
+        "rule": {"kind": "tree-refinement", "tree": tree, "l": 2},
+    }
+    path = write(tmp_path, "t.json", doc)
+    code, out, err = run(capsys, "check-tensor", path, "--depth", "3")
+    assert code == 65 and out == ""
+    assert "tree-refinement rule" in err
+    doc["levels"][0]["units"] = [[[0, 2], [0, 1]], [[0, 3], [0, 1]]]
+    code, out, _ = run(capsys, "check-tensor", write(tmp_path, "t.json", doc), "--depth", "3")
+    assert code == 1 and "verdict: no" in out
 
 
 def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):

@@ -6,24 +6,20 @@ from fractions import Fraction
 
 import pytest
 
-from treealg.algebra import DigraphAlgebra, semigroupoid_graph, solve_grading
+from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.embeddings import (
-    MultiplicityData,
     RegularEmbedding,
     compose,
     identity_embedding,
-    multiplicity_data,
     normalized_trace,
     refinement_embedding,
+    refinement_rows,
     standard_embedding,
+    standard_rows,
+    translation_embedding,
     tree_standard_embedding,
 )
-from treealg.errors import (
-    IllFormedAttachment,
-    InconsistentMultiplicity,
-    MismatchedLevels,
-    MultiBlockUnsupported,
-)
+from treealg.errors import IllFormedAttachment, MismatchedLevels, MultiBlockUnsupported
 from treealg.graphs import DirectedGraph, OutForest
 
 
@@ -115,8 +111,8 @@ def test_validation_requires_nonempty_images():
 
 
 def test_multiplicity_data_of_standard():
-    md = multiplicity_data(standard_embedding(2, 3))
-    assert md == MultiplicityData(((3,),))
+    e = standard_embedding(2, 3)
+    assert [e.multiplicity_of(d) for d in e.source.units()] == [3, 3]
 
 
 def test_multiplicity_data_multi_block():
@@ -129,19 +125,34 @@ def test_multiplicity_data_multi_block():
         ((1, 2), (1, 2)): {p(3, 3), p(5, 5)},
     }
     e = RegularEmbedding(src, tgt, image)
-    assert multiplicity_data(e).counts == ((1, 2),)
+    assert [e.multiplicity_of(d) for d in src.units()] == [1, 2, 2]
 
 
-def test_multiplicity_data_rejects_uneven_copies():
-    src = DigraphAlgebra.diagonal([2])
-    tgt = DigraphAlgebra.diagonal([3])
-    image = {
-        p(1, 1): {p(1, 1), p(2, 2)},
-        p(2, 2): {p(3, 3)},
-    }
-    e = RegularEmbedding(src, tgt, image)
-    with pytest.raises(InconsistentMultiplicity):
-        multiplicity_data(e)
+def test_translation_embedding_image_target():
+    # Without a target the image algebra is the target: m disjoint copies.
+    src = DigraphAlgebra.upper_triangular(2)
+    e = translation_embedding(src, standard_rows(2, 3))
+    assert e.target == DigraphAlgebra([6], [p(1, 2), p(3, 4), p(5, 6)])
+    assert e.of(p(1, 2)) == {p(1, 2), p(3, 4), p(5, 6)}
+    # With a target, the same pairs land in the given algebra.
+    full = translation_embedding(src, standard_rows(2, 3), DigraphAlgebra.upper_triangular(6))
+    assert full.image == e.image
+    assert full == standard_embedding(2, 3)
+    assert translation_embedding(src, refinement_rows(2)).target == DigraphAlgebra(
+        [4], [p(1, 3), p(2, 4)]
+    )
+
+
+def test_translation_embedding_needs_single_block():
+    with pytest.raises(MultiBlockUnsupported):
+        translation_embedding(DigraphAlgebra.diagonal([1, 1]), standard_rows(1, 2))
+
+
+def test_translation_embedding_rejects_non_embedding_rows():
+    # Rows that reverse a pair leave the target relation.
+    src = DigraphAlgebra.upper_triangular(2)
+    with pytest.raises(ValueError):
+        translation_embedding(src, lambda i: [3 - i], DigraphAlgebra.upper_triangular(2))
 
 
 def test_pushforward_structure_of_refinement():
@@ -284,11 +295,10 @@ def test_semigroupoid_graph_pushforward_bijection():
     # The target semigroupoid restricted to the image relation splits into
     # blown-up copies of the source semigroupoid.
     e = standard_embedding(3, 2)
-    src_g = semigroupoid_graph(e.source)
     copies = {k: {} for k in range(2)}
     for (i, j) in e.source.irreflexive_pairs():
         for (a, b) in e.of((i, j)):
             k = (a[1] - 1) // 3
             copies[k][(a, b)] = (i, j)
     for k, mapping in copies.items():
-        assert len(mapping) == len(src_g.edges)
+        assert len(mapping) == len(e.source.irreflexive_pairs())

@@ -139,19 +139,11 @@ def test_explicit_embedding_fills_diagonal():
     assert back == e
 
 
-def test_tree_standard_embedding_needs_forests():
-    doc = {"kind": "tree-standard", "attach": [{"r": "new-root"}]}
-    with pytest.raises(FormatError, match="forests"):
-        embedding_from_json(doc)
-    lam = lambda_tree()
-    big = forest_from_json(
-        {
-            "vertices": ["r", "a", "b", "x"],
-            "edges": [["r", "a"], ["r", "b"], ["a", "x"]],
-        }
-    )
-    e = embedding_from_json(doc, forests=([lam], big))
-    assert e.diag_image((0, 1)) == frozenset({(0, 1)})
+def test_tree_standard_embedding_kind_is_unknown():
+    emb = {"kind": "tree-standard", "attach": [{"r": "new-root"}]}
+    doc = {"levels": [{"blocks": [1]}, {"blocks": [1]}], "maps": [emb]}
+    with pytest.raises(FormatError, match="unknown embedding kind"):
+        tower_from_json(doc)
 
 
 def test_rule_round_trips():

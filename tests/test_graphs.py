@@ -1,4 +1,5 @@
-"""Graph layer: construction rules, closure, forest recognition."""
+"""Graph layer: construction rules, forest recognition, and the graph-level
+closure kept in reference_kernel.py."""
 
 from __future__ import annotations
 
@@ -9,16 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_out_forest
+from reference_kernel import (
+    covering_edges,
+    is_transitive_completion_of_out_forest,
+    transitive_completion,
+)
 from treealg.errors import CyclicGraph
 from treealg.graphs import (
     DirectedGraph,
     ForestRejection,
     OutForest,
-    covering_edges,
     find_cycle,
-    is_transitive_completion_of_out_forest,
     recognize_out_forest,
-    transitive_completion,
 )
 
 
