@@ -78,11 +78,14 @@ def level_algebra(tree: OutForest) -> DigraphAlgebra:
     return DigraphAlgebra.from_graph(tree.graph)[0]
 
 
-def refinement_between(tree: OutForest, l: int) -> tuple[OutForest, RegularEmbedding]:
-    """The ampliation of tree by l, and the refinement embedding from the
-    order algebra of tree onto the order algebra of the ampliation."""
+def refinement_between(
+    tree: OutForest, l: int, source: DigraphAlgebra
+) -> tuple[OutForest, RegularEmbedding]:
+    """The ampliation of tree by l, and the refinement embedding from
+    source, the order algebra of tree, onto the order algebra of the
+    ampliation."""
     nxt = ampliate(tree, l)
-    e = translation_embedding(level_algebra(tree), refinement_rows(l), level_algebra(nxt))
+    e = translation_embedding(source, refinement_rows(l), level_algebra(nxt))
     return nxt, e
 
 
@@ -99,7 +102,7 @@ def build_tree_refinement_tower(spec: TreeRefinementSpec, depth: int) -> Tower:
     levels = [level_algebra(tree)]
     maps = []
     for step in range(depth - 1):
-        tree, e = refinement_between(tree, spec.multiplicity(step))
+        tree, e = refinement_between(tree, spec.multiplicity(step), levels[-1])
         levels.append(e.target)
         maps.append(e)
     rule = None

@@ -29,7 +29,7 @@ from .classify import (
     trees_isomorphic,
 )
 from .correspondence import build_ckt_family, module_norm, verify_ckt
-from .errors import FormatError, TreealgError
+from .errors import FormatError, OutputTooLarge, TreealgError
 from .graphs import OutForest
 from .tower import (
     Decision,
@@ -45,6 +45,10 @@ from .tower import (
 USAGE_ERROR = 64
 DATA_ERROR = 65
 INTERNAL_ERROR = 70
+
+MAX_AMPLIATED_VERTICES = 250_000
+# The most vertices `ampliate` builds over all its steps; step k of an
+# n-vertex tree by l builds n·l^k of them.
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,15 @@ def cmd_check_tensor(cfg: RunConfig) -> int:
 
 def cmd_ampliate(cfg: RunConfig) -> int:
     tree = formats.forest_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
+    built, size = 0, len(tree.vertices)
+    for _ in range(cfg.steps):
+        size *= cfg.multiplicity
+        built += size
+        if built > MAX_AMPLIATED_VERTICES:
+            raise OutputTooLarge(
+                f"{cfg.steps} ampliation steps by {cfg.multiplicity} build more than"
+                f" {MAX_AMPLIATED_VERTICES} vertices"
+            )
     for _ in range(cfg.steps):
         tree = ampliate(tree, cfg.multiplicity)
     _emit_graph(cfg, tree)

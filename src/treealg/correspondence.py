@@ -8,10 +8,31 @@ convention where the unit of a pair acts from its source column to its
 range row.
 
 The partial-isometry family realizes the five vertex/edge relations on
-the space of directed paths up to a length cutoff.  Path matrices have
+the space of directed paths up to a length cutoff.  Its operators have
 integer entries, so relation checks are exact; the only truncation
 artifact is the isometry identity on paths of maximal length, which the
 verification report tracks separately.
+
+Representation.  With dim paths, a vertex projection is a boolean mask
+over the paths and an edge map a partial injection on path indices: an
+int array of length dim holding the index of each path with the edge
+prepended, or -1 where that is undefined.  verify_ckt reads the largest
+entry of every matrix product a relation involves off these arrays, so
+no dim x dim matrix is formed:
+
+* orthogonal vertices: the masks overlap, O(|V|·dim);
+* orthogonal edges: a path lies in the ranges of two edges, counted
+  with one bincount of destinations per edge, O(|E|·dim), where the
+  products T_e* T_f would be |E|^2 dense products;
+* isometry and its interior part: each edge's domain against the mask
+  of its source, O(|E|·dim);
+* range and summed domination: destination counts against the mask of
+  the range vertex, summed per range vertex, O((|V| + |E|)·dim).
+
+build_ckt_family first counts the paths from walk counts, O(cutoff·|E|),
+and refuses a family above MAX_FAMILY_ENTRIES stored entries; then it
+enumerates the paths with successors indexed by vertex and fills the
+edge maps in O(dim·cutoff).  Only vector_operator builds a dense matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import GraphMismatch, PreconditionViolated
+from .errors import GraphMismatch, OutputTooLarge, PreconditionViolated
 from .graphs import DirectedGraph
 
 Edge = tuple[str, str]
@@ -101,26 +122,61 @@ Path = tuple[str, tuple[Edge, ...]]
 # A path is (range vertex, composable edge tuple); the empty tuple is the
 # length-0 path sitting at its vertex.
 
+MAX_FAMILY_ENTRIES = 2_000_000
+# The most entries build_ckt_family stores: dim·(|V| + |E|) mask and map
+# entries plus the edges held by the paths themselves.
+
+
+def _family_entries(g: DirectedGraph, cutoff: int) -> int:
+    """Entries the family at cutoff would store, from walk counts.
+
+    Paths are counted by tail vertex, O(|E|) per length; the count stops
+    once it passes MAX_FAMILY_ENTRIES or no path has the next length.
+    """
+    width = len(g.vertices) + len(g.edges)
+    walks = dict.fromkeys(g.vertices, 1)
+    dim, held = len(g.vertices), 0
+    for length in range(1, cutoff + 1):
+        if dim * width + held > MAX_FAMILY_ENTRIES:
+            break
+        nxt = dict.fromkeys(g.vertices, 0)
+        for e in g.edges:
+            nxt[edge_source(e)] += walks[edge_range(e)]
+        count = sum(nxt.values())
+        if count == 0:
+            break
+        dim += count
+        held += length * count
+        walks = nxt
+    return dim * width + held
+
 
 def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:
-    edges = sorted(g.edges)
+    """Paths by length; a path's extensions follow it in sorted edge order."""
+    after: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    for e in sorted(g.edges):
+        after[edge_range(e)].append(e)
     paths: list[Path] = [(v, ()) for v in g.vertices]
     frontier = list(paths)
     for _ in range(cutoff):
-        nxt: list[Path] = []
-        for r, es in frontier:
-            tail = edge_source(es[-1]) if es else r
-            for e in edges:
-                if edge_range(e) == tail:
-                    nxt.append((r, es + (e,)))
-        paths.extend(nxt)
-        frontier = nxt
+        frontier = [
+            (r, es + (e,)) for r, es in frontier for e in after[edge_source(es[-1]) if es else r]
+        ]
+        if not frontier:
+            break
+        paths.extend(frontier)
     return paths
 
 
 @dataclass(eq=False)
 class PartialIsometryFamily:
-    """Vertex projections and edge maps on a truncated path space."""
+    """Vertex projections and edge maps on a truncated path space.
+
+    vertex_projections[v] is a boolean mask over the paths, true on those
+    ranging at v.  edge_isometries[e] is a partial injection on path
+    indices: entry i is the index of path i with e prepended, or -1 where
+    e does not compose with path i or the result would exceed the cutoff.
+    """
 
     graph: DirectedGraph
     cutoff: int
@@ -134,33 +190,34 @@ class PartialIsometryFamily:
 
 
 def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> PartialIsometryFamily:
-    """Concrete integer matrices for the vertex/edge relation family.
+    """The vertex/edge relation family on the paths of length at most cutoff.
 
-    The space is spanned by the directed paths of length at most cutoff.
     A vertex projection keeps the paths ranging at its vertex; an edge
     map prepends its edge where composable and the result still fits.
+    Raises OutputTooLarge, before enumerating any path, when the family
+    would store more than MAX_FAMILY_ENTRIES entries.
     """
     if cutoff < 0:
         raise ValueError("the cutoff must be nonnegative")
+    if _family_entries(g, cutoff) > MAX_FAMILY_ENTRIES:
+        raise OutputTooLarge(
+            f"the path space at cutoff {cutoff} needs more than"
+            f" {MAX_FAMILY_ENTRIES} stored entries"
+        )
     paths = _enumerate_paths(g, cutoff)
-    index = {p: i for i, p in enumerate(paths)}
     dim = len(paths)
-    projections = {}
-    for v in g.vertices:
-        m = np.zeros((dim, dim), dtype=np.int64)
-        for p, i in index.items():
-            if p[0] == v:
-                m[i, i] = 1
-        projections[v] = m
-    isometries = {}
+    index = {p: i for i, p in enumerate(paths)}
+    by_source: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in sorted(g.edges):
-        m = np.zeros((dim, dim), dtype=np.int64)
-        for (r, es), i in index.items():
-            if r == edge_source(e) and len(es) < cutoff:
-                target = (edge_range(e), (e,) + es)
-                m[index[target], i] = 1
-        isometries[e] = m
-    return PartialIsometryFamily(g, cutoff, tuple(paths), projections, isometries)
+        by_source[edge_source(e)].append(e)
+    masks = {v: np.zeros(dim, dtype=bool) for v in g.vertices}
+    maps = {e: np.full(dim, -1, dtype=np.int64) for e in sorted(g.edges)}
+    for i, (r, es) in enumerate(paths):
+        masks[r][i] = True
+        if len(es) < cutoff:
+            for e in by_source[r]:
+                maps[e][i] = index[(edge_range(e), (e,) + es)]
+    return PartialIsometryFamily(g, cutoff, tuple(paths), masks, maps)
 
 
 @dataclass(frozen=True)
@@ -191,53 +248,54 @@ class CKTReport:
 
 
 def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
-    """Entrywise verification of the five relations of the family."""
+    """Entrywise verification of the five relations of the family.
+
+    Each residual is the largest entry the matrix products of the
+    relation would have, read off the masks and the edge maps.
+    """
+    dim = fam.dimension
     L = fam.vertex_projections
     T = fam.edge_isometries
     checks: dict[str, RelationCheck] = {}
 
-    r = 0
-    for p in fam.graph.vertices:
-        for q in fam.graph.vertices:
-            if p != q:
-                r = max(r, int(np.abs(L[p] @ L[q]).max(initial=0)))
+    # L_p L_q is the diagonal of the overlap of two masks.
+    cover = np.zeros(dim, dtype=np.int64)
+    for m in L.values():
+        cover += m
+    r = int(cover.max(initial=0) > 1)
     checks["orthogonal-vertices"] = RelationCheck(r, r == 0)
 
-    r = 0
-    for e in T:
-        for f in T:
-            if e != f:
-                r = max(r, int(np.abs(T[e].T @ T[f]).max(initial=0)))
+    # T_e T_eᵀ is the diagonal of the counts of e's destinations; the
+    # entry (i, j) of T_eᵀ T_f is 1 when e·i = f·j, so it vanishes
+    # exactly when the ranges of e and f are disjoint.
+    hits = {e: np.bincount(d[d >= 0], minlength=dim) for e, d in T.items()}
+    shared = np.zeros(dim, dtype=np.int64)
+    for h in hits.values():
+        shared += h > 0
+    r = int(shared.max(initial=0) > 1)
     checks["orthogonal-edges"] = RelationCheck(r, r == 0)
 
-    # The isometry identity can only fail on paths of maximal length,
-    # where prepending the edge would overflow the cutoff.
-    full = 0
-    interior = 0
-    for e, m in T.items():
-        diff = m.T @ m - L[edge_source(e)]
-        full = max(full, int(np.abs(diff).max(initial=0)))
-        for (rv, es), i in zip(fam.paths, range(fam.dimension)):
-            if len(es) < fam.cutoff:
-                interior = max(interior, int(abs(diff[i, i])))
+    # T_e is injective, so T_eᵀ T_e is the diagonal of its domain.  The
+    # isometry identity can only fail on paths of maximal length, where
+    # prepending the edge would overflow the cutoff.
+    short = np.fromiter((len(es) < fam.cutoff for _, es in fam.paths), dtype=bool, count=dim)
+    full = interior = 0
+    for e, d in T.items():
+        diff = (d >= 0) != L[edge_source(e)]
+        full = max(full, int(diff.any()))
+        interior = max(interior, int(diff[short].any()))
     note = "" if full == 0 else "restricted to paths shorter than the cutoff"
     checks["isometry"] = RelationCheck(full, full == 0, note)
     checks["isometry-interior"] = RelationCheck(interior, interior == 0)
 
     r = 0
-    for e, m in T.items():
-        excess = m @ m.T - L[edge_range(e)]
-        r = max(r, int(excess.max(initial=0)))
+    summed = {v: np.zeros(dim, dtype=np.int64) for v in fam.graph.vertices}
+    for e, h in hits.items():
+        r = max(r, int((h - L[edge_range(e)]).max(initial=0)))
+        summed[edge_range(e)] += h
     checks["range-domination"] = RelationCheck(r, r <= 0)
 
-    r = 0
-    for p in fam.graph.vertices:
-        total = np.zeros((fam.dimension, fam.dimension), dtype=np.int64)
-        for e, m in T.items():
-            if edge_range(e) == p:
-                total = total + m @ m.T
-        excess = total - L[p]
-        r = max(r, int(excess.max(initial=0)))
+    r = max((int((s - L[v]).max(initial=0)) for v, s in summed.items()), default=0)
     checks["summed-domination"] = RelationCheck(r, r <= 0)
 
     return CKTReport(checks)
@@ -246,14 +304,15 @@ def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
 def vector_operator(
     fam: PartialIsometryFamily, x: GraphCorrespondenceVector
 ) -> np.ndarray:
-    """The matrix representing a vector: its amplitude-weighted edge maps."""
+    """The dense matrix representing a vector: its amplitude-weighted edge maps."""
     if x.graph != fam.graph:
         raise GraphMismatch("the vector lives on a different graph")
     out = np.zeros((fam.dimension, fam.dimension), dtype=np.complex128)
-    for e, m in fam.edge_isometries.items():
+    for e, d in fam.edge_isometries.items():
         a = x.amplitude(e)
         if a != 0:
-            out = out + a * m
+            (cols,) = np.nonzero(d >= 0)
+            out[d[cols], cols] += a
     return out
 
 

@@ -37,5 +37,9 @@ class NotDecidedYes(TreealgError):
     """A certificate was requested for a tower not decided Yes."""
 
 
+class OutputTooLarge(TreealgError):
+    """A result would exceed a documented size cap; nothing was built."""
+
+
 class FormatError(TreealgError):
     """A document does not conform to the interchange format."""

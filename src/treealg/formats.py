@@ -88,7 +88,7 @@ def graph_to_json(g: DirectedGraph | OutForest) -> dict:
     graph = g.graph if isinstance(g, OutForest) else g
     order = {v: k for k, v in enumerate(graph.vertices)}
     verts: list[Json] = [
-        {"id": v, "weight": graph.weights[v]} if graph.weights.get(v) else v
+        {"id": v, "weight": graph.weight(v)} if graph.weight(v) else v
         for v in graph.vertices
     ]
     edges = sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]]))
@@ -507,7 +507,7 @@ def graph_to_dot(g: DirectedGraph | OutForest, name: str = "G") -> str:
     order = {v: k for k, v in enumerate(graph.vertices)}
     lines = [f"digraph {_dot_quote(name)[1:-1]} {{"]
     for v in graph.vertices:
-        w = graph.weights.get(v, 0)
+        w = graph.weight(v)
         label = f" [label={_dot_quote(f'{v} ({w})')}]" if w else ""
         lines.append(f"  {_dot_quote(v)}{label};")
     for s, t in sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]])):

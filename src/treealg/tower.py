@@ -146,11 +146,7 @@ def _rule_step(
     if isinstance(rule, TreeRefinementRule):
         from .ampliation import refinement_between
 
-        nxt, e = refinement_between(rule.tree, rule.l)
-        if e.source != level:
-            raise MismatchedLevels(
-                "the tree of the tree-refinement rule does not give the last level"
-            )
+        nxt, e = refinement_between(rule.tree, rule.l, level)
         return e.target, e, TreeRefinementRule(nxt, rule.l)
     raise MismatchedLevels(f"cannot generate levels from rule {rule!r}")
 
@@ -167,6 +163,15 @@ def materialize(t: Tower, depth: int) -> tuple[list[DigraphAlgebra], list[Regula
     maps = list(t.maps[: max(0, len(levels) - 1)])
     rule = t.rule
     generable = rule is not None and not isinstance(rule, NestRule)
+    if isinstance(rule, TreeRefinementRule) and len(levels) < depth:
+        from .ampliation import level_algebra
+
+        # Each generated level is the order algebra of the rule's tree at
+        # that step, so only the first step needs this check.
+        if level_algebra(rule.tree) != levels[-1]:
+            raise MismatchedLevels(
+                "the tree of the tree-refinement rule does not give the last level"
+            )
     while len(levels) < depth and generable:
         nxt, emb, rule = _rule_step(levels[-1], rule)
         levels.append(nxt)

@@ -6,12 +6,29 @@ cost up to |R|^2 steps each, so they serve only as the oracle that
 test_kernel.py compares the bitmask kernel against on small relations.
 
 The graph-level closure, covering edges and out-forest completion test
-at the end once duplicated the kernel on DirectedGraph values; they stay
-here as the oracle of test_graphs.py and of the grading solver.
+once duplicated the kernel on DirectedGraph values; they stay here as
+the oracle of test_graphs.py and of the grading solver.
+
+The dense CKT family at the end is how treealg.correspondence worked
+before it stored edge maps as partial injections: every projection and
+edge map is an explicit dim x dim int64 matrix and every relation is a
+matrix product.  It is the oracle of test_correspondence.py.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+import numpy as np
+
+from treealg.correspondence import (
+    CKTReport,
+    Edge,
+    Path,
+    RelationCheck,
+    edge_range,
+    edge_source,
+)
 from treealg.errors import CyclicGraph
 from treealg.graphs import DirectedGraph, OutForest, find_cycle, recognize_out_forest
 
@@ -170,3 +187,117 @@ def is_transitive_completion_of_out_forest(
     if transitive_completion(cover).edges != g.edges:
         return False, None
     return True, forest
+
+
+def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:
+    edges = sorted(g.edges)
+    paths: list[Path] = [(v, ()) for v in g.vertices]
+    frontier = list(paths)
+    for _ in range(cutoff):
+        nxt: list[Path] = []
+        for r, es in frontier:
+            tail = edge_source(es[-1]) if es else r
+            for e in edges:
+                if edge_range(e) == tail:
+                    nxt.append((r, es + (e,)))
+        paths.extend(nxt)
+        frontier = nxt
+    return paths
+
+
+@dataclass(eq=False)
+class DenseFamily:
+    """Vertex projections and edge maps as dense integer matrices."""
+
+    graph: DirectedGraph
+    cutoff: int
+    paths: tuple[Path, ...]
+    vertex_projections: dict[str, np.ndarray]
+    edge_isometries: dict[Edge, np.ndarray]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.paths)
+
+
+def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> DenseFamily:
+    """Concrete integer matrices for the vertex/edge relation family.
+
+    The space is spanned by the directed paths of length at most cutoff.
+    A vertex projection keeps the paths ranging at its vertex; an edge
+    map prepends its edge where composable and the result still fits.
+    """
+    if cutoff < 0:
+        raise ValueError("the cutoff must be nonnegative")
+    paths = _enumerate_paths(g, cutoff)
+    index = {p: i for i, p in enumerate(paths)}
+    dim = len(paths)
+    projections = {}
+    for v in g.vertices:
+        m = np.zeros((dim, dim), dtype=np.int64)
+        for p, i in index.items():
+            if p[0] == v:
+                m[i, i] = 1
+        projections[v] = m
+    isometries = {}
+    for e in sorted(g.edges):
+        m = np.zeros((dim, dim), dtype=np.int64)
+        for (r, es), i in index.items():
+            if r == edge_source(e) and len(es) < cutoff:
+                target = (edge_range(e), (e,) + es)
+                m[index[target], i] = 1
+        isometries[e] = m
+    return DenseFamily(g, cutoff, tuple(paths), projections, isometries)
+
+
+def verify_ckt(fam: DenseFamily) -> CKTReport:
+    """Entrywise verification of the five relations of the family."""
+    L = fam.vertex_projections
+    T = fam.edge_isometries
+    checks: dict[str, RelationCheck] = {}
+
+    r = 0
+    for p in fam.graph.vertices:
+        for q in fam.graph.vertices:
+            if p != q:
+                r = max(r, int(np.abs(L[p] @ L[q]).max(initial=0)))
+    checks["orthogonal-vertices"] = RelationCheck(r, r == 0)
+
+    r = 0
+    for e in T:
+        for f in T:
+            if e != f:
+                r = max(r, int(np.abs(T[e].T @ T[f]).max(initial=0)))
+    checks["orthogonal-edges"] = RelationCheck(r, r == 0)
+
+    # The isometry identity can only fail on paths of maximal length,
+    # where prepending the edge would overflow the cutoff.
+    full = 0
+    interior = 0
+    for e, m in T.items():
+        diff = m.T @ m - L[edge_source(e)]
+        full = max(full, int(np.abs(diff).max(initial=0)))
+        for (rv, es), i in zip(fam.paths, range(fam.dimension)):
+            if len(es) < fam.cutoff:
+                interior = max(interior, int(abs(diff[i, i])))
+    note = "" if full == 0 else "restricted to paths shorter than the cutoff"
+    checks["isometry"] = RelationCheck(full, full == 0, note)
+    checks["isometry-interior"] = RelationCheck(interior, interior == 0)
+
+    r = 0
+    for e, m in T.items():
+        excess = m @ m.T - L[edge_range(e)]
+        r = max(r, int(excess.max(initial=0)))
+    checks["range-domination"] = RelationCheck(r, r <= 0)
+
+    r = 0
+    for p in fam.graph.vertices:
+        total = np.zeros((fam.dimension, fam.dimension), dtype=np.int64)
+        for e, m in T.items():
+            if edge_range(e) == p:
+                total = total + m @ m.T
+        excess = total - L[p]
+        r = max(r, int(excess.max(initial=0)))
+    checks["summed-domination"] = RelationCheck(r, r <= 0)
+
+    return CKTReport(checks)

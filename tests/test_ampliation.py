@@ -55,9 +55,10 @@ def test_rejects_forests_and_bad_multiplicity():
 
 def test_refinement_between_images_are_the_copy_translates():
     tree = lambda_tree()
-    nxt, emb = refinement_between(tree, 2)
+    source = level_algebra(tree)
+    nxt, emb = refinement_between(tree, 2, source)
     assert nxt == ampliate(tree, 2)
-    assert emb.source == level_algebra(tree)
+    assert emb.source is source
     assert emb.target == level_algebra(nxt)
     # root row 1, child a row 2: base pair has range row 2, source row 1
     assert emb.of(((0, 2), (0, 1))) == frozenset(

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -191,6 +192,33 @@ def test_verify_ckt_exit_zero(capsys, lam, tmp_path):
     code, out, _ = run(capsys, "verify-ckt", tree, "--cutoff", "9", "--format", "json")
     doc = json.loads(out)
     assert code == 0 and doc["exact"]
+
+
+def test_verify_ckt_huge_cutoff_on_a_dag_stops_at_the_longest_path(capsys, tmp_path):
+    doc = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]]}
+    dag = write(tmp_path, "dag.json", doc)
+    start = time.perf_counter()
+    huge = run(capsys, "verify-ckt", dag, "--cutoff", "1000000000", "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert huge[0] == 0
+    assert huge == run(capsys, "verify-ckt", dag, "--cutoff", "3", "--format", "json")
+
+
+def test_oversized_outputs_exit_65_before_any_work(capsys, lam, tmp_path):
+    vs = [str(i) for i in range(6)]
+    doc = {"vertices": vs, "edges": [[u, v] for u in vs for v in vs if u != v]}
+    complete = write(tmp_path, "complete.json", doc)
+    for argv in (
+        ["verify-ckt", complete, "--cutoff", "1000"],
+        ["ampliate", lam, "-l", "1000000", "--steps", "3"],
+        ["ampliate", lam, "-l", "1", "--steps", "1000000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 65 and out == ""
+        assert err.startswith("treealg: error: ") and err.count("\n") == 1
+        assert "more than" in err
 
 
 def test_norm_command(capsys, lam, tmp_path):

@@ -2,13 +2,20 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernel as ref
 from treealg.catalog import chain_graph, lambda_graph
+from treealg.classify import canonical_code, reduce
 from treealg.correspondence import (
     GraphCorrespondenceVector,
+    PartialIsometryFamily,
+    _family_entries,
     build_ckt_family,
     check_neat_inequality,
     module_inner_product,
@@ -17,9 +24,10 @@ from treealg.correspondence import (
     verify_ckt,
 )
 from treealg.errors import GraphMismatch, PreconditionViolated
+from treealg.formats import ckt_report_to_json
 from treealg.graphs import DirectedGraph
 
-from conftest import random_dag, random_out_tree
+from conftest import all_parent_arrays, random_dag, random_out_tree, tree_from_parents
 
 
 def longest_path(g: DirectedGraph) -> int:
@@ -94,21 +102,25 @@ def test_mismatched_graphs_raise():
         x + y
 
 
+def projections(fam):
+    """The vertex projections as dense 0/1 matrices."""
+    return {v: np.diag(m.astype(np.int64)) for v, m in fam.vertex_projections.items()}
+
+
 def test_single_vertex_family_is_identity():
     fam = build_ckt_family(DirectedGraph(["p"], []))
     assert fam.dimension == 1
-    assert fam.vertex_projections["p"].tolist() == [[1]]
+    assert projections(fam)["p"].tolist() == [[1]]
     assert verify_ckt(fam).exact
 
 
 def test_single_edge_family_relations():
     g = DirectedGraph(["p", "q"], [("p", "q")])
     fam = build_ckt_family(g, cutoff=2)
-    e = ("p", "q")
-    L = fam.vertex_projections
-    T = fam.edge_isometries
-    assert (T[e].T @ T[e] == L["q"]).all()
-    assert ((L["p"] - T[e] @ T[e].T) >= 0).all()
+    L = projections(fam)
+    T = vector_operator(fam, GraphCorrespondenceVector(g, {("p", "q"): 1}))
+    assert (T.conj().T @ T == L["q"]).all()
+    assert ((L["p"] - T @ T.conj().T).real >= 0).all()
     assert verify_ckt(fam).exact
 
 
@@ -137,6 +149,118 @@ def test_truncation_confined_to_maximal_paths():
 def test_empty_graph_family():
     rep = verify_ckt(build_ckt_family(DirectedGraph([], [])))
     assert rep.exact
+
+
+def test_sixty_vertex_tree_verifies_within_budget():
+    g = random_out_tree(random.Random(3), 60).graph
+    start = time.perf_counter()
+    rep = verify_ckt(build_ckt_family(g, cutoff=12))
+    assert time.perf_counter() - start < 1.0
+    assert rep.ok
+
+
+# The dense oracle: reference_kernel keeps the matrix-product verifier.
+
+ORACLE_DIM = 80
+
+
+def dense(fam: PartialIsometryFamily) -> ref.DenseFamily:
+    """The same family with explicit 0/1 matrices."""
+    dim = fam.dimension
+    maps = {}
+    for e, d in fam.edge_isometries.items():
+        m = np.zeros((dim, dim), dtype=np.int64)
+        (cols,) = np.nonzero(d >= 0)
+        m[d[cols], cols] = 1
+        maps[e] = m
+    return ref.DenseFamily(fam.graph, fam.cutoff, fam.paths, projections(fam), maps)
+
+
+def assert_same_family(fam: PartialIsometryFamily, oracle: ref.DenseFamily) -> None:
+    expected = dense(fam)
+    assert fam.paths == oracle.paths
+    assert expected.vertex_projections.keys() == oracle.vertex_projections.keys()
+    for v, m in oracle.vertex_projections.items():
+        assert (expected.vertex_projections[v] == m).all()
+    assert list(expected.edge_isometries) == list(oracle.edge_isometries)
+    for e, m in oracle.edge_isometries.items():
+        assert (expected.edge_isometries[e] == m).all()
+
+
+def agrees_with_oracle(g: DirectedGraph, cutoff: int) -> None:
+    fam = build_ckt_family(g, cutoff)
+    oracle = ref.build_ckt_family(g, cutoff)
+    assert_same_family(fam, oracle)
+    # The size the cap is checked against is the size actually stored.
+    held = sum(len(es) for _, es in fam.paths)
+    width = len(g.vertices) + len(g.edges)
+    assert _family_entries(g, cutoff) == fam.dimension * width + held
+    assert ckt_report_to_json(verify_ckt(fam)) == ckt_report_to_json(ref.verify_ckt(oracle))
+
+
+@st.composite
+def digraphs(draw):
+    """Graphs on up to four vertices, cycles included."""
+    vs = [str(i) for i in range(draw(st.integers(0, 4)))]
+    pairs = [(u, v) for u in vs for v in vs if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return DirectedGraph(vs, edges)
+
+
+def small_cutoff(g: DirectedGraph, cutoff: int) -> int:
+    """The largest cutoff up to the given one with at most ORACLE_DIM paths."""
+    while cutoff and build_ckt_family(g, cutoff).dimension > ORACLE_DIM:
+        cutoff -= 1
+    return cutoff
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.integers(0, 6))
+def test_family_and_report_match_the_dense_oracle(g, cutoff):
+    agrees_with_oracle(g, small_cutoff(g, cutoff))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(), st.integers(0, 4), st.data())
+def test_residuals_of_perturbed_families_match_dense_products(g, cutoff, data):
+    # Flipped mask entries and redirected or dropped destinations make
+    # every relation fail somewhere; the edge maps stay injective.
+    fam = build_ckt_family(g, small_cutoff(g, cutoff))
+    dim = fam.dimension
+    masks = {v: m.copy() for v, m in fam.vertex_projections.items()}
+    maps = {e: d.copy() for e, d in fam.edge_isometries.items()}
+    for _ in range(data.draw(st.integers(0, 3)) if dim else 0):
+        i = data.draw(st.integers(0, dim - 1))
+        if maps and data.draw(st.booleans()):
+            d = maps[data.draw(st.sampled_from(sorted(maps)))]
+            free = sorted(set(range(dim)) - set(d.tolist()))
+            d[i] = data.draw(st.sampled_from([-1] + free))
+        else:
+            masks[data.draw(st.sampled_from(g.vertices))][i] ^= True
+    perturbed = PartialIsometryFamily(g, fam.cutoff, fam.paths, masks, maps)
+    assert ckt_report_to_json(verify_ckt(perturbed)) == ckt_report_to_json(
+        ref.verify_ckt(dense(perturbed))
+    )
+
+
+def test_criterion_corpus_matches_the_dense_oracle():
+    seen = set()
+    for n in range(1, 9):
+        for parents in all_parent_arrays(n):
+            tree = tree_from_parents(parents)
+            key = canonical_code(reduce(tree))
+            if key not in seen:
+                seen.add(key)
+                agrees_with_oracle(tree.graph, longest_path(tree.graph) + 1)
+    assert len(seen) >= 200
+    rng = random.Random(808)
+    for _ in range(50):
+        g = random_dag(rng, rng.randrange(1, 7), p=0.5)
+        agrees_with_oracle(g, longest_path(g) + 1)
+    vs = [str(i) for i in range(6)]
+    complete = DirectedGraph(vs, [(u, v) for k, u in enumerate(vs) for v in vs[k + 1:]])
+    for cutoff in (5, 3):
+        agrees_with_oracle(complete, cutoff)
 
 
 def test_operator_norm_equals_module_norm():
