@@ -18,7 +18,7 @@ from .embeddings import (
     standard_rows,
     translation_embedding,
 )
-from .graphs import DirectedGraph, OutForest, recognize_out_forest
+from .graphs import DirectedGraph, OutForest
 from .tower import RefinementRule, StandardRule, Tower
 
 
@@ -28,9 +28,7 @@ def lambda_graph() -> DirectedGraph:
 
 
 def lambda_tree() -> OutForest:
-    forest = recognize_out_forest(lambda_graph())
-    assert isinstance(forest, OutForest)
-    return forest
+    return OutForest(lambda_graph())
 
 
 def branching_graph() -> DirectedGraph:
@@ -39,9 +37,7 @@ def branching_graph() -> DirectedGraph:
 
 
 def branching_tree() -> OutForest:
-    forest = recognize_out_forest(branching_graph())
-    assert isinstance(forest, OutForest)
-    return forest
+    return OutForest(branching_graph())
 
 
 def chain_graph(n: int) -> DirectedGraph:
@@ -54,9 +50,7 @@ def chain_graph(n: int) -> DirectedGraph:
 
 
 def chain_forest(n: int) -> OutForest:
-    forest = recognize_out_forest(chain_graph(n))
-    assert isinstance(forest, OutForest)
-    return forest
+    return OutForest(chain_graph(n))
 
 
 def standard_tower(n: int, m: int) -> Tower:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .ampliation import TreeRefinementSpec, ampliate
 from .errors import NotATree
-from .graphs import DirectedGraph, OutForest, recognize_out_forest
+from .graphs import DirectedGraph, OutForest
 
 
 class WeightedTree:
@@ -108,8 +108,7 @@ def reduce(g: OutForest) -> WeightedTree:
             a = g.parent(a)
         edges.append((a, v))
         extra[v] = absorbed
-    tree = recognize_out_forest(DirectedGraph(keep, edges))
-    assert isinstance(tree, OutForest)
+    tree = OutForest(DirectedGraph(keep, edges))
     weights = {v: base[v] + extra[v] for v in keep}
     return WeightedTree(tree, weights)
 
@@ -132,8 +131,7 @@ def heights(t: WeightedTree) -> dict[str, int]:
 def _subtree(t: WeightedTree, root: str) -> WeightedTree:
     vs = [v for v in t.vertices if v in t.tree.subtree_vertices(root)]
     es = [(u, v) for u, v in t.tree.edges if u in set(vs)]
-    sub = recognize_out_forest(DirectedGraph(vs, es))
-    assert isinstance(sub, OutForest)
+    sub = OutForest(DirectedGraph(vs, es))
     return WeightedTree(sub, {v: t.weight(v) for v in vs})
 
 

@@ -5,8 +5,12 @@ a report.  Exit codes are a contract: 0 carries a positive verdict
 (yes, equivalent, isomorphic, relations pass), 1 a negative one, 2 an
 inconclusive or undetermined one; 64 flags a usage error, 65 an
 unreadable or ill-formed input, and 70 an internal error.  Identical
-inputs give identical output; nothing here consults clocks or global
-state.
+inputs give identical output; nothing here consults clocks.
+
+The parser is built once, when the module is imported, from literals
+alone, and it is the only module state.  Each call parses into a fresh
+namespace whose `run` is the command's handler; handlers read their
+inputs and options from it by name.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import formats
 from .ampliation import ampliate
@@ -51,152 +54,117 @@ MAX_AMPLIATED_VERTICES = 250_000
 # n-vertex tree by l builds n·l^k of them.
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: the command plus its knobs."""
-
-    command: str
-    inputs: tuple[str, ...]
-    depth: int = 4
-    ampliation_bound: int = 3
-    cutoff: int = 4
-    fmt: str | None = None
-    out: str | None = None
-    multiplicity: int = 1
-    steps: int = 1
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _integer(lower: int):
+    """An argument type: an integer of at least lower, which is 0 or 1."""
+    message = "must not be negative" if lower == 0 else f"must be at least {lower}"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        if value < lower:
+            raise argparse.ArgumentTypeError(message)
+        return value
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="treealg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, fmt=("json", "text")) -> None:
+    def common(p: argparse.ArgumentParser, run, fmt=("json", "text")) -> None:
         p.add_argument("--format", choices=fmt, default=None, dest="fmt")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("check-tensor", help="decide whether a tower presents a tensor algebra")
     p.add_argument("tower", help="tower JSON file")
-    p.add_argument("--depth", type=_positive, default=4)
-    common(p)
+    p.add_argument("--depth", type=_integer(1), default=4)
+    common(p, cmd_check_tensor)
 
     p = sub.add_parser("ampliate", help="ampliate an out-tree under a multiplicity")
     p.add_argument("graph", help="graph JSON file holding an out-tree")
-    p.add_argument("-l", "--multiplicity", type=_positive, required=True)
-    p.add_argument("--steps", type=_nonnegative, default=1,
+    p.add_argument("-l", "--multiplicity", type=_integer(1), required=True)
+    p.add_argument("--steps", type=_integer(0), default=1,
                    help="how many times to apply the rule (0 echoes the input)")
-    common(p, fmt=("json", "text", "dot"))
+    common(p, cmd_ampliate, fmt=("json", "text", "dot"))
 
     p = sub.add_parser("classify", help="compare two tree-refinement specs")
     p.add_argument("first", help="spec JSON file")
     p.add_argument("second", help="spec JSON file")
-    p.add_argument("--bound", type=_nonnegative, default=3, dest="ampliation_bound")
-    common(p)
+    p.add_argument("--bound", type=_integer(0), default=3, dest="ampliation_bound")
+    common(p, cmd_classify)
 
     p = sub.add_parser("reduce", help="contract chains of an out-tree into weights")
     p.add_argument("graph", help="graph JSON file holding an out-tree")
-    common(p, fmt=("json", "text", "dot"))
+    common(p, cmd_reduce, fmt=("json", "text", "dot"))
 
     p = sub.add_parser("iso", help="test two out-trees for weighted isomorphism")
     p.add_argument("first", help="graph JSON file")
     p.add_argument("second", help="graph JSON file")
-    common(p)
+    common(p, cmd_iso)
 
     p = sub.add_parser("supernatural", help="the supernatural number of a spec")
     p.add_argument("spec", help="spec JSON file")
-    common(p)
+    common(p, cmd_supernatural)
 
     p = sub.add_parser("verify-ckt", help="check the relations of a truncated isometry family")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--cutoff", type=_positive, default=4)
-    common(p)
+    p.add_argument("--cutoff", type=_integer(1), default=4)
+    common(p, cmd_verify_ckt)
 
     p = sub.add_parser("norm", help="the module norm of a correspondence vector")
     p.add_argument("vector", help="vector JSON file")
-    common(p)
+    common(p, cmd_norm)
 
     p = sub.add_parser("emit-dot", help="render a graph file as DOT text")
     p.add_argument("graph", help="graph JSON file")
-    common(p, fmt=("dot",))
+    common(p, cmd_emit_dot, fmt=("dot",))
 
     return parser
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    inputs = tuple(
-        getattr(ns, name)
-        for name in ("tower", "graph", "spec", "vector", "first", "second")
-        if hasattr(ns, name)
-    )
-    return RunConfig(
-        command=ns.command,
-        inputs=inputs,
-        depth=getattr(ns, "depth", 4),
-        ampliation_bound=getattr(ns, "ampliation_bound", 3),
-        cutoff=getattr(ns, "cutoff", 4),
-        fmt=ns.fmt,
-        out=ns.out,
-        multiplicity=getattr(ns, "multiplicity", 1),
-        steps=getattr(ns, "steps", 1),
-    )
-
-
-def _load(path: str):
+def _read(decode, path: str):
+    """Decode the JSON document in the file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return decode(doc, path)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.out:
+        with open(ns.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(cfg: RunConfig, doc) -> None:
-    _emit(cfg, json.dumps(doc, indent=2) + "\n")
+def _emit_json(ns: argparse.Namespace, doc) -> None:
+    _emit(ns, json.dumps(doc, indent=2) + "\n")
 
 
-def _emit_graph(cfg: RunConfig, g) -> None:
-    if cfg.fmt == "dot":
-        _emit(cfg, formats.graph_to_dot(g))
-    elif cfg.fmt == "text":
+def _emit_graph(ns: argparse.Namespace, g) -> None:
+    if ns.fmt == "dot":
+        _emit(ns, formats.graph_to_dot(g))
+    elif ns.fmt == "text":
         graph = g.graph if isinstance(g, OutForest) else g
         lines = [f"vertices: {', '.join(graph.vertices)}"]
         for s, t in sorted(graph.edges):
             lines.append(f"  {s} -> {t}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
     else:
-        _emit_json(cfg, formats.graph_to_json(g))
+        _emit_json(ns, formats.graph_to_json(g))
 
 
 def _decision_text(d: Decision) -> str:
@@ -233,39 +201,39 @@ def _decision_text(d: Decision) -> str:
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.INCONCLUSIVE: 2}
 
 
-def cmd_check_tensor(cfg: RunConfig) -> int:
-    tower = formats.tower_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
-    decision = decide_tensor(tower, depth=cfg.depth)
-    if cfg.fmt == "json":
-        _emit_json(cfg, formats.decision_to_json(decision))
+def cmd_check_tensor(ns: argparse.Namespace) -> int:
+    tower = _read(formats.tower_from_json, ns.tower)
+    decision = decide_tensor(tower, depth=ns.depth)
+    if ns.fmt == "json":
+        _emit_json(ns, formats.decision_to_json(decision))
     else:
-        _emit(cfg, _decision_text(decision))
+        _emit(ns, _decision_text(decision))
     return _VERDICT_EXIT[decision.verdict]
 
 
-def cmd_ampliate(cfg: RunConfig) -> int:
-    tree = formats.forest_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
+def cmd_ampliate(ns: argparse.Namespace) -> int:
+    tree = _read(formats.forest_from_json, ns.graph)
     built, size = 0, len(tree.vertices)
-    for _ in range(cfg.steps):
-        size *= cfg.multiplicity
+    for _ in range(ns.steps):
+        size *= ns.multiplicity
         built += size
         if built > MAX_AMPLIATED_VERTICES:
             raise OutputTooLarge(
-                f"{cfg.steps} ampliation steps by {cfg.multiplicity} build more than"
+                f"{ns.steps} ampliation steps by {ns.multiplicity} build more than"
                 f" {MAX_AMPLIATED_VERTICES} vertices"
             )
-    for _ in range(cfg.steps):
-        tree = ampliate(tree, cfg.multiplicity)
-    _emit_graph(cfg, tree)
+    for _ in range(ns.steps):
+        tree = ampliate(tree, ns.multiplicity)
+    _emit_graph(ns, tree)
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    a = formats.spec_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
-    b = formats.spec_from_json(_load(cfg.inputs[1]), cfg.inputs[1])
-    result = classify_tree_refinement(a, b, ampliation_bound=cfg.ampliation_bound)
-    if cfg.fmt == "json":
-        _emit_json(cfg, formats.classification_to_json(result))
+def cmd_classify(ns: argparse.Namespace) -> int:
+    a = _read(formats.spec_from_json, ns.first)
+    b = _read(formats.spec_from_json, ns.second)
+    result = classify_tree_refinement(a, b, ampliation_bound=ns.ampliation_bound)
+    if ns.fmt == "json":
+        _emit_json(ns, formats.classification_to_json(result))
     else:
         lines = [f"verdict: {result.verdict}"]
         if isinstance(result, Equivalent):
@@ -282,25 +250,25 @@ def cmd_classify(cfg: RunConfig) -> int:
             lines.append(f"reason: {result.reason}")
         elif isinstance(result, Undetermined):
             lines.append(f"search bound: {result.bound}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
     return {"equivalent": 0, "distinct": 1, "undetermined": 2}[result.verdict]
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
-    tree = formats.forest_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
+def cmd_reduce(ns: argparse.Namespace) -> int:
+    tree = _read(formats.forest_from_json, ns.graph)
     reduced = reduce(tree)
-    _emit_graph(cfg, reduced.tree.graph.with_weights(reduced.weights))
+    _emit_graph(ns, reduced.tree.graph.with_weights(reduced.weights))
     return 0
 
 
-def cmd_iso(cfg: RunConfig) -> int:
-    a = formats.forest_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
-    b = formats.forest_from_json(_load(cfg.inputs[1]), cfg.inputs[1])
+def cmd_iso(ns: argparse.Namespace) -> int:
+    a = _read(formats.forest_from_json, ns.first)
+    b = _read(formats.forest_from_json, ns.second)
     same = trees_isomorphic(a, b)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"isomorphic": same})
+    if ns.fmt == "json":
+        _emit_json(ns, {"isomorphic": same})
     else:
-        _emit(cfg, f"isomorphic: {'true' if same else 'false'}\n")
+        _emit(ns, f"isomorphic: {'true' if same else 'false'}\n")
     return 0 if same else 1
 
 
@@ -310,27 +278,27 @@ def _supernatural_text(sn: SupernaturalNumber) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def cmd_supernatural(cfg: RunConfig) -> int:
-    spec = formats.spec_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
+def cmd_supernatural(ns: argparse.Namespace) -> int:
+    spec = _read(formats.spec_from_json, ns.spec)
     sn = spec_supernatural(spec)
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         _emit_json(
-            cfg,
+            ns,
             {
                 "finite": [[p, e] for p, e in sorted(sn.finite)],
                 "infinite": sorted(sn.infinite),
             },
         )
     else:
-        _emit(cfg, _supernatural_text(sn) + "\n")
+        _emit(ns, _supernatural_text(sn) + "\n")
     return 0
 
 
-def cmd_verify_ckt(cfg: RunConfig) -> int:
-    g = formats.graph_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
-    report = verify_ckt(build_ckt_family(g, cutoff=cfg.cutoff))
-    if cfg.fmt == "json":
-        _emit_json(cfg, formats.ckt_report_to_json(report))
+def cmd_verify_ckt(ns: argparse.Namespace) -> int:
+    g = _read(formats.graph_from_json, ns.graph)
+    report = verify_ckt(build_ckt_family(g, cutoff=ns.cutoff))
+    if ns.fmt == "json":
+        _emit_json(ns, formats.ckt_report_to_json(report))
     else:
         lines = []
         for name, check in report.checks.items():
@@ -338,52 +306,37 @@ def cmd_verify_ckt(cfg: RunConfig) -> int:
             suffix = f" ({check.note})" if check.note else ""
             lines.append(f"{name}: {state}{suffix}")
         lines.append(f"ok: {'true' if report.ok else 'false'}")
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(ns, "\n".join(lines) + "\n")
     return 0 if report.ok else 1
 
 
-def cmd_norm(cfg: RunConfig) -> int:
-    x = formats.vector_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
+def cmd_norm(ns: argparse.Namespace) -> int:
+    x = _read(formats.vector_from_json, ns.vector)
     value = module_norm(x)
-    if cfg.fmt == "json":
-        _emit_json(cfg, {"norm": value})
+    if ns.fmt == "json":
+        _emit_json(ns, {"norm": value})
     else:
-        _emit(cfg, f"{value!r}\n")
+        _emit(ns, f"{value!r}\n")
     return 0
 
 
-def cmd_emit_dot(cfg: RunConfig) -> int:
-    g = formats.graph_from_json(_load(cfg.inputs[0]), cfg.inputs[0])
-    _emit(cfg, formats.graph_to_dot(g))
+def cmd_emit_dot(ns: argparse.Namespace) -> int:
+    g = _read(formats.graph_from_json, ns.graph)
+    _emit(ns, formats.graph_to_dot(g))
     return 0
 
 
-_COMMANDS = {
-    "check-tensor": cmd_check_tensor,
-    "ampliate": cmd_ampliate,
-    "classify": cmd_classify,
-    "reduce": cmd_reduce,
-    "iso": cmd_iso,
-    "supernatural": cmd_supernatural,
-    "verify-ckt": cmd_verify_ckt,
-    "norm": cmd_norm,
-    "emit-dot": cmd_emit_dot,
-}
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _config(ns)
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (FormatError, TreealgError) as exc:
-        print(f"treealg: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
+        return ns.run(ns)
+    except (TreealgError, OSError) as exc:
         print(f"treealg: error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except Exception as exc:

@@ -104,9 +104,6 @@ class DirectedGraph:
     def with_weights(self, weights: Mapping[str, int]) -> "DirectedGraph":
         return DirectedGraph(self._vertices, self._edges, weights)
 
-    def is_acyclic(self) -> bool:
-        return find_cycle(self) is None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
@@ -288,14 +285,17 @@ def recognize_out_forest(g: DirectedGraph) -> OutForest | ForestRejection:
 
     The rejection carries either a vertex with two or more parents or a
     directed cycle.  (With in-degrees at most 1 an undirected cycle forces
-    a directed one, so those two witnesses cover everything.)
+    a directed one, so those two witnesses cover everything.)  The
+    graph is scanned once when it is an out-forest; the witness is looked
+    for only after OutForest rejected it.
     """
+    try:
+        return OutForest(g)
+    except ValueError:
+        pass
     for v in g.vertices:
         if g.in_degree(v) > 1:
             return ForestRejection(
                 "multiple-parents", vertex=v, parents=g.predecessors(v)
             )
-    cyc = find_cycle(g)
-    if cyc is not None:
-        return ForestRejection("directed-cycle", cycle=tuple(cyc))
-    return OutForest(g)
+    return ForestRejection("directed-cycle", cycle=tuple(find_cycle(g)))

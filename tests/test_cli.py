@@ -6,11 +6,12 @@ import time
 
 import pytest
 
-from treealg.ampliation import TreeRefinementSpec, ampliate
+from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.catalog import (
     lambda_tree,
     mixed_tower,
     refinement_tower,
+    standard_tower,
     triple_copy_tower,
 )
 from treealg.cli import main
@@ -219,6 +220,21 @@ def test_oversized_outputs_exit_65_before_any_work(capsys, lam, tmp_path):
         assert code == 65 and out == ""
         assert err.startswith("treealg: error: ") and err.count("\n") == 1
         assert "more than" in err
+
+
+def test_rule_levels_over_the_cap_exit_65_before_any_work(capsys, tmp_path):
+    spec = TreeRefinementSpec(lambda_tree(), (), 2)
+    for name, tower, depth in (
+        ("standard.json", standard_tower(2, 2), "40"),
+        ("tree.json", build_tree_refinement_tower(spec, 2), "1000000000"),
+    ):
+        path = write(tmp_path, name, tower_to_json(tower))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-tensor", path, "--depth", depth)
+        assert time.perf_counter() - start < 1.0
+        assert code == 65 and out == ""
+        assert err.startswith("treealg: error: ") and err.count("\n") == 1
+        assert "units, more than 512" in err
 
 
 def test_norm_command(capsys, lam, tmp_path):

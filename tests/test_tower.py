@@ -13,7 +13,8 @@ from treealg.catalog import (
     triple_copy_tower,
 )
 from treealg.embeddings import RegularEmbedding, refinement_embedding
-from treealg.errors import MismatchedLevels, NotDecidedYes
+import treealg.tower
+from treealg.errors import MismatchedLevels, NotDecidedYes, OutputTooLarge
 from treealg.tower import (
     Decision,
     ForestPresentation,
@@ -150,6 +151,36 @@ def test_counting_grade_rejects_bad_inputs():
         counting_grade(t, 3, ((0, 1), (0, 2)), 2)
     with pytest.raises(ValueError):
         counting_grade(t, 1, ((0, 2), (0, 1)), 2)
+
+
+def test_counting_grade_rejects_a_non_tree_level():
+    # Unit 1 is the source of 2 and 3, which are incomparable.
+    fork = DigraphAlgebra([3], [((0, 1), (0, 2)), ((0, 1), (0, 3))])
+    with pytest.raises(ValueError, match="level 1 is not a tree semigroupoid"):
+        counting_grade(Tower([fork], []), 1, ((0, 1), (0, 2)), 1)
+
+
+def test_materialize_refuses_levels_over_the_cap(monkeypatch):
+    monkeypatch.setattr(treealg.tower, "MAX_LEVEL_UNITS", 8)
+    levels, _ = materialize(standard_tower(2, 2), 3)
+    assert [sum(a.blocks) for a in levels] == [2, 4, 8]
+    with pytest.raises(OutputTooLarge, match="level 4 of 16 units, more than 8"):
+        materialize(standard_tower(2, 2), 10**9)
+    # A factor of 1 never grows a level.
+    assert len(materialize(Tower([T4], [], StandardRule(1)), 5)[0]) == 5
+
+
+def test_look_ahead_over_the_cap_counts_as_unavailable(monkeypatch):
+    fork = DigraphAlgebra([3], [((0, 1), (0, 2)), ((0, 1), (0, 3))])
+    t = Tower([fork], [], StandardRule(2))
+    dec = decide_tensor(t, 1)
+    assert dec.verdict is Verdict.NO
+    assert isinstance(dec.certificate, LevelStructureWitness)
+    # With the 6-unit level 2 over the cap, depth 1 sees no next level,
+    # as under a tower without a rule.
+    monkeypatch.setattr(treealg.tower, "MAX_LEVEL_UNITS", 5)
+    assert decide_tensor(t, 1).verdict is Verdict.INCONCLUSIVE
+    assert decide_tensor(Tower([fork], []), 1).verdict is Verdict.INCONCLUSIVE
 
 
 def test_mixed_tower_inconclusive_at_depth_two():
