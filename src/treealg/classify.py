@@ -8,16 +8,33 @@ their reductions match weight for weight, which canonical codes test in
 one comparison.  The equivalence search for refinement towers first
 compares supernatural numbers, then the ampliation-invariant branching
 skeleton, and only then hunts for a witnessing pair of ampliations.
+
+The search never builds an ampliation.  By induction on k, ampliating T
+by f1, ..., fk in turn replaces each vertex v by a chain of L = f1...fk
+copies from ((v,1),...,1) to ((v,f1),...,fk), and each edge u -> v by
+the edge from u's last copy to v's first: ampliating by f stretches a
+chain c1 -> ... -> cL into (c1,1) -> ... -> (cL,f) and turns an edge
+x -> y into (x,f) -> (y,1).  Ampliation drops weights, so reduce keeps
+the root's first copy, of weight 0, and the last copy of each vertex of
+out-degree other than 1.  A vertex v of weight w in R = reduce(T,
+weights=False) gets weight L*w + L - 1 (all copies of the w contracted
+vertices above it and v's own earlier copies), plus L - 1 more for the
+root's later copies when its parent is a root with one child.  Any
+other root keeps its last copy, of weight L - 2.  So each side's code
+depends on L alone and is computed once per product in O(|R| log |R|);
+a candidate then costs one comparison of codes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ampliation import TreeRefinementSpec, ampliate
+from .ampliation import TreeRefinementSpec, pair_name
 from .errors import NotATree
 from .graphs import DirectedGraph, OutForest
 
@@ -79,17 +96,18 @@ class WeightedTree:
         return f"WeightedTree({len(self.vertices)} vertices, total weight {self.total_weight()})"
 
 
-def reduce(g: OutForest) -> WeightedTree:
+def reduce(g: OutForest, weights: bool = True) -> WeightedTree:
     """Contract pass-through chains of an out-tree into weighted edges.
 
     Kept vertices are the root, the sinks, and every vertex emitting at
     least two edges.  A contracted chain adds its vertex count plus any
-    weights it carried to the chain's deeper endpoint.
+    weights it carried to the chain's deeper endpoint.  With weights
+    False the weights g carries are read as 0, as ampliation reads them.
     """
     if not g.is_tree():
         raise NotATree("reduction is defined for single-rooted trees")
     root = g.single_root()
-    base = {v: g.graph.weight(v) for v in g.vertices}
+    base = {v: g.graph.weight(v) if weights else 0 for v in g.vertices}
     keep = [
         v
         for v in g.vertices
@@ -109,50 +127,7 @@ def reduce(g: OutForest) -> WeightedTree:
         edges.append((a, v))
         extra[v] = absorbed
     tree = OutForest(DirectedGraph(keep, edges))
-    weights = {v: base[v] + extra[v] for v in keep}
-    return WeightedTree(tree, weights)
-
-
-def heights(t: WeightedTree) -> dict[str, int]:
-    """Sinks at 0; every other vertex one above its tallest child."""
-    out: dict[str, int] = {}
-
-    def height(v: str) -> int:
-        if v not in out:
-            kids = t.tree.children(v)
-            out[v] = 1 + max(height(c) for c in kids) if kids else 0
-        return out[v]
-
-    for v in t.vertices:
-        height(v)
-    return out
-
-
-def _subtree(t: WeightedTree, root: str) -> WeightedTree:
-    vs = [v for v in t.vertices if v in t.tree.subtree_vertices(root)]
-    es = [(u, v) for u, v in t.tree.edges if u in set(vs)]
-    sub = OutForest(DirectedGraph(vs, es))
-    return WeightedTree(sub, {v: t.weight(v) for v in vs})
-
-
-def level_lists(t: WeightedTree) -> list[list[WeightedTree]]:
-    """Weighted subtrees collected by height.
-
-    Entry k holds the maximal subtrees whose roots have height at most
-    k; entry 0 is the sinks with their weights and the last entry is the
-    whole tree.
-    """
-    h = heights(t)
-    root = t.tree.single_root()
-    out = []
-    for k in range(h[root] + 1):
-        tops = [
-            v
-            for v in t.vertices
-            if h[v] <= k and (v == root or h[t.tree.parent(v)] > k)
-        ]
-        out.append([_subtree(t, v) for v in tops])
-    return out
+    return WeightedTree(tree, {v: base[v] + extra[v] for v in keep})
 
 
 @dataclass(frozen=True, order=True)
@@ -165,14 +140,20 @@ class CanonicalCode:
         return f"CanonicalCode({self.data!r})"
 
 
-def _code(t: WeightedTree, v: str) -> tuple:
-    kids = tuple(sorted(_code(t, c) for c in t.tree.children(v)))
-    return (t.weight(v), kids)
+def _codes(t: WeightedTree) -> dict[str, tuple]:
+    """The code of every vertex, each computed once, children first."""
+    order = [t.tree.single_root()]
+    for v in order:
+        order.extend(t.tree.children(v))
+    codes: dict[str, tuple] = {}
+    for v in reversed(order):
+        codes[v] = (t.weight(v), tuple(sorted(codes[c] for c in t.tree.children(v))))
+    return codes
 
 
 def canonical_code(t: WeightedTree) -> CanonicalCode:
     """Bottom-up code: (weight, sorted children codes) from the root."""
-    return CanonicalCode(_code(t, t.tree.single_root()))
+    return CanonicalCode(_codes(t)[t.tree.single_root()])
 
 
 def trees_isomorphic(g: OutForest, h: OutForest) -> bool:
@@ -191,7 +172,10 @@ def branching_skeleton(g: OutForest) -> tuple:
     or removes branch points, so this shape is invariant under any
     sequence of ampliations.
     """
-    red = reduce(g)
+    return _skeleton(reduce(g))
+
+
+def _skeleton(red: WeightedTree) -> tuple:
     root = red.tree.single_root()
     if red.tree.graph.out_degree(root) == 1:
         (root,) = red.tree.children(root)
@@ -204,10 +188,6 @@ class SupernaturalNumber:
 
     finite: tuple[tuple[int, int], ...]
     infinite: frozenset[int]
-
-    @property
-    def finite_part(self) -> dict[int, int]:
-        return dict(self.finite)
 
     def exponent(self, p: int) -> float:
         if p in self.infinite:
@@ -292,40 +272,60 @@ class Undetermined:
 ClassificationResult = Equivalent | Distinct | Undetermined
 
 
-def _match_vertices(
-    a: WeightedTree, va: str, b: WeightedTree, vb: str, out: list[tuple[str, str]]
-) -> None:
-    out.append((va, vb))
-    ka = sorted(a.tree.children(va), key=lambda c: (_code(a, c), c))
-    kb = sorted(b.tree.children(vb), key=lambda c: (_code(b, c), c))
-    for ca, cb in zip(ka, kb):
-        _match_vertices(a, ca, b, cb, out)
+def ampliated_reduction(red: WeightedTree, factors: Sequence[int]) -> WeightedTree:
+    """reduce of a tree g ampliated by each factor in turn, from
+    red = reduce(g, weights=False) alone, without the ampliation.
+
+    Vertex names, weights and vertex order are those reduce gives (see
+    the module docstring for the proof); the cost is O(|red|) however
+    large the product of the factors.  Like ampliation, this reads the
+    weights of g as 0, so with no factor it returns red itself.
+    """
+    root = red.tree.single_root()
+    l = math.prod(factors)
+    last = {v: functools.reduce(pair_name, factors, v) for v in red.vertices}
+    top = functools.reduce(pair_name, [1] * len(factors), root)
+    stem = l == 1 or red.tree.graph.out_degree(root) == 1
+    weights: dict[str, int] = {}  # in the order of the ampliation's vertices
+    edges = [] if stem else [(top, last[root])]
+    for v in red.vertices:
+        if v == root:
+            weights[top] = 0
+            if not stem:
+                weights[last[v]] = l - 2
+            continue
+        u = red.tree.parent(v)
+        parent = top if u == root and stem else last[u]
+        weights[last[v]] = l * red.weight(v) + l - 1 + (l - 1 if parent == top else 0)
+        edges.append((parent, last[v]))
+    return WeightedTree(OutForest(DirectedGraph(weights, edges)), weights)
 
 
-def _iterated_ampliation(base: OutForest, factors: Sequence[int]) -> OutForest:
-    g = base
-    for f in factors:
-        g = ampliate(g, f)
-    return g
+def _match_vertices(a: WeightedTree, b: WeightedTree) -> tuple[tuple[str, str], ...]:
+    """Pair the vertices of two reductions with equal codes: depth-first
+    from the roots, siblings matched in (code, name) order."""
+    code_a, code_b = _codes(a), _codes(b)
+    out = []
+    stack = [(a.tree.single_root(), b.tree.single_root())]
+    while stack:
+        va, vb = stack.pop()
+        out.append((va, vb))
+        ka = sorted(a.tree.children(va), key=lambda c: (code_a[c], c))
+        kb = sorted(b.tree.children(vb), key=lambda c: (code_b[c], c))
+        stack.extend(reversed(list(zip(ka, kb))))
+    return tuple(out)
 
 
 def _factor_sequences(
     primes: Sequence[int], max_steps: int, sn: SupernaturalNumber
 ) -> list[tuple[int, ...]]:
     """Nondecreasing prime tuples of bounded length whose product divides sn."""
-    out: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
-    for _ in range(max_steps):
-        nxt = []
-        for seq in frontier:
-            start = primes.index(seq[-1]) if seq else 0
-            for p in primes[start:]:
-                cand = seq + (p,)
-                if sn.divisible_by(math.prod(cand)):
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return [
+        seq
+        for k in range(max_steps + 1)
+        for seq in itertools.combinations_with_replacement(primes, k)
+        if sn.divisible_by(math.prod(seq))
+    ]
 
 
 def classify_tree_refinement(
@@ -344,24 +344,33 @@ def classify_tree_refinement(
     sa, sb = spec_supernatural(a), spec_supernatural(b)
     if sa != sb:
         return Distinct("supernatural numbers differ")
-    if branching_skeleton(a.base) != branching_skeleton(b.base):
+    specs = (a, b)
+    plain = [reduce(spec.base, weights=False) for spec in specs]
+    if _skeleton(plain[0]) != _skeleton(plain[1]):
         return Distinct("branching skeletons differ")
-    primes = sorted(sa.primes())
-    seqs_a = _factor_sequences(primes, ampliation_bound, sa)
-    seqs_b = _factor_sequences(primes, ampliation_bound, sa)
+    seqs = _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)
+    size = {seq: math.prod(seq) for seq in seqs}
     na, nb = len(a.base.vertices), len(b.base.vertices)
-    candidates = [
+    candidates = sorted(
         (len(pa) + len(pb), pa, pb)
-        for pa in seqs_a
-        for pb in seqs_b
-        if na * math.prod(pa) == nb * math.prod(pb)
-    ]
-    for _, pa, pb in sorted(candidates):
-        ga = _iterated_ampliation(a.base, pa)
-        gb = _iterated_ampliation(b.base, pb)
-        if trees_isomorphic(ga, gb):
-            ra, rb = reduce(ga), reduce(gb)
-            pairs: list[tuple[str, str]] = []
-            _match_vertices(ra, ra.tree.single_root(), rb, rb.tree.single_root(), pairs)
-            return Equivalent((pa, pb), tuple(pairs))
+        for pa in seqs
+        for pb in seqs
+        if na * size[pa] == nb * size[pb]
+    )
+
+    def reduction(k: int, seq: tuple[int, ...]) -> WeightedTree:
+        return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
+
+    # The reduction of an ampliation depends on the product alone, so each
+    # side's code is computed once per product.
+    codes: list[dict[int, CanonicalCode]] = [{}, {}]
+
+    def code(k: int, seq: tuple[int, ...]) -> CanonicalCode:
+        if size[seq] not in codes[k]:
+            codes[k][size[seq]] = canonical_code(reduction(k, seq))
+        return codes[k][size[seq]]
+
+    for _, pa, pb in candidates:
+        if code(0, pa) == code(1, pb):
+            return Equivalent((pa, pb), _match_vertices(reduction(0, pa), reduction(1, pb)))
     return Undetermined(ampliation_bound)

@@ -15,7 +15,7 @@ from typing import Any
 from .algebra import DigraphAlgebra, DoubleReceiver, NonTreeTriple, Pair, Unit
 from .ampliation import TreeRefinementSpec
 from .classify import ClassificationResult, Distinct, Equivalent, Undetermined
-from .correspondence import CKTReport, GraphCorrespondenceVector, NeatCheck
+from .correspondence import CKTReport, GraphCorrespondenceVector
 from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
 from .errors import FormatError
 from .graphs import DirectedGraph, OutForest
@@ -482,15 +482,6 @@ def ckt_report_to_json(rep: CKTReport) -> dict:
             name: {"residual": c.residual, "exact": c.exact, "note": c.note}
             for name, c in rep.checks.items()
         },
-    }
-
-
-def neat_check_to_json(res: NeatCheck) -> dict:
-    return {
-        "holds": res.holds,
-        "norm-x": res.norm_x,
-        "norm-y": res.norm_y,
-        "norm-sum": res.norm_sum,
     }
 
 

@@ -25,7 +25,7 @@ class DirectedGraph:
     the graph operations that do not explicitly produce them.
     """
 
-    __slots__ = ("_vertices", "_edges", "_weights", "_index", "_succ", "_pred")
+    __slots__ = ("_vertices", "_edges", "_weights", "_succ", "_pred")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class DirectedGraph:
         self._vertices = vs
         self._edges = frozenset(es)
         self._weights = {v: ws.get(v, 0) for v in vs}
-        self._index = index
         succ: dict[str, list[str]] = {v: [] for v in vs}
         pred: dict[str, list[str]] = {v: [] for v in vs}
         # Adjacency kept in declaration order so traversals are deterministic.
@@ -94,9 +93,6 @@ class DirectedGraph:
 
     def in_degree(self, v: str) -> int:
         return len(self._pred[v])
-
-    def index_of(self, v: str) -> int:
-        return self._index[v]
 
     def has_edge(self, s: str, t: str) -> bool:
         return (s, t) in self._edges

@@ -160,8 +160,12 @@ def materialize(t: Tower, depth: int) -> tuple[list[DigraphAlgebra], list[Regula
 
     Without a generating rule (none, or the nest rule, which fixes no
     concrete matrices) the result is capped at the stored levels.  A
-    generated level of more than MAX_LEVEL_UNITS units raises
-    OutputTooLarge before any level is generated.
+    generated level of more than MAX_LEVEL_UNITS units, or generated
+    levels of more than 2 * MAX_LEVEL_UNITS units together, raise
+    OutputTooLarge before any level is generated.  A factor of at least 2
+    keeps the sum under the second cap whenever each level is under the
+    first; a factor of 1 repeats the last level, so the sum bounds the
+    number of levels.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -170,17 +174,21 @@ def materialize(t: Tower, depth: int) -> tuple[list[DigraphAlgebra], list[Regula
     rule = t.rule
     generable = rule is not None and not isinstance(rule, NestRule)
     if generable and len(levels) < depth:
-        units = sum(levels[-1].blocks)
+        units, total = sum(levels[-1].blocks), 0
         factor = rule.m if isinstance(rule, StandardRule) else rule.l
-        k = len(levels)
-        # A factor of 1 keeps every level the size of the last stored one.
-        while factor > 1 and k < depth:
-            k += 1
+        # Every level has a unit, so this stops within 2 * MAX_LEVEL_UNITS steps.
+        for k in range(len(levels) + 1, depth + 1):
             units *= factor
+            total += units
             if units > MAX_LEVEL_UNITS:
                 raise OutputTooLarge(
                     f"depth {depth} needs level {k} of {units} units,"
                     f" more than {MAX_LEVEL_UNITS}"
+                )
+            if total > 2 * MAX_LEVEL_UNITS:
+                raise OutputTooLarge(
+                    f"depth {depth} needs levels {len(levels) + 1} to {k} of"
+                    f" {total} units together, more than {2 * MAX_LEVEL_UNITS}"
                 )
     if isinstance(rule, TreeRefinementRule) and len(levels) < depth:
         from .ampliation import level_algebra

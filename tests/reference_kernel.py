@@ -9,6 +9,10 @@ The graph-level closure, covering edges and out-forest completion test
 once duplicated the kernel on DirectedGraph values; they stay here as
 the oracle of test_graphs.py and of the grading solver.
 
+iterated_ampliation builds the trees the classification search built
+for every candidate before it read their reductions off in closed form;
+it is the oracle of classify.ampliated_reduction in test_classify.py.
+
 The dense CKT family at the end is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
 edge map is an explicit dim x dim int64 matrix and every relation is a
@@ -21,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from treealg.ampliation import ampliate
 from treealg.correspondence import (
     CKTReport,
     Edge,
@@ -187,6 +192,14 @@ def is_transitive_completion_of_out_forest(
     if transitive_completion(cover).edges != g.edges:
         return False, None
     return True, forest
+
+
+def iterated_ampliation(base: OutForest, factors) -> OutForest:
+    """base ampliated by each factor in turn."""
+    g = base
+    for f in factors:
+        g = ampliate(g, f)
+    return g
 
 
 def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treealg.ampliation import TreeRefinementSpec, ampliate
 from treealg.catalog import branching_tree, chain_forest, lambda_tree
@@ -15,11 +17,10 @@ from treealg.classify import (
     SupernaturalNumber,
     Undetermined,
     WeightedTree,
+    ampliated_reduction,
     branching_skeleton,
     canonical_code,
     classify_tree_refinement,
-    heights,
-    level_lists,
     reduce,
     supernatural,
     trees_isomorphic,
@@ -28,6 +29,7 @@ from treealg.errors import NotATree
 from treealg.graphs import DirectedGraph, OutForest, recognize_out_forest
 
 from conftest import random_out_tree
+from reference_kernel import iterated_ampliation
 
 
 def shape_isomorphic(g: OutForest, h: OutForest) -> bool:
@@ -121,27 +123,6 @@ def test_weighted_tree_rejects_pass_through_shapes():
     WeightedTree(chain_forest(2))
 
 
-def test_heights_examples():
-    single = reduce(chain_forest(1))
-    assert heights(single) == {"1": 0}
-    assert heights(reduce(lambda_tree())) == {"r": 1, "a": 0, "b": 0}
-    amp = reduce(ampliate(lambda_tree(), 2))
-    h = heights(amp)
-    assert h[amp.tree.single_root()] == 2  # root keeps its one-step chain
-    assert max(h.values()) == 2
-
-
-def test_level_lists_scheme():
-    t = reduce(branching_tree())
-    lists = level_lists(t)
-    assert len(lists) == 2
-    sinks = {(tt.vertices[0], tt.total_weight()) for tt in lists[0]}
-    assert sinks == {("2", 0), ("4", 1)}
-    assert lists[1][0].vertices == t.vertices
-    lam = reduce(lambda_tree())
-    assert [len(level) for level in level_lists(lam)] == [2, 1]
-
-
 def test_codes_distinguish_shape_and_weights():
     chain2 = reduce(chain_forest(2))
     star = reduce(lambda_tree())
@@ -195,11 +176,38 @@ def test_skeleton_invariant_under_ampliation():
         assert branching_skeleton(ampliate(g, l)) == branching_skeleton(g)
 
 
+@st.composite
+def weighted_trees(draw):
+    """Trees on 1 to 9 vertices, half of them carrying file weights, with
+    names that sort around the "(", "," and ")" of ampliated names."""
+    n = draw(st.integers(1, 9))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    names = draw(
+        st.lists(st.sampled_from(["a", "a)", "a,", "(a", "b", "1", "!"]), min_size=n, max_size=n)
+    )
+    vs = [f"{x}{k}" for k, x in enumerate(names)]
+    order = draw(st.permutations(vs))
+    weights = {v: draw(st.integers(0, 3)) for v in vs} if draw(st.booleans()) else {}
+    edges = [(vs[p], vs[i]) for i, p in enumerate(parents, start=1)]
+    return OutForest(DirectedGraph(order, edges, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_trees(), st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3))
+def test_ampliated_reduction_matches_the_iterated_ampliation(g, factors):
+    red = ampliated_reduction(reduce(g, weights=False), factors)
+    # Names, weights and vertex order all agree with the built ampliation.
+    assert red == reduce(iterated_ampliation(g, factors))
+    # An iterated ampliation reduces like one ampliation by the product.
+    product = ampliate(g, math.prod(factors))
+    assert canonical_code(red) == canonical_code(reduce(product))
+
+
 def test_supernatural_examples():
     assert supernatural((2, 2), 2) == SupernaturalNumber((), frozenset({2}))
-    assert supernatural((6, 2)).finite_part == {2: 2, 3: 1}
+    assert supernatural((6, 2)).finite == ((2, 2), (3, 1))
     s = supernatural((2,), 3)
-    assert s.finite_part == {2: 1} and s.infinite == frozenset({3})
+    assert s.finite == ((2, 1),) and s.infinite == frozenset({3})
     assert supernatural((2, 4), 2) == supernatural((), 2)
     assert supernatural((2,), None) != supernatural((2,), 2)
 

@@ -237,6 +237,26 @@ def test_rule_levels_over_the_cap_exit_65_before_any_work(capsys, tmp_path):
         assert "units, more than 512" in err
 
 
+def test_factor_one_rules_exit_65_before_any_work(capsys, tmp_path):
+    # A factor of 1 never grows a level, so only the sum of the levels
+    # bounds the work: 3 units a level, 1024 units in all.
+    three = {"levels": [{"blocks": [3]}], "maps": []}
+    spec = TreeRefinementSpec(lambda_tree(), (), 1)
+    for name, doc in (
+        ("standard.json", {**three, "rule": {"kind": "standard", "m": 1}}),
+        ("refinement.json", {**three, "rule": {"kind": "refinement", "l": 1}}),
+        ("tree.json", tower_to_json(build_tree_refinement_tower(spec, 2))),
+    ):
+        path = write(tmp_path, name, doc)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-tensor", path, "--depth", "100000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 65 and out == ""
+        assert err.startswith("treealg: error: ") and err.count("\n") == 1
+        assert "units together, more than 1024" in err
+        assert run(capsys, "check-tensor", path, "--depth", "300")[0] in (0, 1, 2)
+
+
 def test_norm_command(capsys, lam, tmp_path):
     vee = {"vertices": ["p", "q", "s"], "edges": [["p", "s"], ["q", "s"]]}
     vec = write(
