@@ -4,244 +4,31 @@ The package decides when a tower of digraph algebras presents a tensor
 algebra of a tree, classifies tree-refinement limit algebras up to
 ampliation, and verifies the partial-isometry relations of graph
 correspondences numerically.
+
+The names below are the ones the README documents; everything else is
+imported from its module, for example
+``from treealg.algebra import DigraphAlgebra``.
 """
 
-from .algebra import (
-    DigraphAlgebra,
-    DoubleReceiver,
-    Grading,
-    NonTreeTriple,
-    covering_pairs,
-    is_tree_semigroupoid,
-    solve_grading,
-    unit_name,
-)
-from .ampliation import (
-    TreeRefinementSpec,
-    ampliate,
-    build_tree_refinement_tower,
-)
-from .catalog import (
-    branching_graph,
-    branching_tree,
-    chain_forest,
-    chain_graph,
-    lambda_graph,
-    lambda_tree,
-    mixed_tower,
-    refinement_tower,
-    standard_image_tower,
-    standard_tower,
-    triple_copy_tower,
-)
-from .classify import (
-    CanonicalCode,
-    ClassificationResult,
-    Distinct,
-    Equivalent,
-    SupernaturalNumber,
-    Undetermined,
-    WeightedTree,
-    branching_skeleton,
-    canonical_code,
-    classify_tree_refinement,
-    reduce,
-    spec_supernatural,
-    supernatural,
-    trees_isomorphic,
-)
-from .correspondence import (
-    CKTReport,
-    GraphCorrespondenceVector,
-    NeatCheck,
-    PartialIsometryFamily,
-    RelationCheck,
-    build_ckt_family,
-    check_neat_inequality,
-    module_inner_product,
-    module_norm,
-    vector_operator,
-    verify_ckt,
-)
-from .embeddings import (
-    RegularEmbedding,
-    compose,
-    identity_embedding,
-    normalized_trace,
-    refinement_embedding,
-    standard_embedding,
-)
-from .errors import (
-    CyclicGraph,
-    FormatError,
-    GraphMismatch,
-    IllFormedAttachment,
-    MismatchedLevels,
-    MultiBlockUnsupported,
-    NotATree,
-    NotDecidedYes,
-    OutputTooLarge,
-    PreconditionViolated,
-    TreealgError,
-)
-from .formats import (
-    algebra_from_json,
-    algebra_to_json,
-    ckt_report_to_json,
-    classification_to_json,
-    decision_to_json,
-    embedding_from_json,
-    embedding_to_json,
-    forest_from_json,
-    graph_from_json,
-    graph_to_dot,
-    graph_to_json,
-    rule_from_json,
-    rule_to_json,
-    spec_from_json,
-    spec_to_json,
-    tower_from_json,
-    tower_to_json,
-    vector_from_json,
-    vector_to_json,
-)
-from .graphs import (
-    DirectedGraph,
-    OutForest,
-    recognize_out_forest,
-)
-from .tower import (
-    ChainGrades,
-    Decision,
-    ForestPresentation,
-    GradeGrowthWitness,
-    InconclusiveReport,
-    LevelStructureWitness,
-    NestRule,
-    NestRuleWitness,
-    PresentationLevel,
-    RefinementRule,
-    Rule,
-    StandardRule,
-    SummandChain,
-    Tower,
-    TreeRefinementRule,
-    Verdict,
-    counting_grade,
-    decide_tensor,
-    edge_space_level,
-    materialize,
-    reconstruct_forest_presentation,
-)
+from .ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
+from .classify import classify_tree_refinement
+from .correspondence import build_ckt_family, check_neat_inequality, module_norm, verify_ckt
+from .graphs import DirectedGraph, OutForest
+from .tower import Verdict, decide_tensor
 
 __all__ = [
-    "CKTReport",
-    "CanonicalCode",
-    "ChainGrades",
-    "ClassificationResult",
-    "CyclicGraph",
-    "Decision",
-    "DigraphAlgebra",
     "DirectedGraph",
-    "Distinct",
-    "DoubleReceiver",
-    "Equivalent",
-    "ForestPresentation",
-    "FormatError",
-    "GradeGrowthWitness",
-    "Grading",
-    "GraphCorrespondenceVector",
-    "GraphMismatch",
-    "IllFormedAttachment",
-    "InconclusiveReport",
-    "LevelStructureWitness",
-    "MismatchedLevels",
-    "MultiBlockUnsupported",
-    "NeatCheck",
-    "NestRule",
-    "NestRuleWitness",
-    "NonTreeTriple",
-    "NotATree",
-    "NotDecidedYes",
     "OutForest",
-    "OutputTooLarge",
-    "PartialIsometryFamily",
-    "PreconditionViolated",
-    "PresentationLevel",
-    "RefinementRule",
-    "RegularEmbedding",
-    "RelationCheck",
-    "Rule",
-    "StandardRule",
-    "SummandChain",
-    "SupernaturalNumber",
-    "Tower",
-    "TreeRefinementRule",
-    "TreeRefinementSpec",
-    "TreealgError",
-    "Undetermined",
-    "Verdict",
-    "WeightedTree",
-    "algebra_from_json",
-    "algebra_to_json",
     "ampliate",
-    "branching_graph",
-    "branching_skeleton",
-    "branching_tree",
-    "build_ckt_family",
-    "build_tree_refinement_tower",
-    "canonical_code",
-    "chain_forest",
-    "chain_graph",
-    "check_neat_inequality",
-    "ckt_report_to_json",
-    "classification_to_json",
-    "classify_tree_refinement",
-    "compose",
-    "counting_grade",
-    "covering_pairs",
     "decide_tensor",
-    "decision_to_json",
-    "edge_space_level",
-    "embedding_from_json",
-    "embedding_to_json",
-    "forest_from_json",
-    "graph_from_json",
-    "graph_to_dot",
-    "graph_to_json",
-    "identity_embedding",
-    "is_tree_semigroupoid",
-    "lambda_graph",
-    "lambda_tree",
-    "materialize",
-    "mixed_tower",
-    "module_inner_product",
-    "module_norm",
-    "normalized_trace",
-    "recognize_out_forest",
-    "reconstruct_forest_presentation",
-    "reduce",
-    "refinement_embedding",
-    "refinement_tower",
-    "rule_from_json",
-    "rule_to_json",
-    "solve_grading",
-    "spec_from_json",
-    "spec_supernatural",
-    "spec_to_json",
-    "standard_embedding",
-    "standard_image_tower",
-    "standard_tower",
-    "supernatural",
-    "tower_from_json",
-    "tower_to_json",
-    "trees_isomorphic",
-    "triple_copy_tower",
-    "unit_name",
-    "vector_from_json",
-    "vector_operator",
-    "vector_to_json",
+    "Verdict",
+    "TreeRefinementSpec",
+    "build_tree_refinement_tower",
+    "classify_tree_refinement",
+    "build_ckt_family",
     "verify_ckt",
+    "module_norm",
+    "check_neat_inequality",
 ]
 
 __version__ = "0.1.0"

@@ -155,10 +155,6 @@ class DigraphAlgebra:
         return cls([n], [((0, i), (0, j)) for i in range(1, n + 1) for j in range(i, n + 1)])
 
     @classmethod
-    def diagonal(cls, blocks: Iterable[int]) -> "DigraphAlgebra":
-        return cls(blocks)
-
-    @classmethod
     def from_graph(cls, g: DirectedGraph | OutForest) -> tuple["DigraphAlgebra", dict[str, Unit]]:
         """The algebra of the strict order generated by an acyclic graph.
 
@@ -257,21 +253,6 @@ class NonTreeTriple:
     x: Unit
     y: Unit
     z: Unit
-
-    def __bool__(self) -> bool:
-        return False
-
-
-@dataclass(frozen=True)
-class DoubleReceiver:
-    """A unit receiving two covering pairs, with the two sources.
-
-    Under the tree condition no unit receives two covering pairs, so the
-    tensor decision reports a NonTreeTriple wherever this could arise.
-    """
-
-    x: Unit
-    sources: tuple[Unit, Unit]
 
     def __bool__(self) -> bool:
         return False

@@ -32,77 +32,22 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ampliation import TreeRefinementSpec, pair_name
 from .errors import NotATree
 from .graphs import DirectedGraph, OutForest
 
 
-class WeightedTree:
-    """A reduced out-tree with nonnegative integer vertex weights.
-
-    Reduced means no pass-through vertices: every vertex except the root
-    and the sinks emits at least two edges.  The root may emit a single
-    edge; a contracted chain hanging off the root keeps it that way.
-    """
-
-    __slots__ = ("_tree", "_weight")
-
-    def __init__(self, tree: OutForest, weight: Mapping[str, int] | None = None) -> None:
-        if not tree.is_tree():
-            raise NotATree("a weighted tree needs a single root")
-        w = {v: 0 for v in tree.vertices}
-        for v, value in (weight or {}).items():
-            if v not in w:
-                raise ValueError(f"weight given for unknown vertex {v!r}")
-            if value < 0:
-                raise ValueError(f"negative weight on {v!r}")
-            w[v] = value
-        root = tree.single_root()
-        for v in tree.vertices:
-            if v != root and tree.graph.out_degree(v) == 1:
-                raise ValueError(f"vertex {v!r} passes through; the tree is not reduced")
-        self._tree = tree
-        self._weight = w
-
-    @property
-    def tree(self) -> OutForest:
-        return self._tree
-
-    @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._tree.vertices
-
-    def weight(self, v: str) -> int:
-        return self._weight[v]
-
-    @property
-    def weights(self) -> dict[str, int]:
-        return dict(self._weight)
-
-    def total_weight(self) -> int:
-        return sum(self._weight.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedTree):
-            return NotImplemented
-        return self._tree == other._tree and self._weight == other._weight
-
-    def __hash__(self) -> int:
-        return hash((self._tree, tuple(sorted(self._weight.items()))))
-
-    def __repr__(self) -> str:
-        return f"WeightedTree({len(self.vertices)} vertices, total weight {self.total_weight()})"
-
-
-def reduce(g: OutForest, weights: bool = True) -> WeightedTree:
+def reduce(g: OutForest, weights: bool = True) -> OutForest:
     """Contract pass-through chains of an out-tree into weighted edges.
 
     Kept vertices are the root, the sinks, and every vertex emitting at
-    least two edges.  A contracted chain adds its vertex count plus any
-    weights it carried to the chain's deeper endpoint.  With weights
-    False the weights g carries are read as 0, as ampliation reads them.
+    least two edges, so no vertex of the result but the root emits a
+    single edge.  A contracted chain adds its vertex count plus any
+    weights it carried to the chain's deeper endpoint; the weights ride
+    on the result's graph.  With weights False the weights g carries are
+    read as 0, as ampliation reads them.
     """
     if not g.is_tree():
         raise NotATree("reduction is defined for single-rooted trees")
@@ -126,8 +71,7 @@ def reduce(g: OutForest, weights: bool = True) -> WeightedTree:
             a = g.parent(a)
         edges.append((a, v))
         extra[v] = absorbed
-    tree = OutForest(DirectedGraph(keep, edges))
-    return WeightedTree(tree, {v: base[v] + extra[v] for v in keep})
+    return OutForest(DirectedGraph(keep, edges, {v: base[v] + extra[v] for v in keep}))
 
 
 @dataclass(frozen=True, order=True)
@@ -140,20 +84,20 @@ class CanonicalCode:
         return f"CanonicalCode({self.data!r})"
 
 
-def _codes(t: WeightedTree) -> dict[str, tuple]:
+def _codes(t: OutForest) -> dict[str, tuple]:
     """The code of every vertex, each computed once, children first."""
-    order = [t.tree.single_root()]
+    order = [t.single_root()]
     for v in order:
-        order.extend(t.tree.children(v))
+        order.extend(t.children(v))
     codes: dict[str, tuple] = {}
     for v in reversed(order):
-        codes[v] = (t.weight(v), tuple(sorted(codes[c] for c in t.tree.children(v))))
+        codes[v] = (t.graph.weight(v), tuple(sorted(codes[c] for c in t.children(v))))
     return codes
 
 
-def canonical_code(t: WeightedTree) -> CanonicalCode:
+def canonical_code(t: OutForest) -> CanonicalCode:
     """Bottom-up code: (weight, sorted children codes) from the root."""
-    return CanonicalCode(_codes(t)[t.tree.single_root()])
+    return CanonicalCode(_codes(t)[t.single_root()])
 
 
 def trees_isomorphic(g: OutForest, h: OutForest) -> bool:
@@ -161,8 +105,8 @@ def trees_isomorphic(g: OutForest, h: OutForest) -> bool:
     return canonical_code(reduce(g)) == canonical_code(reduce(h))
 
 
-def _shape(t: WeightedTree, v: str) -> tuple:
-    return tuple(sorted(_shape(t, c) for c in t.tree.children(v)))
+def _shape(t: OutForest, v: str) -> tuple:
+    return tuple(sorted(_shape(t, c) for c in t.children(v)))
 
 
 def branching_skeleton(g: OutForest) -> tuple:
@@ -175,10 +119,10 @@ def branching_skeleton(g: OutForest) -> tuple:
     return _skeleton(reduce(g))
 
 
-def _skeleton(red: WeightedTree) -> tuple:
-    root = red.tree.single_root()
-    if red.tree.graph.out_degree(root) == 1:
-        (root,) = red.tree.children(root)
+def _skeleton(red: OutForest) -> tuple:
+    root = red.single_root()
+    if red.graph.out_degree(root) == 1:
+        (root,) = red.children(root)
     return _shape(red, root)
 
 
@@ -272,7 +216,7 @@ class Undetermined:
 ClassificationResult = Equivalent | Distinct | Undetermined
 
 
-def ampliated_reduction(red: WeightedTree, factors: Sequence[int]) -> WeightedTree:
+def ampliated_reduction(red: OutForest, factors: Sequence[int]) -> OutForest:
     """reduce of a tree g ampliated by each factor in turn, from
     red = reduce(g, weights=False) alone, without the ampliation.
 
@@ -281,11 +225,11 @@ def ampliated_reduction(red: WeightedTree, factors: Sequence[int]) -> WeightedTr
     large the product of the factors.  Like ampliation, this reads the
     weights of g as 0, so with no factor it returns red itself.
     """
-    root = red.tree.single_root()
+    root = red.single_root()
     l = math.prod(factors)
     last = {v: functools.reduce(pair_name, factors, v) for v in red.vertices}
     top = functools.reduce(pair_name, [1] * len(factors), root)
-    stem = l == 1 or red.tree.graph.out_degree(root) == 1
+    stem = l == 1 or red.graph.out_degree(root) == 1
     weights: dict[str, int] = {}  # in the order of the ampliation's vertices
     edges = [] if stem else [(top, last[root])]
     for v in red.vertices:
@@ -294,24 +238,24 @@ def ampliated_reduction(red: WeightedTree, factors: Sequence[int]) -> WeightedTr
             if not stem:
                 weights[last[v]] = l - 2
             continue
-        u = red.tree.parent(v)
+        u = red.parent(v)
         parent = top if u == root and stem else last[u]
-        weights[last[v]] = l * red.weight(v) + l - 1 + (l - 1 if parent == top else 0)
+        weights[last[v]] = l * red.graph.weight(v) + l - 1 + (l - 1 if parent == top else 0)
         edges.append((parent, last[v]))
-    return WeightedTree(OutForest(DirectedGraph(weights, edges)), weights)
+    return OutForest(DirectedGraph(weights, edges, weights))
 
 
-def _match_vertices(a: WeightedTree, b: WeightedTree) -> tuple[tuple[str, str], ...]:
+def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:
     """Pair the vertices of two reductions with equal codes: depth-first
     from the roots, siblings matched in (code, name) order."""
     code_a, code_b = _codes(a), _codes(b)
     out = []
-    stack = [(a.tree.single_root(), b.tree.single_root())]
+    stack = [(a.single_root(), b.single_root())]
     while stack:
         va, vb = stack.pop()
         out.append((va, vb))
-        ka = sorted(a.tree.children(va), key=lambda c: (code_a[c], c))
-        kb = sorted(b.tree.children(vb), key=lambda c: (code_b[c], c))
+        ka = sorted(a.children(va), key=lambda c: (code_a[c], c))
+        kb = sorted(b.children(vb), key=lambda c: (code_b[c], c))
         stack.extend(reversed(list(zip(ka, kb))))
     return tuple(out)
 
@@ -348,29 +292,23 @@ def classify_tree_refinement(
     plain = [reduce(spec.base, weights=False) for spec in specs]
     if _skeleton(plain[0]) != _skeleton(plain[1]):
         return Distinct("branching skeletons differ")
-    seqs = _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)
-    size = {seq: math.prod(seq) for seq in seqs}
+    # A nondecreasing prime sequence is fixed by its product, and a product
+    # L_a has at most one partner L_b = na * L_a / nb, so one pass pairs the
+    # sequences and each side's code is computed at most once.
+    seqs = {math.prod(s): s for s in _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)}
     na, nb = len(a.base.vertices), len(b.base.vertices)
     candidates = sorted(
         (len(pa) + len(pb), pa, pb)
-        for pa in seqs
-        for pb in seqs
-        if na * size[pa] == nb * size[pb]
+        for la, pa in seqs.items()
+        for pb in [seqs.get(na * la // nb)]
+        if na * la % nb == 0 and pb is not None
     )
 
-    def reduction(k: int, seq: tuple[int, ...]) -> WeightedTree:
+    def reduction(k: int, seq: tuple[int, ...]) -> OutForest:
         return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
 
-    # The reduction of an ampliation depends on the product alone, so each
-    # side's code is computed once per product.
-    codes: list[dict[int, CanonicalCode]] = [{}, {}]
-
-    def code(k: int, seq: tuple[int, ...]) -> CanonicalCode:
-        if size[seq] not in codes[k]:
-            codes[k][size[seq]] = canonical_code(reduction(k, seq))
-        return codes[k][size[seq]]
-
     for _, pa, pb in candidates:
-        if code(0, pa) == code(1, pb):
-            return Equivalent((pa, pb), _match_vertices(reduction(0, pa), reduction(1, pb)))
+        ra, rb = reduction(0, pa), reduction(1, pb)
+        if canonical_code(ra) == canonical_code(rb):
+            return Equivalent((pa, pb), _match_vertices(ra, rb))
     return Undetermined(ampliation_bound)

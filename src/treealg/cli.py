@@ -255,9 +255,7 @@ def cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def cmd_reduce(ns: argparse.Namespace) -> int:
-    tree = _read(formats.forest_from_json, ns.graph)
-    reduced = reduce(tree)
-    _emit_graph(ns, reduced.tree.graph.with_weights(reduced.weights))
+    _emit_graph(ns, reduce(_read(formats.forest_from_json, ns.graph)))
     return 0
 
 

@@ -19,7 +19,6 @@ refinement embedding sends e_ij to the sum of e_{(i-1)l+s, (j-1)l+s} over
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .algebra import DigraphAlgebra, Pair, Unit
@@ -115,24 +114,6 @@ class RegularEmbedding:
     def of(self, pair: Pair) -> frozenset[Pair]:
         return self._image[pair]
 
-    def diag_image(self, unit: Unit) -> frozenset[Unit]:
-        return frozenset(i for i, _ in self._image[(unit, unit)])
-
-    def multiplicity_of(self, unit: Unit) -> int:
-        return len(self._image[(unit, unit)])
-
-    def restrict(
-        self,
-        source: DigraphAlgebra,
-        target: DigraphAlgebra | None = None,
-    ) -> "RegularEmbedding":
-        """The same map on a subalgebra of the source (and optionally a
-        smaller target)."""
-        if source.blocks != self._source.blocks or not source.relation <= self._source.relation:
-            raise ValueError("restriction source must be a subalgebra of the source")
-        img = {p: self._image[p] for p in source.relation}
-        return RegularEmbedding(source, target if target is not None else self._target, img)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegularEmbedding):
             return NotImplemented
@@ -144,10 +125,6 @@ class RegularEmbedding:
 
     def __repr__(self) -> str:
         return f"RegularEmbedding({self._source!r} -> {self._target!r})"
-
-
-def identity_embedding(a: DigraphAlgebra) -> RegularEmbedding:
-    return RegularEmbedding(a, a, {p: {p} for p in a.relation})
 
 
 Rows = Callable[[int], list[int]]
@@ -352,15 +329,3 @@ def tree_standard_embedding(
         return RegularEmbedding(src_alg, tgt_alg, image)
     except ValueError as exc:
         raise IllFormedAttachment(str(exc)) from exc
-
-
-def normalized_trace(units: Iterable[Unit], a: DigraphAlgebra) -> Fraction:
-    """Size of a diagonal projection over the block dimension, exactly."""
-    if len(a.blocks) != 1:
-        raise MultiBlockUnsupported(
-            "the normalized trace is defined for single-block algebras"
-        )
-    us = set(units)
-    for unit in us:
-        DigraphAlgebra._check_unit(a.blocks, unit)
-    return Fraction(len(us), a.blocks[0])

@@ -33,10 +33,6 @@ class PreconditionViolated(TreealgError):
     """An analytic precondition does not hold for the given data."""
 
 
-class NotDecidedYes(TreealgError):
-    """A certificate was requested for a tower not decided Yes."""
-
-
 class OutputTooLarge(TreealgError):
     """A result would exceed a documented size cap; nothing was built."""
 

@@ -10,9 +10,10 @@ output only.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-from .algebra import DigraphAlgebra, DoubleReceiver, NonTreeTriple, Pair, Unit
+from .algebra import DigraphAlgebra, Pair, Unit
 from .ampliation import TreeRefinementSpec
 from .classify import ClassificationResult, Distinct, Equivalent, Undetermined
 from .correspondence import CKTReport, GraphCorrespondenceVector
@@ -379,6 +380,14 @@ def vector_from_json(obj: Json, path: str = "vector") -> GraphCorrespondenceVect
         for j, c in enumerate(parts):
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise _fail(f"{ap}[{j + 2}]", "a number", c)
+            # json reads NaN and Infinity, and an integer past the float
+            # range does not convert.
+            try:
+                finite = math.isfinite(c)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise _fail(f"{ap}[{j + 2}]", "a finite number", c)
         amps[(s, t)] = complex(parts[0], parts[1] if len(parts) == 2 else 0.0)
     try:
         return GraphCorrespondenceVector(g, amps)
@@ -421,25 +430,15 @@ def _certificate_to_json(cert: object) -> dict:
         return {"kind": "nest-rule", "note": cert.note}
     if isinstance(cert, LevelStructureWitness):
         w = cert.witness
-        if isinstance(w, NonTreeTriple):
-            detail: dict = {
-                "type": "incomparable-sources",
-                "range": _unit_to_json(w.x),
-                "sources": [_unit_to_json(w.y), _unit_to_json(w.z)],
-            }
-        elif isinstance(w, DoubleReceiver):
-            detail = {
-                "type": "double-receiver",
-                "range": _unit_to_json(w.x),
-                "sources": [_unit_to_json(u) for u in w.sources],
-            }
-        else:
-            detail = {"type": type(w).__name__}
         return {
             "kind": "level-structure",
             "level": cert.level,
             "persisted": cert.persisted,
-            "witness": detail,
+            "witness": {
+                "type": "incomparable-sources",
+                "range": _unit_to_json(w.x),
+                "sources": [_unit_to_json(w.y), _unit_to_json(w.z)],
+            },
         }
     if isinstance(cert, InconclusiveReport):
         return {

@@ -242,28 +242,6 @@ class OutForest:
                     stack.append(w)
         return tuple(u for u in self.vertices if u in seen)
 
-    def component(self, root: str) -> "OutForest":
-        if root not in self._roots:
-            raise ValueError(f"{root!r} is not a root of this forest")
-        keep = set(self.subtree_vertices(root))
-        sub = DirectedGraph(
-            [v for v in self.vertices if v in keep],
-            [(s, t) for s, t in self.edges if s in keep],
-            {v: self._graph.weight(v) for v in keep},
-        )
-        return OutForest(sub)
-
-    def trees(self) -> list["OutForest"]:
-        return [self.component(r) for r in self._roots]
-
-    def depth_of(self, v: str) -> int:
-        d = 0
-        p = self.parent(v)
-        while p is not None:
-            d += 1
-            p = self.parent(p)
-        return d
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutForest):
             return NotImplemented

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 from .algebra import (
     DigraphAlgebra,
-    DoubleReceiver,
     NonTreeTriple,
     Pair,
     is_tree_semigroupoid,
@@ -44,7 +43,7 @@ from .embeddings import (
     standard_rows,
     translation_embedding,
 )
-from .errors import MismatchedLevels, NotDecidedYes, OutputTooLarge
+from .errors import MismatchedLevels, OutputTooLarge
 from .graphs import DirectedGraph, OutForest, recognize_out_forest
 
 MAX_LEVEL_UNITS = 512
@@ -241,10 +240,10 @@ class NestRuleWitness:
 
 @dataclass(frozen=True)
 class LevelStructureWitness:
-    """A tree or covering failure at one level, with its persistence."""
+    """A failure of the tree condition at one level, with its persistence."""
 
     level: int
-    witness: NonTreeTriple | DoubleReceiver
+    witness: NonTreeTriple
     persisted: bool
 
 
@@ -478,20 +477,3 @@ def counting_grade(t: Tower, level: int, pair: Pair, depth: int) -> list[ChainGr
         seq = tuple(grades[level + idx][q] for idx, q in enumerate(chain))
         out.append(ChainGrades(SummandChain(level, chain), seq))
     return out
-
-
-def reconstruct_forest_presentation(t: Tower, depth: int) -> ForestPresentation:
-    """The Yes certificate of the tower, or NotDecidedYes."""
-    decision = decide_tensor(t, depth)
-    if decision.verdict is not Verdict.YES:
-        raise NotDecidedYes(
-            f"tower is {decision.verdict.value} at depth {depth}, not yes"
-        )
-    assert isinstance(decision.certificate, ForestPresentation)
-    return decision.certificate
-
-
-def edge_space_level(t: Tower, depth: int) -> DirectedGraph:
-    """The grade-1 pairs at the final inspected level, as a digraph."""
-    cert = reconstruct_forest_presentation(t, depth)
-    return cert.levels[-1].forest.graph

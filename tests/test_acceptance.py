@@ -23,7 +23,6 @@ from treealg.catalog import (
 from treealg.classify import (
     Distinct,
     Equivalent,
-    WeightedTree,
     canonical_code,
     classify_tree_refinement,
     reduce,
@@ -146,16 +145,16 @@ def shape_isomorphic(a: OutForest, b: OutForest) -> bool:
     return False
 
 
-def weighted_isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
+def weighted_isomorphic(a: OutForest, b: OutForest) -> bool:
     if len(a.vertices) != len(b.vertices) or sorted(
-        a.weights.values()
-    ) != sorted(b.weights.values()):
+        a.graph.weights.values()
+    ) != sorted(b.graph.weights.values()):
         return False
     for perm in itertools.permutations(b.vertices):
         m = dict(zip(a.vertices, perm))
-        if any(a.weight(v) != b.weight(m[v]) for v in a.vertices):
+        if any(a.graph.weight(v) != b.graph.weight(m[v]) for v in a.vertices):
             continue
-        if all((m[s], m[t]) in b.tree.edges for s, t in a.tree.edges):
+        if all((m[s], m[t]) in b.edges for s, t in a.edges):
             return True
     return False
 
@@ -186,28 +185,31 @@ def test_criterion_06_isomorphism_oracle(capsys):
         pairs += 1
     while pairs < 500:
         ra = reduce(random_out_tree(rng, rng.randrange(1, 9)))
-        wa = WeightedTree(ra.tree, {v: rng.randrange(4) for v in ra.vertices})
+        wa = OutForest(ra.graph.with_weights({v: rng.randrange(4) for v in ra.vertices}))
         if rng.random() < 0.5:
             wb = relabel_weighted(rng, wa)
         else:
             rb = reduce(random_out_tree(rng, rng.randrange(1, 9)))
-            wb = WeightedTree(rb.tree, {v: rng.randrange(4) for v in rb.vertices})
+            wb = OutForest(rb.graph.with_weights({v: rng.randrange(4) for v in rb.vertices}))
         assert (canonical_code(wa) == canonical_code(wb)) == weighted_isomorphic(wa, wb)
         pairs += 1
     finish(6, "isomorphism oracle, 500 pairs", start, 60.0)
 
 
-def relabel_weighted(rng: random.Random, w: WeightedTree) -> WeightedTree:
-    names = list(w.tree.vertices)
+def relabel_weighted(rng: random.Random, w: OutForest) -> OutForest:
+    names = list(w.vertices)
     shuffled = names[:]
     rng.shuffle(shuffled)
     m = dict(zip(names, shuffled))
     order = names[:]
     rng.shuffle(order)
-    tree = OutForest(
-        DirectedGraph([m[v] for v in order], [(m[s], m[t]) for s, t in w.tree.edges])
+    return OutForest(
+        DirectedGraph(
+            [m[v] for v in order],
+            [(m[s], m[t]) for s, t in w.edges],
+            {m[v]: w.graph.weight(v) for v in names},
+        )
     )
-    return WeightedTree(tree, {m[v]: w.weight(v) for v in names})
 
 
 def test_criterion_07_classification_cases(capsys):

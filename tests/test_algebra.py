@@ -218,7 +218,7 @@ def test_grading_constructor_rejects_wrong_grades():
 
 
 def test_grading_constructor_rejects_nonzero_diagonal():
-    a = DigraphAlgebra.diagonal([2])
+    a = DigraphAlgebra([2])
     with pytest.raises(ValueError):
         Grading(a, {((0, 1), (0, 1)): 1, ((0, 2), (0, 2)): 0})
 

@@ -39,9 +39,13 @@ def test_multiplicity_one_keeps_shape():
 def test_ampliation_depth_stretches_by_factor():
     base = branching_tree()
     amp = ampliate(base, 3)
+
+    def depth(f, v):
+        return 0 if f.parent(v) is None else 1 + depth(f, f.parent(v))
+
     # deepest base vertex sits at depth 2; its last copy at 3*2 + 2
-    assert base.depth_of("4") == 2
-    assert amp.depth_of("(4,3)") == 3 * 2 + 2
+    assert depth(base, "4") == 2
+    assert depth(amp, "(4,3)") == 3 * 2 + 2
 
 
 def test_rejects_forests_and_bad_multiplicity():
@@ -64,7 +68,7 @@ def test_refinement_between_images_are_the_copy_translates():
     assert emb.of(((0, 2), (0, 1))) == frozenset(
         {((0, 3), (0, 1)), ((0, 4), (0, 2))}
     )
-    assert emb.multiplicity_of((0, 1)) == 2
+    assert len(emb.of(((0, 1), (0, 1)))) == 2
 
 
 def test_tower_structure_and_rule():

@@ -16,7 +16,6 @@ from treealg.classify import (
     Equivalent,
     SupernaturalNumber,
     Undetermined,
-    WeightedTree,
     ampliated_reduction,
     branching_skeleton,
     canonical_code,
@@ -45,16 +44,16 @@ def shape_isomorphic(g: OutForest, h: OutForest) -> bool:
     return False
 
 
-def weighted_isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
+def weighted_isomorphic(a: OutForest, b: OutForest) -> bool:
     """Oracle: bijection search preserving edges and weights."""
     va, vb = a.vertices, b.vertices
     if len(va) != len(vb):
         return False
-    eb = set(b.tree.edges)
+    eb = set(b.edges)
     for perm in itertools.permutations(vb):
         m = dict(zip(va, perm))
-        if all(a.weight(v) == b.weight(m[v]) for v in va) and {
-            (m[u], m[v]) for u, v in a.tree.edges
+        if all(a.graph.weight(v) == b.graph.weight(m[v]) for v in va) and {
+            (m[u], m[v]) for u, v in a.edges
         } == eb:
             return True
     return False
@@ -73,28 +72,28 @@ def relabel(g: OutForest, rng: random.Random) -> OutForest:
     return out
 
 
-def random_reduced_weighted(rng: random.Random, n: int) -> WeightedTree:
+def random_reduced_weighted(rng: random.Random, n: int) -> OutForest:
     red = reduce(random_out_tree(rng, n))
     weights = {v: rng.randrange(4) for v in red.vertices}
-    return WeightedTree(red.tree, weights)
+    return OutForest(red.graph.with_weights(weights))
 
 
 def test_reduce_contracts_the_four_chain():
     r = reduce(chain_forest(4))
-    assert set(r.tree.edges) == {("1", "4")}
-    assert r.weight("4") == 2 and r.weight("1") == 0
+    assert set(r.edges) == {("1", "4")}
+    assert r.graph.weight("4") == 2 and r.graph.weight("1") == 0
 
 
 def test_reduce_four_vertex_example():
     r = reduce(branching_tree())
-    assert set(r.tree.edges) == {("1", "2"), ("1", "4")}
-    assert r.weights == {"1": 0, "2": 0, "4": 1}
+    assert set(r.edges) == {("1", "2"), ("1", "4")}
+    assert r.graph.weights == {"1": 0, "2": 0, "4": 1}
 
 
 def test_reduce_keeps_lambda_unchanged():
     r = reduce(lambda_tree())
-    assert set(r.tree.edges) == {("r", "a"), ("r", "b")}
-    assert r.total_weight() == 0
+    assert set(r.edges) == {("r", "a"), ("r", "b")}
+    assert sum(r.graph.weights.values()) == 0
 
 
 def test_reduce_rejects_forests():
@@ -108,27 +107,26 @@ def test_reduce_idempotent_and_conserves_count_plus_weight():
     for _ in range(40):
         g = random_out_tree(rng, rng.randrange(1, 12))
         r = reduce(g)
-        assert len(g.vertices) == len(r.vertices) + r.total_weight()
-        again = reduce(
-            OutForest(r.tree.graph.with_weights(r.weights))
-        )
-        assert set(again.tree.edges) == set(r.tree.edges)
-        assert again.weights == r.weights
+        assert len(g.vertices) == len(r.vertices) + sum(r.graph.weights.values())
+        assert reduce(r) == r
 
 
-def test_weighted_tree_rejects_pass_through_shapes():
-    with pytest.raises(ValueError):
-        WeightedTree(chain_forest(3))
-    # a 2-chain has no interior vertex, so it is fine
-    WeightedTree(chain_forest(2))
+def test_reduce_leaves_no_pass_through_vertex():
+    rng = random.Random(17)
+    for _ in range(40):
+        r = reduce(random_out_tree(rng, rng.randrange(1, 12)))
+        root = r.single_root()
+        assert all(r.graph.out_degree(v) != 1 for v in r.vertices if v != root)
+    # a 2-chain has no interior vertex, so it is already reduced
+    assert reduce(chain_forest(2)).vertices == chain_forest(2).vertices
 
 
 def test_codes_distinguish_shape_and_weights():
     chain2 = reduce(chain_forest(2))
     star = reduce(lambda_tree())
     assert canonical_code(chain2) != canonical_code(star)
-    a = WeightedTree(star.tree, {"r": 0, "a": 0, "b": 0})
-    b = WeightedTree(star.tree, {"r": 0, "a": 0, "b": 1})
+    a = OutForest(star.graph.with_weights({"r": 0, "a": 0, "b": 0}))
+    b = OutForest(star.graph.with_weights({"r": 0, "a": 0, "b": 1}))
     assert canonical_code(a) != canonical_code(b)
     assert isinstance(canonical_code(a), CanonicalCode)
 
@@ -230,8 +228,8 @@ def test_classify_equivalent_after_one_ampliation():
     ra = reduce(ampliate(lam, 2))
     rb = reduce(b.base)
     m = dict(res.bijection)
-    assert {(m[u], m[v]) for u, v in ra.tree.edges} == set(rb.tree.edges)
-    assert all(ra.weight(v) == rb.weight(m[v]) for v in ra.vertices)
+    assert {(m[u], m[v]) for u, v in ra.edges} == set(rb.edges)
+    assert all(ra.graph.weight(v) == rb.graph.weight(m[v]) for v in ra.vertices)
 
 
 def test_classify_reflexive_and_symmetric():

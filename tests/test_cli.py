@@ -138,6 +138,20 @@ def test_classify_json_witness(capsys, tmp_path):
     assert ["r", "r"] in doc["witness"]["vertex-bijection"]
 
 
+def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
+    # The same skeleton, but A's root stays branching and B's root a chain
+    # under every ampliation, so the whole search runs: 2145 sequences of
+    # 2s and 3s a side, each paired in one pass.
+    a = {"vertices": ["r", "a", "b", "m"], "edges": [["r", "a"], ["r", "m"], ["m", "b"]]}
+    b = {"vertices": ["p", "r", "a", "b"], "edges": [["p", "r"], ["r", "a"], ["r", "b"]]}
+    fa = write(tmp_path, "a.json", {"base": a, "stationary": 6})
+    fb = write(tmp_path, "b.json", {"base": b, "stationary": 6})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", fa, fb, "--bound", "64")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == "verdict: undetermined\nsearch bound: 64\n"
+
+
 def test_reduce_contracts_chain(capsys, tmp_path):
     chain = write(
         tmp_path,
@@ -268,6 +282,17 @@ def test_norm_command(capsys, lam, tmp_path):
     assert code == 0 and float(out) == 5.0
     code, out, _ = run(capsys, "norm", vec, "--format", "json")
     assert json.loads(out) == {"norm": 5.0}
+
+
+def test_norm_rejects_non_finite_amplitudes(capsys, tmp_path):
+    # json reads NaN and Infinity; a NaN once printed norm 0.0 with exit 0.
+    graph = '{"vertices": ["p", "s"], "edges": [["p", "s"]]}'
+    for value in ("NaN", "Infinity", "-Infinity", "9" * 400):
+        path = tmp_path / "vec.json"
+        path.write_text(f'{{"graph": {graph}, "amplitudes": [["p", "s", 1, {value}]]}}')
+        code, out, err = run(capsys, "norm", str(path), "--format", "json")
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and "amplitudes[0][3]: expected a finite number" in err
 
 
 def test_emit_dot(capsys, lam):

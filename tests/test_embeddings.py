@@ -1,8 +1,6 @@
-"""Embedding layer: validation, classic constructors, composition, traces."""
+"""Embedding layer: validation, classic constructors, composition."""
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import pytest
 
@@ -10,8 +8,6 @@ from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.embeddings import (
     RegularEmbedding,
     compose,
-    identity_embedding,
-    normalized_trace,
     refinement_embedding,
     refinement_rows,
     standard_embedding,
@@ -30,21 +26,25 @@ def p(i, j, b=0):
 def test_standard_embedding_images():
     e = standard_embedding(2, 2)
     assert e.of(p(1, 2)) == {p(1, 2), p(3, 4)}
-    assert e.diag_image((0, 1)) == {(0, 1), (0, 3)}
-    assert e.diag_image((0, 2)) == {(0, 2), (0, 4)}
+    assert e.of(p(1, 1)) == {p(1, 1), p(3, 3)}
+    assert e.of(p(2, 2)) == {p(2, 2), p(4, 4)}
 
 
 def test_refinement_embedding_images():
     e = refinement_embedding(2, 2)
     assert e.of(p(1, 2)) == {p(1, 3), p(2, 4)}
-    assert e.diag_image((0, 1)) == {(0, 1), (0, 2)}
-    assert e.diag_image((0, 2)) == {(0, 3), (0, 4)}
+    assert e.of(p(1, 1)) == {p(1, 1), p(2, 2)}
+    assert e.of(p(2, 2)) == {p(3, 3), p(4, 4)}
 
 
 def test_identity_embedding_is_neutral_under_composition():
     e = refinement_embedding(3, 2)
-    assert compose(identity_embedding(e.source), e) == e
-    assert compose(e, identity_embedding(e.target)) == e
+
+    def identity(a):
+        return RegularEmbedding(a, a, {q: {q} for q in a.relation})
+
+    assert compose(identity(e.source), e) == e
+    assert compose(e, identity(e.target)) == e
 
 
 def test_composition_of_refinements():
@@ -62,8 +62,8 @@ def test_composition_requires_matching_levels():
 
 
 def test_validation_rejects_overlapping_diagonal_images():
-    src = DigraphAlgebra.diagonal([2])
-    tgt = DigraphAlgebra.diagonal([2])
+    src = DigraphAlgebra([2])
+    tgt = DigraphAlgebra([2])
     image = {
         p(1, 1): {p(1, 1)},
         p(2, 2): {p(1, 1), p(2, 2)},
@@ -104,28 +104,28 @@ def test_validation_rejects_non_multiplicative_images():
 
 
 def test_validation_requires_nonempty_images():
-    src = DigraphAlgebra.diagonal([1])
-    tgt = DigraphAlgebra.diagonal([1])
+    src = DigraphAlgebra([1])
+    tgt = DigraphAlgebra([1])
     with pytest.raises(ValueError, match="empty"):
         RegularEmbedding(src, tgt, {p(1, 1): set()})
 
 
 def test_multiplicity_data_of_standard():
     e = standard_embedding(2, 3)
-    assert [e.multiplicity_of(d) for d in e.source.units()] == [3, 3]
+    assert [len(e.of((d, d))) for d in e.source.units()] == [3, 3]
 
 
 def test_multiplicity_data_multi_block():
     # Two diagonal blocks into one target block, sizes 1 and 2.
-    src = DigraphAlgebra.diagonal([1, 2])
-    tgt = DigraphAlgebra.diagonal([5])
+    src = DigraphAlgebra([1, 2])
+    tgt = DigraphAlgebra([5])
     image = {
         ((0, 1), (0, 1)): {p(1, 1)},
         ((1, 1), (1, 1)): {p(2, 2), p(4, 4)},
         ((1, 2), (1, 2)): {p(3, 3), p(5, 5)},
     }
     e = RegularEmbedding(src, tgt, image)
-    assert [e.multiplicity_of(d) for d in src.units()] == [1, 2, 2]
+    assert [len(e.of((d, d))) for d in src.units()] == [1, 2, 2]
 
 
 def test_translation_embedding_image_target():
@@ -145,7 +145,7 @@ def test_translation_embedding_image_target():
 
 def test_translation_embedding_needs_single_block():
     with pytest.raises(MultiBlockUnsupported):
-        translation_embedding(DigraphAlgebra.diagonal([1, 1]), standard_rows(1, 2))
+        translation_embedding(DigraphAlgebra([1, 1]), standard_rows(1, 2))
 
 
 def test_translation_embedding_rejects_non_embedding_rows():
@@ -165,14 +165,6 @@ def test_pushforward_structure_of_refinement():
         assert len(v) == 2
         offsets = sorted((a[1] - 1) % 2 for a, _ in v)
         assert offsets == [0, 1]
-
-
-def test_restrict_to_subalgebra():
-    e = standard_embedding(3, 2)
-    sub = DigraphAlgebra([3], [p(1, 2)])
-    r = e.restrict(sub)
-    assert r.source == sub
-    assert r.of(p(1, 2)) == {p(1, 2), p(4, 5)}
 
 
 def test_grade_shift_under_refinement():
@@ -216,7 +208,7 @@ def test_tree_standard_two_copies_disjoint():
         [t], path, [{"x": "a", "y": "b"}, {"x": "c", "y": "d"}]
     )
     assert e.of(p(2, 1)) == {p(2, 1), p(4, 3)}
-    assert e.diag_image((0, 1)) == {(0, 1), (0, 3)}
+    assert e.of(p(1, 1)) == {p(1, 1), p(3, 3)}
 
 
 def test_tree_standard_root_only_shorthand():
@@ -278,17 +270,6 @@ def test_tree_standard_preserves_grades():
     for q in e.source.irreflexive_pairs():
         grades = {tg.of(w) for w in e.of(q)}
         assert grades == {sg.of(q)}
-
-
-def test_normalized_trace():
-    a = DigraphAlgebra.upper_triangular(9)
-    assert normalized_trace([(0, 1), (0, 5), (0, 7)], a) == Fraction(1, 3)
-    assert normalized_trace([], a) == 0
-
-
-def test_normalized_trace_multi_block_unsupported():
-    with pytest.raises(MultiBlockUnsupported):
-        normalized_trace([(0, 1)], DigraphAlgebra.diagonal([2, 2]))
 
 
 def test_semigroupoid_graph_pushforward_bijection():

@@ -143,16 +143,7 @@ def test_forest_navigation():
     assert f.children("a") == ("b", "c")
     assert f.parent("b") == "a"
     assert f.parent("r") is None
-    assert f.depth_of("c") == 2
     assert f.subtree_vertices("a") == ("a", "b", "c")
-
-
-def test_forest_components():
-    f = OutForest(g("r1 x r2", [("r1", "x")]))
-    comps = f.trees()
-    assert [c.single_root() for c in comps] == ["r1", "r2"]
-    assert comps[0].vertices == ("r1", "x")
-    assert comps[1].vertices == ("r2",)
 
 
 def test_covering_edges_of_total_order():

@@ -14,7 +14,7 @@ from treealg.catalog import (
 )
 from treealg.embeddings import RegularEmbedding, refinement_embedding
 import treealg.tower
-from treealg.errors import MismatchedLevels, NotDecidedYes, OutputTooLarge
+from treealg.errors import MismatchedLevels, OutputTooLarge
 from treealg.tower import (
     Decision,
     ForestPresentation,
@@ -28,9 +28,7 @@ from treealg.tower import (
     Verdict,
     counting_grade,
     decide_tensor,
-    edge_space_level,
     materialize,
-    reconstruct_forest_presentation,
 )
 
 T2 = DigraphAlgebra.upper_triangular(2)
@@ -121,8 +119,9 @@ def test_triple_copy_depth_two_lacks_evidence():
 
 
 def test_triple_copy_forest_levels_exact():
-    cert = reconstruct_forest_presentation(triple_copy_tower(3), 3)
-    lv1, lv2, lv3 = cert.levels
+    dec = decide_tensor(triple_copy_tower(3), 3)
+    assert dec.verdict is Verdict.YES
+    lv1, lv2, lv3 = dec.certificate.levels
     assert sorted(lv1.forest.graph.edges) == [("0:2", "0:1")]
     # level 2 keeps every covering chain edge except the one fresh jump
     want = {(f"0:{i + 1}", f"0:{i}") for i in range(1, 9)} - {("0:7", "0:6")}
@@ -246,7 +245,9 @@ def test_tree_refinement_multiplicity_one_is_yes():
 
 
 def test_edge_space_of_image_tower_is_translated_chains():
-    g = edge_space_level(standard_image_tower(4, 2), 2)
+    dec = decide_tensor(standard_image_tower(4, 2), 2)
+    assert dec.verdict is Verdict.YES
+    g = dec.certificate.levels[-1].forest.graph
     assert set(g.edges) == {
         ("0:2", "0:1"),
         ("0:3", "0:2"),
@@ -255,13 +256,6 @@ def test_edge_space_of_image_tower_is_translated_chains():
         ("0:7", "0:6"),
         ("0:8", "0:7"),
     }
-
-
-def test_reconstruct_raises_unless_yes():
-    with pytest.raises(NotDecidedYes):
-        reconstruct_forest_presentation(refinement_tower(2, 2), 3)
-    with pytest.raises(NotDecidedYes):
-        reconstruct_forest_presentation(mixed_tower(2), 2)
 
 
 def test_decision_is_deterministic():
