@@ -16,7 +16,9 @@ sorted order, and the relation is stored as one Python int per unit:
 bit j of row i is set when the pair (unit i, unit j) is present.  Row i
 holds the sources of range i; column j, bit j read across all rows, holds
 the ranges of source j.  A row operation (and, or, subset test) costs
-O(N/64) machine words.  With |R| pairs in the relation:
+O(N/64) machine words.  Each row's strict sources are also kept as a
+list of unit indices, decoded once by the constructor, so that no loop
+below decodes a row again.  With |R| pairs in the relation:
 
 * constructor: transitivity as "row j is a subset of row i" for every
   pair (i, j), then antisymmetry as "no two rows are equal": |R| row
@@ -30,8 +32,10 @@ O(N/64) machine words.  With |R| pairs in the relation:
   are its ancestors in the covering forest, so a grade is a difference
   of two depths (popcounts): O(|R|);
 * Grading, validating a caller's grades: one step per composable pair
-  (i, j) * (j, k), grouped by the middle unit j, which is O(N^3) for a
-  full triangular block but never |R|^2.
+  (i, j) * (j, k) with (i, j) a covering pair, that is covers times
+  sources; on a chain each unit has one cover above it, so this is
+  O(N^2) for a full triangular block where all composable pairs would
+  be O(N^3).
 
 The relation as a frozenset of pairs is built from the rows on first use.
 """
@@ -66,12 +70,12 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _columns(rows: tuple[int, ...]) -> list[int]:
+def _columns(strict: tuple[list[int], ...]) -> list[int]:
     """The transpose: bit i of column j is bit j of row i."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
+    cols = [1 << j for j in range(len(strict))]
+    for i, sources in enumerate(strict):
         bit = 1 << i
-        for j in _bits(row):
+        for j in sources:
             cols[j] |= bit
     return cols
 
@@ -79,7 +83,7 @@ def _columns(rows: tuple[int, ...]) -> list[int]:
 class DigraphAlgebra:
     """Block sizes plus a reflexive transitive antisymmetric unit relation."""
 
-    __slots__ = ("_blocks", "_units", "_rows", "_relation")
+    __slots__ = ("_blocks", "_units", "_rows", "_strict", "_relation")
 
     def __init__(self, blocks: Iterable[int], units: Iterable[Pair] = ()) -> None:
         self._set(*self._rows_of(blocks, units))
@@ -106,15 +110,17 @@ class DigraphAlgebra:
         return bl, units, rows
 
     def _set(self, blocks: tuple[int, ...], units: tuple[Unit, ...], rows: list[int]) -> None:
-        """Check transitivity and antisymmetry of the rows, then store them."""
+        """Check transitivity and antisymmetry of the rows, then store them
+        with their strict source lists."""
+        strict = tuple(_bits(row & ~(1 << i)) for i, row in enumerate(rows))
         for i, row in enumerate(rows):
-            composites = 0
-            for j in _bits(row):
+            composites = row
+            for j in strict[i]:
                 composites |= rows[j]
             if composites != row:
                 # A two-cycle is reported ahead of a missing composite.
                 _raise_two_cycle(units, rows)
-                j = next(j for j in _bits(row) if rows[j] & ~row)
+                j = next(j for j in strict[i] if rows[j] & ~row)
                 l = _lowest(rows[j] & ~row)
                 ui, uj, ul = units[i], units[j], units[l]
                 raise ValueError(f"missing composite ({ui},{ul}) of ({ui},{uj}) and ({uj},{ul})")
@@ -125,6 +131,7 @@ class DigraphAlgebra:
         self._blocks = blocks
         self._units = units
         self._rows = tuple(rows)
+        self._strict = strict
         self._relation = None
 
     @staticmethod
@@ -181,7 +188,7 @@ class DigraphAlgebra:
         if self._relation is None:
             us = self._units
             self._relation = frozenset(
-                (us[i], us[j]) for i, row in enumerate(self._rows) for j in _bits(row)
+                (us[i], us[j]) for i, sources in enumerate(self._strict) for j in (i, *sources)
             )
         return self._relation
 
@@ -191,31 +198,42 @@ class DigraphAlgebra:
     def irreflexive_pairs(self) -> list[Pair]:
         """The pairs (i, j) with i != j, sorted."""
         us = self._units
-        return [
-            (us[i], us[j])
-            for i, row in enumerate(self._rows)
-            for j in _bits(row & ~(1 << i))
-        ]
+        return [(us[i], us[j]) for i, sources in enumerate(self._strict) for j in sources]
 
     def has_pair(self, i: Unit, j: Unit) -> bool:
         return (i, j) in self.relation
 
-    def composable(self) -> list[tuple[Unit, list[Unit], list[Unit]]]:
-        """Every composable pair (i, j) * (j, k) with i != j != k, grouped
-        by the middle unit.
+    def _covers(self) -> list[list[int]]:
+        """Per row i, the units j with (i, j) a covering pair: the strict
+        row minus strict∘strict (Aho, Garey and Ullman, 1972)."""
+        strict_rows = [row & ~(1 << i) for i, row in enumerate(self._rows)]
+        out = []
+        for row, sources in zip(strict_rows, self._strict):
+            two_steps = 0
+            for j in sources:
+                two_steps |= strict_rows[j]
+            out.append(_bits(row & ~two_steps))
+        return out
+
+    def composable_covers(self) -> list[tuple[Unit, list[Unit], list[Unit]]]:
+        """Every composable pair (i, j) * (j, k) with (i, j) a covering
+        pair and k != j, grouped by the middle unit.
 
         One entry (j, ranges, sources) per unit j that has both: the units
-        i != j with (i, j) present, and the units k != j with (j, k).
+        i with (i, j) a covering pair, and the units k != j with (j, k).
+        A law that holds on these pairs holds on every composable pair;
+        Grading and RegularEmbedding give the argument.
         """
-        us = self._units
+        us, strict = self._units, self._strict
         ranges: list[list[Unit]] = [[] for _ in us]
-        sources = []
-        for i, row in enumerate(self._rows):
-            src = _bits(row & ~(1 << i))
-            sources.append([us[k] for k in src])
-            for k in src:
-                ranges[k].append(us[i])
-        return [(us[j], ranges[j], sources[j]) for j in range(len(us)) if ranges[j] and sources[j]]
+        for i, covers in enumerate(self._covers()):
+            for j in covers:
+                ranges[j].append(us[i])
+        return [
+            (us[j], ranges[j], [us[k] for k in strict[j]])
+            for j in range(len(us))
+            if ranges[j] and strict[j]
+        ]
 
     def is_full_upper_triangular(self) -> bool:
         """One block whose row i holds exactly the units i, i+1, ..., n."""
@@ -266,10 +284,10 @@ def is_tree_semigroupoid(a: DigraphAlgebra) -> "bool | NonTreeTriple":
     first in sorted order: smallest x, then y, then z.
     """
     rows, us = a._rows, a._units
-    cols = _columns(rows)
+    cols = _columns(a._strict)
     for x, row in enumerate(rows):
         strict = row & ~(1 << x)
-        for y in _bits(strict):
+        for y in a._strict[x]:
             # Any z below y would have met y as its own incomparable
             # partner first, so the lowest bit lies above y.
             bad = strict & ~(rows[y] | cols[y])
@@ -281,19 +299,23 @@ def is_tree_semigroupoid(a: DigraphAlgebra) -> "bool | NonTreeTriple":
 def covering_pairs(a: DigraphAlgebra) -> frozenset[Pair]:
     """Pairs (i, j) with no unit strictly between j and i."""
     us = a._units
-    strict = [row & ~(1 << i) for i, row in enumerate(a._rows)]
-    out = []
-    for i, row in enumerate(strict):
-        two_steps = 0
-        for j in _bits(row):
-            two_steps |= strict[j]
-        out.extend((us[i], us[j]) for j in _bits(row & ~two_steps))
-    return frozenset(out)
+    return frozenset((us[i], us[j]) for i, covers in enumerate(a._covers()) for j in covers)
 
 
 @dataclass(frozen=True)
 class Grading:
-    """A coherent additive integer grading of an algebra's relation."""
+    """A coherent additive integer grading of an algebra's relation.
+
+    Additivity, grade(i,k) = grade(i,j) + grade(j,k), is checked only
+    where (i, j) is a covering pair, and that suffices.  Induct on the
+    length of the longest covering chain from i up to j.  If (i, j) is
+    not a cover, split off the top cover (i, i') of a longest chain, so
+    that (i', j) is present with a shorter chain.  The law on (i', j)
+    gives grade(i',k) = grade(i',j) + grade(j,k), and the law on the
+    cover (i, i'), applied with sources k and j, gives grade(i,k) =
+    grade(i,i') + grade(i',k) and grade(i,j) = grade(i,i') + grade(i',j).
+    Together these give the law on (i, j).
+    """
 
     algebra: DigraphAlgebra
     grade: dict[Pair, int]
@@ -308,11 +330,14 @@ class Grading:
             if g < 0:
                 raise ValueError("grades must be nonnegative")
         # Pairs with a diagonal factor add up trivially, so only strict
-        # composable pairs are checked.  Coherence: a pair (i, k) of grade
-        # at least 2 must split off a grade-1 step (i, j) at the top; with
-        # additivity the rest (j, k) then has the remaining grade.
+        # composable pairs with a covering first factor are checked.
+        # Coherence: a pair (i, k) of grade at least 2 must split off a
+        # grade-1 step (i, j) at the top; with additivity the rest (j, k)
+        # then has the remaining grade.  Under additivity every grade-1
+        # pair is a cover, since a unit strictly between would split its
+        # grade into two positive parts, so split misses no step.
         split: dict[Unit, set[Unit]] = {}
-        for j, ranges, sources in self.algebra.composable():
+        for j, ranges, sources in self.algebra.composable_covers():
             above = [(k, grade[(j, k)]) for k in sources]
             for i in ranges:
                 gij = grade[(i, j)]
@@ -345,9 +370,11 @@ def solve_grading(a: DigraphAlgebra) -> Grading | NonTreeTriple:
     tree = is_tree_semigroupoid(a)
     if not tree:
         return tree
-    rows, us = a._rows, a._units
-    depth = [row.bit_count() for row in rows]
+    us, strict = a._units, a._strict
+    depth = [row.bit_count() for row in a._rows]
     grade = {
-        (us[i], us[j]): depth[i] - depth[j] for i, row in enumerate(rows) for j in _bits(row)
+        (us[i], us[j]): depth[i] - depth[j]
+        for i, sources in enumerate(strict)
+        for j in (i, *sources)
     }
     return Grading(a, grade)

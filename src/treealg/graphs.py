@@ -53,7 +53,7 @@ class DirectedGraph:
         for v, w in ws.items():
             if v not in index:
                 raise ValueError(f"weight given for undeclared vertex {v!r}")
-            if not isinstance(w, int) or w < 0:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError(f"weight of {v!r} must be a nonnegative integer")
         self._vertices = vs
         self._edges = frozenset(es)
@@ -96,9 +96,6 @@ class DirectedGraph:
 
     def has_edge(self, s: str, t: str) -> bool:
         return (s, t) in self._edges
-
-    def with_weights(self, weights: Mapping[str, int]) -> "DirectedGraph":
-        return DirectedGraph(self._vertices, self._edges, weights)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
@@ -193,11 +190,17 @@ class OutForest:
             raise ValueError(
                 f"vertex {bad!r} has several parents: {graph.predecessors(bad)}"
             )
-        cyc = find_cycle(graph)
-        if cyc is not None:
-            raise ValueError(f"directed cycle: {' -> '.join(cyc)}")
+        roots = tuple(v for v in graph.vertices if graph.in_degree(v) == 0)
+        # With every in-degree at most 1, the graph is acyclic exactly when
+        # every vertex is reached from a root, and no vertex is reached twice.
+        reached, stack = 0, list(roots)
+        while stack:
+            reached += 1
+            stack.extend(graph._succ[stack.pop()])
+        if reached != len(graph.vertices):
+            raise ValueError(f"directed cycle: {' -> '.join(find_cycle(graph))}")
         self._graph = graph
-        self._roots = tuple(v for v in graph.vertices if graph.in_degree(v) == 0)
+        self._roots = roots
 
     @property
     def graph(self) -> DirectedGraph:

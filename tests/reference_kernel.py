@@ -4,6 +4,9 @@ These are the loops the algebra layer ran before it stored relations as
 row bitmasks.  They work on plain sets of (range, source) unit pairs and
 cost up to |R|^2 steps each, so they serve only as the oracle that
 test_kernel.py compares the bitmask kernel against on small relations.
+grading_ok and embedding_ok check additivity and composition on every
+composable pair, where Grading and RegularEmbedding check only those
+whose first factor is a covering pair.
 
 The graph-level closure, covering edges and out-forest completion test
 once duplicated the kernel on DirectedGraph values; they stay here as
@@ -135,6 +138,33 @@ def grading_ok(rel, units, grade) -> bool:
             grade.get((i, m)) == 1 and grade.get((m, j)) == g - 1 for m in units
         ):
             return False
+    return True
+
+
+def embedding_ok(rel, target_rel, image) -> bool:
+    """The checks a pair-image map must pass to be a RegularEmbedding,
+    with composition checked on every composable pair, as RegularEmbedding
+    did before it checked only those with a covering first factor."""
+    img = {p: frozenset(v) for p, v in image.items()}
+    if set(img) != set(rel) or any(not v or not v <= target_rel for v in img.values()):
+        return False
+    diag = {i: {a for a, _ in v} for (i, j), v in img.items() if i == j}
+    if any(a != b for (i, j), v in img.items() if i == j for a, b in v):
+        return False
+    if sum(map(len, diag.values())) != len(set().union(*diag.values())):
+        return False
+    for (i, j), v in img.items():
+        ranges, sources = [a for a, _ in v], [b for _, b in v]
+        if len(set(ranges)) != len(v) or set(ranges) != diag[i]:
+            return False
+        if len(set(sources)) != len(v) or set(sources) != diag[j]:
+            return False
+    for i, j in rel:
+        for k, l in rel:
+            if j == k:
+                left = {b: a for a, b in img[(i, j)]}
+                if {(left[b], c) for b, c in img[(k, l)]} != img[(i, l)]:
+                    return False
     return True
 
 

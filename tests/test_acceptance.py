@@ -185,12 +185,16 @@ def test_criterion_06_isomorphism_oracle(capsys):
         pairs += 1
     while pairs < 500:
         ra = reduce(random_out_tree(rng, rng.randrange(1, 9)))
-        wa = OutForest(ra.graph.with_weights({v: rng.randrange(4) for v in ra.vertices}))
+        wa = OutForest(
+            DirectedGraph(ra.vertices, ra.edges, {v: rng.randrange(4) for v in ra.vertices})
+        )
         if rng.random() < 0.5:
             wb = relabel_weighted(rng, wa)
         else:
             rb = reduce(random_out_tree(rng, rng.randrange(1, 9)))
-            wb = OutForest(rb.graph.with_weights({v: rng.randrange(4) for v in rb.vertices}))
+            wb = OutForest(
+                DirectedGraph(rb.vertices, rb.edges, {v: rng.randrange(4) for v in rb.vertices})
+            )
         assert (canonical_code(wa) == canonical_code(wb)) == weighted_isomorphic(wa, wb)
         pairs += 1
     finish(6, "isomorphism oracle, 500 pairs", start, 60.0)

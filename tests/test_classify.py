@@ -75,7 +75,7 @@ def relabel(g: OutForest, rng: random.Random) -> OutForest:
 def random_reduced_weighted(rng: random.Random, n: int) -> OutForest:
     red = reduce(random_out_tree(rng, n))
     weights = {v: rng.randrange(4) for v in red.vertices}
-    return OutForest(red.graph.with_weights(weights))
+    return OutForest(DirectedGraph(red.vertices, red.edges, weights))
 
 
 def test_reduce_contracts_the_four_chain():
@@ -125,8 +125,8 @@ def test_codes_distinguish_shape_and_weights():
     chain2 = reduce(chain_forest(2))
     star = reduce(lambda_tree())
     assert canonical_code(chain2) != canonical_code(star)
-    a = OutForest(star.graph.with_weights({"r": 0, "a": 0, "b": 0}))
-    b = OutForest(star.graph.with_weights({"r": 0, "a": 0, "b": 1}))
+    a = OutForest(DirectedGraph(star.vertices, star.edges, {"r": 0, "a": 0, "b": 0}))
+    b = OutForest(DirectedGraph(star.vertices, star.edges, {"r": 0, "a": 0, "b": 1}))
     assert canonical_code(a) != canonical_code(b)
     assert isinstance(canonical_code(a), CanonicalCode)
 

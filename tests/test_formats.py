@@ -49,17 +49,30 @@ def assert_tower_equal(a, b):
 
 
 def test_graph_round_trip_with_weights():
-    g = lambda_graph().with_weights({"a": 2})
+    lam = lambda_graph()
+    g = DirectedGraph(lam.vertices, lam.edges, {"a": 2})
     back = graph_from_json(graph_to_json(g))
     assert back == g
     assert back.weights["a"] == 2
+
+
+def test_bool_weight_is_rejected_so_every_graph_round_trips():
+    # graph_from_json rejects a JSON true as a weight, so the constructor
+    # must not accept True either, or graph_to_json would emit one.
+    lam = lambda_graph()
+    with pytest.raises(ValueError, match="weight of 'a' must be a nonnegative integer"):
+        DirectedGraph(lam.vertices, lam.edges, {"a": True})
+    with pytest.raises(FormatError, match="found bool"):
+        graph_from_json({"vertices": [{"id": "a", "weight": True}], "edges": []})
+    g = DirectedGraph(lam.vertices, lam.edges, {"a": 1})
+    assert graph_from_json(graph_to_json(g)) == g
 
 
 def test_graph_round_trip_random():
     rng = random.Random(5)
     for _ in range(40):
         f = random_out_forest(rng, rng.randrange(1, 9))
-        g = f.graph.with_weights(random_weights(rng, f.graph))
+        g = DirectedGraph(f.vertices, f.edges, random_weights(rng, f.graph))
         assert graph_from_json(graph_to_json(g)) == g
         d = random_dag(rng, rng.randrange(0, 7))
         assert graph_from_json(graph_to_json(d)) == d

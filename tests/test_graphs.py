@@ -102,6 +102,23 @@ def test_recognize_rejects_cycle():
     assert got.kind == "directed-cycle"
 
 
+def test_out_forest_words_a_cycle_with_trees_around_it_as_before():
+    # A separate tree r -> s, a cycle a -> b -> c -> a, and a branch
+    # c -> d -> e hanging off the cycle: only r is a root.
+    cyclic = g(
+        "r s a b c d e",
+        [("r", "s"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("d", "e")],
+    )
+    with pytest.raises(ValueError) as exc:
+        OutForest(cyclic)
+    assert str(exc.value) == "directed cycle: b -> c -> a"
+    # Several parents are still reported ahead of a cycle.
+    both = g("a b c x", [("a", "b"), ("b", "c"), ("c", "a"), ("x", "a")])
+    with pytest.raises(ValueError) as exc:
+        OutForest(both)
+    assert str(exc.value) == "vertex 'a' has several parents: ('c', 'x')"
+
+
 def test_completion_of_tree_is_forest_completion():
     # 1 -> 2, 1 -> 3, 3 -> 4; the closure adds the single long pair 1 -> 4.
     tree = g("1 2 3 4", [("1", "2"), ("1", "3"), ("3", "4")])
