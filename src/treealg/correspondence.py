@@ -13,35 +13,42 @@ integer entries, so relation checks are exact; the only truncation
 artifact is the isometry identity on paths of maximal length, which the
 verification report tracks separately.
 
-Representation.  With dim paths, a vertex projection is a boolean mask
-over the paths and an edge map a partial injection on path indices: an
-int array of length dim holding the index of each path with the edge
-prepended, or -1 where that is undefined.  verify_ckt reads the largest
-entry of every matrix product a relation involves off these arrays, so
-no dim x dim matrix is formed:
+Representation.  With dim paths, a vertex projection is a bytearray
+holding 1 on the paths ranging at the vertex and 0 elsewhere, and an
+edge map a partial injection on path indices: an array('q') of length
+dim holding the index of each path with the edge prepended, or -1 where
+that is undefined.  verify_ckt reads the largest entry of every matrix
+product a relation involves off these, so no dim x dim matrix is formed.
+Set operations run on masks read as ints with one bit per byte; edge
+map domains come from the high byte of each entry and destinations from
+itertools.compress over them, all at C speed:
 
 * orthogonal vertices: the masks overlap, O(|V|·dim);
-* orthogonal edges: a path lies in the ranges of two edges, counted
-  with one bincount of destinations per edge, O(|E|·dim), where the
-  products T_e* T_f would be |E|^2 dense products;
-* isometry and its interior part: each edge's domain against the mask
-  of its source, O(|E|·dim);
-* range and summed domination: destination counts against the mask of
-  the range vertex, summed per range vertex, O((|V| + |E|)·dim).
+* orthogonal edges: a path lies in the ranges of two edges, a set union
+  of the destinations, O(|E|·dim), where the products T_e* T_f would be
+  |E|^2 dense products;
+* isometry and its interior part: each edge's domain XOR the mask of
+  its source, O(|E|·dim);
+* range and summed domination: per-destination counts against the mask
+  of the range vertex, summed per range vertex, O(|E|·dim).
 
 build_ckt_family first counts the paths from walk counts, O(cutoff·|E|),
 and refuses a family above MAX_FAMILY_ENTRIES stored entries; then it
 enumerates the paths with successors indexed by vertex and fills the
-edge maps in O(dim·cutoff).  Only vector_operator builds a dense matrix.
+edge maps from index arithmetic on that enumeration, O(dim·cutoff).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_, sub
 from typing import Mapping
-
-import numpy as np
 
 from .errors import GraphMismatch, OutputTooLarge, PreconditionViolated
 from .graphs import DirectedGraph
@@ -151,38 +158,22 @@ def _family_entries(g: DirectedGraph, cutoff: int) -> int:
     return dim * width + held
 
 
-def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:
-    """Paths by length; a path's extensions follow it in sorted edge order."""
-    after: dict[str, list[Edge]] = {v: [] for v in g.vertices}
-    for e in sorted(g.edges):
-        after[edge_range(e)].append(e)
-    paths: list[Path] = [(v, ()) for v in g.vertices]
-    frontier = list(paths)
-    for _ in range(cutoff):
-        frontier = [
-            (r, es + (e,)) for r, es in frontier for e in after[edge_source(es[-1]) if es else r]
-        ]
-        if not frontier:
-            break
-        paths.extend(frontier)
-    return paths
-
-
 @dataclass(eq=False)
 class PartialIsometryFamily:
     """Vertex projections and edge maps on a truncated path space.
 
-    vertex_projections[v] is a boolean mask over the paths, true on those
-    ranging at v.  edge_isometries[e] is a partial injection on path
-    indices: entry i is the index of path i with e prepended, or -1 where
-    e does not compose with path i or the result would exceed the cutoff.
+    vertex_projections[v] is a bytearray of dim bytes, 1 on the paths
+    ranging at v and 0 elsewhere.  edge_isometries[e] is an array('q')
+    partial injection on path indices, 8·dim bytes: entry i is the index
+    of path i with e prepended, or -1 where e does not compose with path
+    i or the result would exceed the cutoff.
     """
 
     graph: DirectedGraph
     cutoff: int
     paths: tuple[Path, ...]
-    vertex_projections: dict[str, np.ndarray]
-    edge_isometries: dict[Edge, np.ndarray]
+    vertex_projections: dict[str, bytearray]
+    edge_isometries: dict[Edge, array]
 
     @property
     def dimension(self) -> int:
@@ -204,19 +195,39 @@ def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> PartialIsometryFamily
             f"the path space at cutoff {cutoff} needs more than"
             f" {MAX_FAMILY_ENTRIES} stored entries"
         )
-    paths = _enumerate_paths(g, cutoff)
-    dim = len(paths)
-    index = {p: i for i, p in enumerate(paths)}
-    by_source: dict[str, list[Edge]] = {v: [] for v in g.vertices}
+    # Paths by length; the extensions of path j follow in sorted edge order
+    # from index first[j].  rest[i] indexes path i minus its first edge e,
+    # so that the map of e sends rest[i] to i; no path is ever hashed.
+    after: dict[str, list[Edge]] = {v: [] for v in g.vertices}
     for e in sorted(g.edges):
-        by_source[edge_source(e)].append(e)
-    masks = {v: np.zeros(dim, dtype=bool) for v in g.vertices}
-    maps = {e: np.full(dim, -1, dtype=np.int64) for e in sorted(g.edges)}
+        after[edge_range(e)].append(e)
+    slot = {e: k for es in after.values() for k, e in enumerate(es)}
+    vertex = {v: i for i, v in enumerate(g.vertices)}
+    paths: list[Path] = [(v, ()) for v in g.vertices]
+    tails = list(g.vertices)
+    rest = [-1] * len(paths)
+    first: dict[int, int] = {}
+    level = range(len(paths))
+    for _ in range(cutoff):
+        begin = len(paths)
+        for j in level:
+            first[j] = len(paths)
+            r, es = paths[j]
+            for e in after[tails[j]]:
+                s = edge_source(e)
+                paths.append((r, es + (e,)))
+                tails.append(s)
+                rest.append(first[rest[j]] + slot[e] if es else vertex[s])
+        if len(paths) == begin:
+            break
+        level = range(begin, len(paths))
+    dim = len(paths)
+    masks = {v: bytearray(dim) for v in g.vertices}
+    maps = {e: array("q", [-1]) * dim for e in sorted(g.edges)}
     for i, (r, es) in enumerate(paths):
-        masks[r][i] = True
-        if len(es) < cutoff:
-            for e in by_source[r]:
-                maps[e][i] = index[(edge_range(e), (e,) + es)]
+        masks[r][i] = 1
+        if es:
+            maps[es[0]][rest[i]] = i
     return PartialIsometryFamily(g, cutoff, tuple(paths), masks, maps)
 
 
@@ -247,73 +258,62 @@ class CKTReport:
         return all(c.exact for c in self.checks.values())
 
 
+_HIGH = 7 if sys.byteorder == "little" else 0
+_NONNEGATIVE = bytes([1]) + bytes(255)
+# The high byte of an edge map entry is 0 for an index and 0xFF for -1;
+# translating by _NONNEGATIVE turns it into the 0/1 domain byte.
+
+
+def _excess(counts: Counter, mask: bytearray) -> int:
+    """The largest count of a path less its mask byte."""
+    return max(map(sub, counts.values(), map(mask.__getitem__, counts)), default=0)
+
+
 def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
     """Entrywise verification of the five relations of the family.
 
     Each residual is the largest entry the matrix products of the
     relation would have, read off the masks and the edge maps.
     """
-    dim = fam.dimension
     L = fam.vertex_projections
     T = fam.edge_isometries
+    bits = {v: int.from_bytes(m, "little") for v, m in L.items()}
     checks: dict[str, RelationCheck] = {}
 
-    # L_p L_q is the diagonal of the overlap of two masks.
-    cover = np.zeros(dim, dtype=np.int64)
-    for m in L.values():
-        cover += m
-    r = int(cover.max(initial=0) > 1)
+    # L_p L_q is the diagonal of the overlap of two masks: a + b = (a | b)
+    # + (a & b), so the masks are disjoint when their sum is their union.
+    r = int(sum(bits.values()) != reduce(or_, bits.values(), 0))
     checks["orthogonal-vertices"] = RelationCheck(r, r == 0)
 
     # T_e T_eᵀ is the diagonal of the counts of e's destinations; the
     # entry (i, j) of T_eᵀ T_f is 1 when e·i = f·j, so it vanishes
     # exactly when the ranges of e and f are disjoint.
-    hits = {e: np.bincount(d[d >= 0], minlength=dim) for e, d in T.items()}
-    shared = np.zeros(dim, dtype=np.int64)
-    for h in hits.values():
-        shared += h > 0
-    r = int(shared.max(initial=0) > 1)
+    domains = {e: d.tobytes()[_HIGH::8].translate(_NONNEGATIVE) for e, d in T.items()}
+    hits = {e: Counter(compress(d, domains[e])) for e, d in T.items()}
+    r = int(len(set().union(*hits.values())) < sum(map(len, hits.values())))
     checks["orthogonal-edges"] = RelationCheck(r, r == 0)
 
     # T_e is injective, so T_eᵀ T_e is the diagonal of its domain.  The
     # isometry identity can only fail on paths of maximal length, where
     # prepending the edge would overflow the cutoff.
-    short = np.fromiter((len(es) < fam.cutoff for _, es in fam.paths), dtype=bool, count=dim)
-    full = interior = 0
-    for e, d in T.items():
-        diff = (d >= 0) != L[edge_source(e)]
-        full = max(full, int(diff.any()))
-        interior = max(interior, int(diff[short].any()))
+    short = int.from_bytes(bytes(len(es) < fam.cutoff for _, es in fam.paths), "little")
+    diffs = [int.from_bytes(m, "little") ^ bits[edge_source(e)] for e, m in domains.items()]
+    full = int(any(diffs))
+    interior = int(any(diff & short for diff in diffs))
     note = "" if full == 0 else "restricted to paths shorter than the cutoff"
     checks["isometry"] = RelationCheck(full, full == 0, note)
     checks["isometry-interior"] = RelationCheck(interior, interior == 0)
 
-    r = 0
-    summed = {v: np.zeros(dim, dtype=np.int64) for v in fam.graph.vertices}
-    for e, h in hits.items():
-        r = max(r, int((h - L[edge_range(e)]).max(initial=0)))
-        summed[edge_range(e)] += h
+    r = max((_excess(h, L[edge_range(e)]) for e, h in hits.items()), default=0)
     checks["range-domination"] = RelationCheck(r, r <= 0)
 
-    r = max((int((s - L[v]).max(initial=0)) for v, s in summed.items()), default=0)
+    summed = {v: Counter() for v in L}
+    for e, h in hits.items():
+        summed[edge_range(e)].update(h.elements())
+    r = max((_excess(s, L[v]) for v, s in summed.items()), default=0)
     checks["summed-domination"] = RelationCheck(r, r <= 0)
 
     return CKTReport(checks)
-
-
-def vector_operator(
-    fam: PartialIsometryFamily, x: GraphCorrespondenceVector
-) -> np.ndarray:
-    """The dense matrix representing a vector: its amplitude-weighted edge maps."""
-    if x.graph != fam.graph:
-        raise GraphMismatch("the vector lives on a different graph")
-    out = np.zeros((fam.dimension, fam.dimension), dtype=np.complex128)
-    for e, d in fam.edge_isometries.items():
-        a = x.amplitude(e)
-        if a != 0:
-            (cols,) = np.nonzero(d >= 0)
-            out[d[cols], cols] += a
-    return out
 
 
 @dataclass(frozen=True)

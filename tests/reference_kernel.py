@@ -19,7 +19,9 @@ it is the oracle of classify.ampliated_reduction in test_classify.py.
 The dense CKT family at the end is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
 edge map is an explicit dim x dim int64 matrix and every relation is a
-matrix product.  It is the oracle of test_correspondence.py.
+matrix product.  It is the oracle of test_correspondence.py, which also
+reads the dense operator of a vector off vector_operator.  These are the
+only users of numpy; treealg itself runs on the standard library.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ from treealg.ampliation import ampliate
 from treealg.correspondence import (
     CKTReport,
     Edge,
+    GraphCorrespondenceVector,
+    PartialIsometryFamily,
     Path,
     RelationCheck,
     edge_range,
     edge_source,
 )
-from treealg.errors import CyclicGraph
+from treealg.errors import CyclicGraph, GraphMismatch
 from treealg.graphs import DirectedGraph, OutForest, find_cycle, recognize_out_forest
 
 Unit = tuple[int, int]
@@ -261,6 +265,20 @@ class DenseFamily:
     @property
     def dimension(self) -> int:
         return len(self.paths)
+
+
+def vector_operator(fam: PartialIsometryFamily, x: GraphCorrespondenceVector) -> np.ndarray:
+    """The dense matrix representing a vector: its amplitude-weighted edge maps."""
+    if x.graph != fam.graph:
+        raise GraphMismatch("the vector lives on a different graph")
+    out = np.zeros((fam.dimension, fam.dimension), dtype=np.complex128)
+    for e, d in fam.edge_isometries.items():
+        a = x.amplitude(e)
+        if a != 0:
+            d = np.asarray(d)
+            (cols,) = np.nonzero(d >= 0)
+            out[d[cols], cols] += a
+    return out
 
 
 def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> DenseFamily:
