@@ -264,6 +264,10 @@ def _factor_sequences(
     primes: Sequence[int], max_steps: int, sn: SupernaturalNumber
 ) -> list[tuple[int, ...]]:
     """Nondecreasing prime tuples of bounded length whose product divides sn."""
+    if not sn.infinite:
+        # A product of k primes divides a finite number only when k is at
+        # most the sum of its exponents.
+        max_steps = min(max_steps, sum(e for _, e in sn.finite))
     return [
         seq
         for k in range(max_steps + 1)

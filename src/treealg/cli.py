@@ -181,7 +181,7 @@ def _decision_text(d: Decision) -> str:
         ch = cert.chain
         lines.append(f"certificate: grade growth across level {cert.level}")
         lines.append(
-            f"  chain from level {ch.chain.start_level} has grades "
+            f"  chain from level {ch.start_level} has grades "
             + ", ".join(str(g) for g in ch.grades)
         )
     elif isinstance(cert, NestRuleWitness):
@@ -189,7 +189,7 @@ def _decision_text(d: Decision) -> str:
     elif isinstance(cert, LevelStructureWitness):
         lines.append(
             f"certificate: the level-{cert.level} relation is not a tree semigroupoid"
-            + (" and the failure persists" if cert.persisted else "")
+            " and the failure persists"
         )
     elif isinstance(cert, InconclusiveReport):
         lines.append(f"reason: {cert.reason}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .algebra import DigraphAlgebra, Pair, Unit
-from .errors import IllFormedAttachment, MismatchedLevels, MultiBlockUnsupported
+from .errors import IllFormedAttachment, MultiBlockUnsupported
 from .graphs import OutForest
 
 
@@ -199,17 +199,6 @@ def refinement_embedding(n: int, l: int) -> RegularEmbedding:
         refinement_rows(l),
         DigraphAlgebra.upper_triangular(n * l),
     )
-
-
-def compose(f: RegularEmbedding, g: RegularEmbedding) -> RegularEmbedding:
-    """Apply f, then g.  Requires f.target == g.source."""
-    if f.target != g.source:
-        raise MismatchedLevels("target of the first embedding must equal source of the second")
-    image = {
-        p: frozenset(r for q in f.of(p) for r in g.of(q))
-        for p in f.source.relation
-    }
-    return RegularEmbedding(f.source, g.target, image)
 
 
 def _descend_copy(

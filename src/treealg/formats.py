@@ -401,8 +401,8 @@ def vector_from_json(obj: Json, path: str = "vector") -> GraphCorrespondenceVect
 
 def _chain_grades_to_json(cg: ChainGrades) -> dict:
     return {
-        "start-level": cg.chain.start_level,
-        "pairs": [_pair_to_json(p) for p in cg.chain.pairs],
+        "start-level": cg.start_level,
+        "pairs": [_pair_to_json(p) for p in cg.pairs],
         "grades": list(cg.grades),
     }
 
@@ -433,7 +433,7 @@ def _certificate_to_json(cert: object) -> dict:
         return {
             "kind": "level-structure",
             "level": cert.level,
-            "persisted": cert.persisted,
+            "persisted": True,
             "witness": {
                 "type": "incomparable-sources",
                 "range": _unit_to_json(w.x),

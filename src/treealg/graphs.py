@@ -9,7 +9,6 @@ algebra layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import NotATree
@@ -156,24 +155,6 @@ def find_cycle(g: DirectedGraph) -> list[str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class ForestRejection:
-    """Why a graph is not an out-forest.
-
-    kind is "multiple-parents" with the offending vertex and its parents,
-    or "directed-cycle" with the cycle vertices.  Falsy, so the result of
-    recognize_out_forest can be tested directly.
-    """
-
-    kind: str
-    vertex: str | None = None
-    parents: tuple[str, ...] = ()
-    cycle: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return False
-
-
 class OutForest:
     """A digraph in which every vertex has at most one incoming edge.
 
@@ -256,23 +237,3 @@ class OutForest:
     def __repr__(self) -> str:
         return f"OutForest({len(self.vertices)} vertices, roots={list(self._roots)})"
 
-
-def recognize_out_forest(g: DirectedGraph) -> OutForest | ForestRejection:
-    """View g as an out-forest, or explain why that fails.
-
-    The rejection carries either a vertex with two or more parents or a
-    directed cycle.  (With in-degrees at most 1 an undirected cycle forces
-    a directed one, so those two witnesses cover everything.)  The
-    graph is scanned once when it is an out-forest; the witness is looked
-    for only after OutForest rejected it.
-    """
-    try:
-        return OutForest(g)
-    except ValueError:
-        pass
-    for v in g.vertices:
-        if g.in_degree(v) > 1:
-            return ForestRejection(
-                "multiple-parents", vertex=v, parents=g.predecessors(v)
-            )
-    return ForestRejection("directed-cycle", cycle=tuple(find_cycle(g)))

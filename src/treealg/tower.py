@@ -2,8 +2,9 @@
 
 A tower stores finitely many levels joined by regular embeddings, plus an
 optional rule saying how all further levels continue.  The decision
-procedure tracks, for every matrix-unit pair at every level, the grades
-of all its summand chains down to the inspected depth:
+procedure grades every level once and follows, for every matrix-unit
+pair at every level, the grades of its summand chains down to the
+inspected depth:
 
 * Yes requires the tree condition at every level and every chain to be
   settled, meaning its grade freezes right after the chain starts.  A
@@ -17,6 +18,10 @@ of all its summand chains down to the inspected depth:
 * Everything else is reported honestly as inconclusive, together with
   the chains that refused to stabilize.
 
+Chains are walked lazily, level by level, pairs in relation order, depth
+first over sorted images.  A stationary No stops at the first chain whose
+grade rises; Yes and the verdicts without a rule still walk every chain.
+
 On Yes, the certificate is a forest presentation: level by level, the
 units whose whole orbit stays at grade 1 form an out-forest, and the
 tower's embeddings restrict to maps sending forest edges to sums of
@@ -27,13 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .algebra import (
     DigraphAlgebra,
     NonTreeTriple,
     Pair,
-    is_tree_semigroupoid,
     solve_grading,
     unit_name,
 )
@@ -44,7 +48,7 @@ from .embeddings import (
     translation_embedding,
 )
 from .errors import MismatchedLevels, OutputTooLarge
-from .graphs import DirectedGraph, OutForest, recognize_out_forest
+from .graphs import DirectedGraph, OutForest
 
 MAX_LEVEL_UNITS = 512
 # The most units a level generated from a rule may have.  Each rule step
@@ -129,7 +133,7 @@ class Tower:
 
 
 def _rule_step(
-    level: DigraphAlgebra, rule: Rule
+    level: DigraphAlgebra, rule: StandardRule | RefinementRule | TreeRefinementRule
 ) -> tuple[DigraphAlgebra, RegularEmbedding, Rule]:
     if isinstance(rule, (StandardRule, RefinementRule)):
         standard = isinstance(rule, StandardRule)
@@ -146,12 +150,10 @@ def _rule_step(
             target = DigraphAlgebra.upper_triangular(n * copies)
         e = translation_embedding(level, rows, target)
         return e.target, e, rule
-    if isinstance(rule, TreeRefinementRule):
-        from .ampliation import refinement_between
+    from .ampliation import refinement_between
 
-        nxt, e = refinement_between(rule.tree, rule.l, level)
-        return e.target, e, TreeRefinementRule(nxt, rule.l)
-    raise MismatchedLevels(f"cannot generate levels from rule {rule!r}")
+    nxt, e = refinement_between(rule.tree, rule.l, level)
+    return e.target, e, TreeRefinementRule(nxt, rule.l)
 
 
 def materialize(t: Tower, depth: int) -> tuple[list[DigraphAlgebra], list[RegularEmbedding]]:
@@ -212,16 +214,12 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class SummandChain:
-    """One pair followed through consecutive embeddings, one summand each."""
+class ChainGrades:
+    """One pair followed through consecutive embeddings, one summand each,
+    with the grade of every pair on the way."""
 
     start_level: int
     pairs: tuple[Pair, ...]
-
-
-@dataclass(frozen=True)
-class ChainGrades:
-    chain: SummandChain
     grades: tuple[int, ...]
 
 
@@ -240,11 +238,10 @@ class NestRuleWitness:
 
 @dataclass(frozen=True)
 class LevelStructureWitness:
-    """A failure of the tree condition at one level, with its persistence."""
+    """A failure of the tree condition at one level that persists to the next."""
 
     level: int
     witness: NonTreeTriple
-    persisted: bool
 
 
 @dataclass(eq=False, frozen=True)
@@ -301,36 +298,24 @@ def _persists(w: NonTreeTriple, emb: RegularEmbedding, nxt: DigraphAlgebra) -> b
     return False
 
 
-def _chains_from(
-    maps: Sequence[RegularEmbedding], level: int, pair: Pair, depth: int
-) -> Iterable[tuple[Pair, ...]]:
-    """All summand chains of a pair from its level down to depth, 1-based."""
-    if level == depth:
-        yield (pair,)
-        return
-    for q in sorted(maps[level - 1].of(pair)):
-        for rest in _chains_from(maps, level + 1, q, depth):
-            yield (pair,) + rest
-
-
-def _all_chain_grades(
-    levels: Sequence[DigraphAlgebra],
+def _chain_grades(
     maps: Sequence[RegularEmbedding],
     grades: Sequence[dict[Pair, int]],
-) -> list[ChainGrades]:
-    out = []
-    d = len(levels)
-    for k in range(1, d):
-        for p in levels[k - 1].irreflexive_pairs():
-            for chain in _chains_from(maps, k, p, d):
-                seq = tuple(grades[k - 1 + idx][q] for idx, q in enumerate(chain))
-                out.append(ChainGrades(SummandChain(k, chain), seq))
-    return out
+    level: int,
+    pair: Pair,
+) -> Iterator[ChainGrades]:
+    """Every summand chain of a pair from its level, 1-based, down to the
+    last graded level, depth first over sorted images."""
+    d = len(grades)
 
+    def walk(k: int, pairs: tuple[Pair, ...], seq: tuple[int, ...]) -> Iterator[ChainGrades]:
+        if k == d:
+            yield ChainGrades(level, pairs, seq)
+            return
+        for q in sorted(maps[k - 1].of(pairs[-1])):
+            yield from walk(k + 1, pairs + (q,), seq + (grades[k][q],))
 
-def _is_settled(cg: ChainGrades) -> bool:
-    tail = cg.grades[1:]
-    return all(g == tail[0] for g in tail) if tail else True
+    return walk(level, (pair,), (grades[level - 1][pair],))
 
 
 def _forest_presentation(
@@ -354,9 +339,7 @@ def _forest_presentation(
     for k in range(d):
         vs = [unit_name(u) for u in levels[k].units()]
         edges = [(unit_name(j), unit_name(i)) for i, j in sorted(stab1[k])]
-        forest = recognize_out_forest(DirectedGraph(vs, edges))
-        if not forest:
-            raise AssertionError("grade-1 units of a Yes tower must form a forest")
+        forest = OutForest(DirectedGraph(vs, edges))
         emb = None
         if k < d - 1:
             img = {q: maps[k].of(q) for q in algs[k].relation}
@@ -384,12 +367,9 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
     # Under the tree condition no unit receives two covering pairs: if
     # (x, y) and (x, z) both cover, y and z are comparable, so one of the
     # two pairs factors through the other.  The tree check alone finds
-    # every structure failure.
-    failures: list[tuple[int, NonTreeTriple]] = []
-    for k, a in enumerate(levels, start=1):
-        w = is_tree_semigroupoid(a)
-        if not w:
-            failures.append((k, w))
+    # every structure failure, and the grading solver runs it.
+    solved = [solve_grading(a) for a in levels]
+    failures = [(k, w) for k, w in enumerate(solved, start=1) if not w]
     for k, w in failures:
         if k < d:
             nxt, emb = levels[k], maps[k - 1]
@@ -404,7 +384,7 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
                 continue
             nxt, emb = ext_levels[d], ext_maps[d - 1]
         if _persists(w, emb, nxt):
-            return Decision(Verdict.NO, d, LevelStructureWitness(k, w, True))
+            return Decision(Verdict.NO, d, LevelStructureWitness(k, w))
     if failures:
         k, w = failures[0]
         return Decision(
@@ -416,19 +396,21 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
             ),
         )
 
-    grades = [solve_grading(a).grade for a in levels]
-    chains = _all_chain_grades(levels, maps, grades)
-    stationary = isinstance(t.rule, (StandardRule, RefinementRule, TreeRefinementRule))
-    for cg in chains:
-        for i in range(len(cg.grades) - 1):
-            if cg.grades[i + 1] > cg.grades[i]:
-                if stationary:
-                    return Decision(
-                        Verdict.NO, d, GradeGrowthWitness(cg, cg.chain.start_level + i)
-                    )
-    unsettled = tuple(cg for cg in chains if not _is_settled(cg))
-
-    if stationary:
+    grades = [s.grade for s in solved]
+    chains = (
+        cg
+        for k in range(1, d)
+        for p in levels[k - 1].irreflexive_pairs()
+        for cg in _chain_grades(maps, grades, k, p)
+    )
+    # Past the nest rule every rule is stationary, so one rising chain
+    # rises again at every later level.
+    if t.rule is not None:
+        for cg in chains:
+            gs = cg.grades
+            for i in range(len(gs) - 1):
+                if gs[i + 1] > gs[i]:
+                    return Decision(Verdict.NO, d, GradeGrowthWitness(cg, cg.start_level + i))
         if d >= 2:
             return Decision(Verdict.YES, d, _forest_presentation(levels, maps, grades))
         return Decision(
@@ -436,6 +418,8 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
             d,
             InconclusiveReport("depth 1 shows no embedding step"),
         )
+    # A chain is settled when its grade freezes right after it starts.
+    unsettled = tuple(cg for cg in chains if len(set(cg.grades[1:])) > 1)
     if unsettled:
         return Decision(
             Verdict.INCONCLUSIVE,
@@ -466,14 +450,11 @@ def counting_grade(t: Tower, level: int, pair: Pair, depth: int) -> list[ChainGr
         raise ValueError(f"level {level} outside the materialized tower of depth {d}")
     if pair not in levels[level - 1].relation:
         raise ValueError(f"pair {pair} is not a unit of level {level}")
-    grades = {}
+    # Levels above the pair's level need not be trees and are not graded.
+    grades: list[dict[Pair, int]] = [{}] * (level - 1)
     for k in range(level, d + 1):
         solved = solve_grading(levels[k - 1])
         if not solved:
             raise ValueError(f"level {k} is not a tree semigroupoid, so it has no grades")
-        grades[k] = solved.grade
-    out = []
-    for chain in _chains_from(maps, level, pair, d):
-        seq = tuple(grades[level + idx][q] for idx, q in enumerate(chain))
-        out.append(ChainGrades(SummandChain(level, chain), seq))
-    return out
+        grades.append(solved.grade)
+    return list(_chain_grades(maps, grades, level, pair))

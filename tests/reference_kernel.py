@@ -16,6 +16,10 @@ iterated_ampliation builds the trees the classification search built
 for every candidate before it read their reductions off in closed form;
 it is the oracle of classify.ampliated_reduction in test_classify.py.
 
+all_chain_grades lists every summand chain of a tower before any is
+looked at, as decide_tensor did before it walked chains lazily; it is
+the oracle of the chain order in test_tower.py.
+
 The dense CKT family at the end is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
 edge map is an explicit dim x dim int64 matrix and every relation is a
@@ -27,9 +31,11 @@ only users of numpy; treealg itself runs on the standard library.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from treealg.algebra import DigraphAlgebra
 from treealg.ampliation import ampliate
 from treealg.correspondence import (
     CKTReport,
@@ -41,8 +47,10 @@ from treealg.correspondence import (
     edge_range,
     edge_source,
 )
+from treealg.embeddings import RegularEmbedding
 from treealg.errors import CyclicGraph, GraphMismatch
-from treealg.graphs import DirectedGraph, OutForest, find_cycle, recognize_out_forest
+from treealg.graphs import DirectedGraph, OutForest, find_cycle
+from treealg.tower import ChainGrades
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -220,8 +228,9 @@ def is_transitive_completion_of_out_forest(
     if find_cycle(g) is not None:
         return False, None
     cover = DirectedGraph(g.vertices, covering_edges(g), g.weights)
-    forest = recognize_out_forest(cover)
-    if not forest:
+    try:
+        forest = OutForest(cover)
+    except ValueError:
         return False, None
     if transitive_completion(cover).edges != g.edges:
         return False, None
@@ -234,6 +243,36 @@ def iterated_ampliation(base: OutForest, factors) -> OutForest:
     for f in factors:
         g = ampliate(g, f)
     return g
+
+
+def _chains_from(
+    maps: Sequence[RegularEmbedding], level: int, pair: Pair, depth: int
+) -> Iterable[tuple[Pair, ...]]:
+    """All summand chains of a pair from its level down to depth, 1-based."""
+    if level == depth:
+        yield (pair,)
+        return
+    for q in sorted(maps[level - 1].of(pair)):
+        for rest in _chains_from(maps, level + 1, q, depth):
+            yield (pair,) + rest
+
+
+def all_chain_grades(
+    levels: Sequence[DigraphAlgebra],
+    maps: Sequence[RegularEmbedding],
+    grades: Sequence[dict[Pair, int]],
+) -> list[ChainGrades]:
+    """Every summand chain of every pair above the last level, listed
+    before any is looked at: level by level, pairs in relation order,
+    chains depth first over sorted images."""
+    out = []
+    d = len(levels)
+    for k in range(1, d):
+        for p in levels[k - 1].irreflexive_pairs():
+            for chain in _chains_from(maps, k, p, d):
+                seq = tuple(grades[k - 1 + idx][q] for idx, q in enumerate(chain))
+                out.append(ChainGrades(k, chain, seq))
+    return out
 
 
 def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:

@@ -11,7 +11,7 @@ from treealg.ampliation import (
 )
 from treealg.catalog import branching_tree, lambda_tree
 from treealg.errors import NotATree
-from treealg.graphs import DirectedGraph, OutForest, recognize_out_forest
+from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import TreeRefinementRule
 
 
@@ -49,8 +49,7 @@ def test_ampliation_depth_stretches_by_factor():
 
 
 def test_rejects_forests_and_bad_multiplicity():
-    two = recognize_out_forest(DirectedGraph(["1", "2"], []))
-    assert isinstance(two, OutForest)
+    two = OutForest(DirectedGraph(["1", "2"], []))
     with pytest.raises(NotATree):
         ampliate(two, 2)
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from treealg.classify import (
     trees_isomorphic,
 )
 from treealg.errors import NotATree
-from treealg.graphs import DirectedGraph, OutForest, recognize_out_forest
+from treealg.graphs import DirectedGraph, OutForest
 
 from conftest import random_out_tree
 from reference_kernel import iterated_ampliation
@@ -65,11 +65,7 @@ def relabel(g: OutForest, rng: random.Random) -> OutForest:
     m = dict(zip(g.vertices, names))
     order = list(names)
     rng.shuffle(order)
-    out = recognize_out_forest(
-        DirectedGraph(order, [(m[u], m[v]) for u, v in g.edges])
-    )
-    assert isinstance(out, OutForest)
-    return out
+    return OutForest(DirectedGraph(order, [(m[u], m[v]) for u, v in g.edges]))
 
 
 def random_reduced_weighted(rng: random.Random, n: int) -> OutForest:
@@ -97,7 +93,7 @@ def test_reduce_keeps_lambda_unchanged():
 
 
 def test_reduce_rejects_forests():
-    two = recognize_out_forest(DirectedGraph(["1", "2"], []))
+    two = OutForest(DirectedGraph(["1", "2"], []))
     with pytest.raises(NotATree):
         reduce(two)
 

@@ -152,6 +152,19 @@ def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
     assert code == 2 and out == "verdict: undetermined\nsearch bound: 64\n"
 
 
+def test_classify_finite_supernatural_search_stops_at_its_exponents(capsys, tmp_path):
+    # Both sides have supernatural number 2, so only () and (2,) can
+    # divide it; a bound of thousands must not enumerate longer sequences.
+    a = {"vertices": ["r", "a", "b"], "edges": [["r", "a"], ["r", "b"]]}
+    b = {"vertices": ["r", "a", "b", "c"], "edges": [["r", "a"], ["a", "c"], ["r", "b"]]}
+    fa = write(tmp_path, "a.json", {"base": a, "multiplicities": [2]})
+    fb = write(tmp_path, "b.json", {"base": b, "multiplicities": [2]})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", fa, fb, "--bound", "3000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "verdict: undetermined\nsearch bound: 3000\n"
+
+
 def test_reduce_contracts_chain(capsys, tmp_path):
     chain = write(
         tmp_path,

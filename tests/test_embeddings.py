@@ -1,4 +1,4 @@
-"""Embedding layer: validation, classic constructors, composition."""
+"""Embedding layer: validation and classic constructors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.embeddings import (
     RegularEmbedding,
-    compose,
     refinement_embedding,
     refinement_rows,
     standard_embedding,
@@ -15,7 +14,7 @@ from treealg.embeddings import (
     translation_embedding,
     tree_standard_embedding,
 )
-from treealg.errors import IllFormedAttachment, MismatchedLevels, MultiBlockUnsupported
+from treealg.errors import IllFormedAttachment, MultiBlockUnsupported
 from treealg.graphs import DirectedGraph, OutForest
 
 
@@ -35,30 +34,6 @@ def test_refinement_embedding_images():
     assert e.of(p(1, 2)) == {p(1, 3), p(2, 4)}
     assert e.of(p(1, 1)) == {p(1, 1), p(2, 2)}
     assert e.of(p(2, 2)) == {p(3, 3), p(4, 4)}
-
-
-def test_identity_embedding_is_neutral_under_composition():
-    e = refinement_embedding(3, 2)
-
-    def identity(a):
-        return RegularEmbedding(a, a, {q: {q} for q in a.relation})
-
-    assert compose(identity(e.source), e) == e
-    assert compose(e, identity(e.target)) == e
-
-
-def test_composition_of_refinements():
-    # Two refinement steps of 2 compose to one of step 4.
-    e = compose(refinement_embedding(2, 2), refinement_embedding(4, 2))
-    assert e.source.blocks == (2,)
-    assert e.target.blocks == (8,)
-    assert e == compose(refinement_embedding(2, 2), refinement_embedding(4, 2))
-    assert e.of(p(1, 2)) == refinement_embedding(2, 4).of(p(1, 2))
-
-
-def test_composition_requires_matching_levels():
-    with pytest.raises(MismatchedLevels):
-        compose(refinement_embedding(2, 2), refinement_embedding(3, 2))
 
 
 def test_validation_rejects_overlapping_diagonal_images():

@@ -16,13 +16,7 @@ from reference_kernel import (
     transitive_completion,
 )
 from treealg.errors import CyclicGraph
-from treealg.graphs import (
-    DirectedGraph,
-    ForestRejection,
-    OutForest,
-    find_cycle,
-    recognize_out_forest,
-)
+from treealg.graphs import DirectedGraph, OutForest, find_cycle
 
 
 def g(vertices, edges, weights=None):
@@ -82,24 +76,8 @@ def test_find_cycle_reports_cycle_vertices():
 
 
 def test_recognize_accepts_two_component_forest():
-    got = recognize_out_forest(g("r1 x r2 y", [("r1", "x"), ("r2", "y")]))
-    assert isinstance(got, OutForest)
+    got = OutForest(g("r1 x r2 y", [("r1", "x"), ("r2", "y")]))
     assert got.roots == ("r1", "r2")
-
-
-def test_recognize_rejects_double_parent():
-    got = recognize_out_forest(g("a b c", [("a", "c"), ("b", "c")]))
-    assert isinstance(got, ForestRejection)
-    assert not got
-    assert got.kind == "multiple-parents"
-    assert got.vertex == "c"
-    assert set(got.parents) == {"a", "b"}
-
-
-def test_recognize_rejects_cycle():
-    got = recognize_out_forest(g("a b", [("a", "b"), ("b", "a")]))
-    assert isinstance(got, ForestRejection)
-    assert got.kind == "directed-cycle"
 
 
 def test_out_forest_words_a_cycle_with_trees_around_it_as_before():
@@ -177,8 +155,8 @@ def test_random_forest_roundtrips_through_completion():
         ok, back = is_transitive_completion_of_out_forest(comp)
         assert ok
         assert back.edges == f.edges
-        # recognize agrees with the completion route on the forest itself
-        assert isinstance(recognize_out_forest(f.graph), OutForest)
+        # OutForest agrees with the completion route on the forest itself
+        assert OutForest(f.graph) == f
 
 
 @settings(max_examples=60, deadline=None)
