@@ -158,6 +158,24 @@ def _pair_from_json(obj: Json, path: str) -> Pair:
     return (_unit_from_json(pair[0], f"{path}[0]"), _unit_from_json(pair[1], f"{path}[1]"))
 
 
+def _matrix_units(items: list) -> list[Pair] | None:
+    """The matrix units of a list in one typed pass, or None as soon as an
+    item is not a [[int, int], [int, int]] list of lists.  The caller then
+    decodes the list again with _pair_from_json, which words the error."""
+    out = []
+    for p in items:
+        if type(p) is not list or len(p) != 2:
+            return None
+        u, v = p
+        if not (type(u) is type(v) is list and len(u) == len(v) == 2):
+            return None
+        (a, b), (c, e) = u, v
+        if not type(a) is type(b) is type(c) is type(e) is int:
+            return None
+        out.append(((a, b), (c, e)))
+    return out
+
+
 def algebra_to_json(a: DigraphAlgebra) -> dict:
     units = sorted(a.irreflexive_pairs())
     return {"blocks": list(a.blocks), "units": [_pair_to_json(p) for p in units]}
@@ -169,10 +187,10 @@ def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
         _as_int(b, f"{path}.blocks[{k}]")
         for k, b in enumerate(_as_list(_get(doc, "blocks", path), f"{path}.blocks"))
     ]
-    units = [
-        _pair_from_json(item, f"{path}.units[{k}]")
-        for k, item in enumerate(_as_list(doc.get("units", []), f"{path}.units"))
-    ]
+    raw = _as_list(doc.get("units", []), f"{path}.units")
+    units = _matrix_units(raw)
+    if units is None:
+        units = [_pair_from_json(item, f"{path}.units[{k}]") for k, item in enumerate(raw)]
     try:
         return DigraphAlgebra.from_generators(blocks, units)
     except ValueError as exc:
@@ -213,18 +231,22 @@ def embedding_from_json(
             raise FormatError(
                 f"{path}: explicit embeddings need surrounding source and target algebras"
             )
-        image: dict[Pair, list[Pair]] = {}
-        for k, item in enumerate(_as_list(_get(doc, "image", path), f"{path}.image")):
-            ip = f"{path}.image[{k}]"
-            entry = _as_list(item, ip)
-            if len(entry) != 2:
-                raise FormatError(f"{ip}: an entry is [source-pair, [target-pairs]]")
-            src = _pair_from_json(entry[0], f"{ip}[0]")
-            tgts = [
-                _pair_from_json(t, f"{ip}[1][{j}]")
-                for j, t in enumerate(_as_list(entry[1], f"{ip}[1]"))
-            ]
-            image[src] = tgts
+        raw = _as_list(_get(doc, "image", path), f"{path}.image")
+        # Each entry [source, [targets...]] as the list [source, targets...].
+        entries = [
+            type(e) is list and len(e) == 2 and type(e[1]) is list and _matrix_units([e[0], *e[1]])
+            for e in raw
+        ]
+        if not all(entries):
+            entries = [_entry_from_json(e, f"{path}.image[{k}]") for k, e in enumerate(raw)]
+        image: dict[Pair, frozenset[Pair]] = {}
+        for k, (src, *tgts) in enumerate(entries):
+            if src in image:
+                raise FormatError(f"{path}.image[{k}]: source pair {src} has an earlier entry")
+            image[src] = frozenset(tgts)
+            if len(image[src]) < len(tgts):
+                q = next(q for q in tgts if tgts.count(q) > 1)
+                raise FormatError(f"{path}.image[{k}]: target pair {q} is listed twice")
         try:
             return RegularEmbedding(source, target, _complete_diagonal(source, image))
         except ValueError as exc:
@@ -232,24 +254,27 @@ def embedding_from_json(
     raise FormatError(f"{path}.kind: unknown embedding kind {kind!r}")
 
 
+def _entry_from_json(obj: Json, path: str) -> list[Pair]:
+    entry = _as_list(obj, path)
+    if len(entry) != 2:
+        raise FormatError(f"{path}: an entry is [source-pair, [target-pairs]]")
+    src = _pair_from_json(entry[0], f"{path}[0]")
+    tgts = _as_list(entry[1], f"{path}[1]")
+    return [src, *(_pair_from_json(t, f"{path}[1][{j}]") for j, t in enumerate(tgts))]
+
+
 def _complete_diagonal(
-    source: DigraphAlgebra, image: dict[Pair, list[Pair]]
-) -> dict[Pair, list[Pair]]:
+    source: DigraphAlgebra, image: dict[Pair, frozenset[Pair]]
+) -> dict[Pair, frozenset[Pair]]:
     """Fill implied reflexive entries from the off-diagonal ones."""
+    seen: dict[Unit, set[Pair]] = {}
+    for (a, b), tgts in image.items():
+        seen.setdefault(a, set()).update((p, p) for p, _ in tgts)
+        seen.setdefault(b, set()).update((q, q) for _, q in tgts)
     out = dict(image)
     for i, j in source.relation:
-        if (i, j) in out:
-            continue
-        if i != j:
-            continue
-        seen: set[Pair] = set()
-        for (a, b), tgts in image.items():
-            if a == i:
-                seen.update((p, p) for p, _ in tgts)
-            if b == i:
-                seen.update((q, q) for _, q in tgts)
-        if seen:
-            out[(i, i)] = sorted(seen)
+        if i == j and (i, i) not in out and seen.get(i):
+            out[(i, i)] = frozenset(seen[i])
     return out
 
 

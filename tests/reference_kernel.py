@@ -18,7 +18,9 @@ it is the oracle of classify.ampliated_reduction in test_classify.py.
 
 all_chain_grades lists every summand chain of a tower before any is
 looked at, as decide_tensor did before it walked chains lazily; it is
-the oracle of the chain order in test_tower.py.
+the oracle of the chain order in test_tower.py.  forest_presentation
+builds every algebra and embedding of a Yes certificate afresh, as
+decide_tensor did before it reused the tower's own where they agree.
 
 The dense CKT family at the end is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
@@ -272,6 +274,32 @@ def all_chain_grades(
             for chain in _chains_from(maps, k, p, d):
                 seq = tuple(grades[k - 1 + idx][q] for idx, q in enumerate(chain))
                 out.append(ChainGrades(k, chain, seq))
+    return out
+
+
+def forest_presentation(
+    levels: Sequence[DigraphAlgebra],
+    maps: Sequence[RegularEmbedding],
+    grades: Sequence[dict[Pair, int]],
+) -> list[tuple[list[Pair], DigraphAlgebra, RegularEmbedding | None]]:
+    """Per level: the sorted pairs whose whole orbit stays at grade 1, the
+    algebra they generate, and the tower map restricted to it."""
+    d = len(levels)
+    stab1: list[set[Pair]] = [set() for _ in range(d)]
+    stab1[d - 1] = {p for p in levels[d - 1].irreflexive_pairs() if grades[d - 1][p] == 1}
+    for k in range(d - 2, -1, -1):
+        stab1[k] = {
+            p
+            for p in levels[k].irreflexive_pairs()
+            if grades[k][p] == 1 and maps[k].of(p) <= stab1[k + 1]
+        }
+    algs = [DigraphAlgebra.from_generators(levels[k].blocks, stab1[k]) for k in range(d)]
+    out = []
+    for k in range(d):
+        emb = None
+        if k < d - 1:
+            emb = RegularEmbedding(algs[k], algs[k + 1], {q: maps[k].of(q) for q in algs[k].relation})
+        out.append((sorted(stab1[k]), algs[k], emb))
     return out
 
 

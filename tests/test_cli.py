@@ -15,7 +15,9 @@ from treealg.catalog import (
     triple_copy_tower,
 )
 from treealg.cli import main
+from treealg.embeddings import standard_embedding
 from treealg.formats import graph_to_json, spec_to_json, tower_to_json
+from treealg.tower import Tower
 
 from conftest import random_out_tree
 
@@ -377,6 +379,20 @@ def test_lower_triangular_tower_gets_a_verdict(capsys, tmp_path):
     path = write(tmp_path, "lower.json", doc)
     code, out, _ = run(capsys, "check-tensor", path, "--depth", "3")
     assert code == 0 and "verdict: yes" in out
+
+
+def test_explicit_map_repeats_exit_65(capsys, tmp_path):
+    e = standard_embedding(2, 2)
+    for where in ("image[3]", "image[1]"):
+        doc = tower_to_json(Tower([e.source, e.target], [e]))
+        image = doc["maps"][0]["image"]
+        if where == "image[3]":
+            image.append(image[1])
+        else:
+            image[1][1].append(image[1][1][0])
+        code, out, err = run(capsys, "check-tensor", write(tmp_path, "t.json", doc))
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and f"t.json.maps[0].{where}: " in err
 
 
 def test_nonpositive_rule_parameters_exit_65(capsys, tmp_path):

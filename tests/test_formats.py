@@ -37,7 +37,7 @@ from treealg.formats import (
     vector_to_json,
 )
 from treealg.graphs import DirectedGraph
-from treealg.tower import NestRule, RefinementRule, StandardRule, TreeRefinementRule
+from treealg.tower import NestRule, RefinementRule, StandardRule, Tower, TreeRefinementRule
 
 from conftest import random_dag, random_out_forest, random_weights
 
@@ -200,6 +200,47 @@ def test_tower_map_count_checked():
         tower_from_json(doc)
 
 
+# A matrix unit inside a tower file, by its keys from the document root:
+# a level's unit, an explicit map's source pair, and one of its targets.
+MATRIX_UNITS = {
+    "tower.levels[1].units[2]": ("levels", 1, "units", 2),
+    "tower.maps[0].image[1][0]": ("maps", 0, "image", 1, 0),
+    "tower.maps[0].image[1][1][1]": ("maps", 0, "image", 1, 1, 1),
+}
+
+# (keys inside the matrix unit, the value put there, the rest of the message)
+MALFORMED = [
+    ((0, 1), True, "[0][1]: expected an integer, found bool"),
+    ((0, 1), 1.5, "[0][1]: expected an integer, found float"),
+    ((1, 0), "0", "[1][0]: expected an integer, found str"),
+    ((1, 1), None, "[1][1]: expected an integer, found NoneType"),
+    ((0,), [0], "[0]: a unit is a [block, row] pair"),
+    ((1,), [0, 1, 2], "[1]: a unit is a [block, row] pair"),
+    ((1,), (0, 2), "[1]: expected an array, found tuple"),
+    ((), [[0, 1]], ": a matrix unit is a [[block,row],[block,col]] pair"),
+    ((), [[0, 1], [0, 2], [0, 3]], ": a matrix unit is a [[block,row],[block,col]] pair"),
+    ((), {"range": [0, 1]}, ": expected an array, found dict"),
+    ((), ((0, 1), (0, 2)), ": expected an array, found tuple"),
+    ((), "e12", ": expected an array, found str"),
+    ((), None, ": expected an array, found NoneType"),
+]
+
+
+@pytest.mark.parametrize("where", MATRIX_UNITS)
+@pytest.mark.parametrize("inner, value, rest", MALFORMED)
+def test_malformed_matrix_units_are_worded_exactly(where, inner, value, rest):
+    e = standard_embedding(2, 2)
+    doc = tower_to_json(Tower([e.source, e.target], [e]))
+    keys = MATRIX_UNITS[where] + inner
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    with pytest.raises(FormatError) as info:
+        tower_from_json(doc)
+    assert str(info.value) == where + rest
+
+
 def test_spec_round_trip():
     for spec in [
         TreeRefinementSpec(lambda_tree(), (2, 3), 2),
@@ -259,3 +300,24 @@ def test_dot_output_shape():
     assert dot.startswith("digraph")
     assert '"a b" -> "c";' in dot
     assert 'label="c (1)"' in dot
+
+
+def test_explicit_map_rejects_repeated_pairs():
+    # Once the last of two entries of a source pair won, and a target pair
+    # listed twice was read once: e12 -> 2 e12 + e34 became e12 + e34.
+    e = standard_embedding(2, 2)
+    e12 = [[0, 1], [0, 2]]
+    doc = tower_to_json(Tower([e.source, e.target], [e]))
+    image = doc["maps"][0]["image"]
+    assert image[1] == [e12, [e12, [[0, 3], [0, 4]]]]
+    image.append(image[1])
+    with pytest.raises(FormatError) as info:
+        tower_from_json(doc)
+    assert str(info.value) == (
+        "tower.maps[0].image[3]: source pair ((0, 1), (0, 2)) has an earlier entry"
+    )
+    image.pop()
+    image[1][1].insert(0, e12)
+    with pytest.raises(FormatError) as info:
+        tower_from_json(doc)
+    assert str(info.value) == "tower.maps[0].image[1]: target pair ((0, 1), (0, 2)) is listed twice"

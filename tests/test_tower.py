@@ -1,10 +1,12 @@
 """Decision procedure on towers: verdicts, witnesses, certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_kernel as ref
 from test_golden_decisions import DEPTHS, towers as golden_towers
-from treealg.algebra import DigraphAlgebra, solve_grading
+from treealg.algebra import DigraphAlgebra, solve_grading, unit_name
 from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
 from treealg.catalog import (
     lambda_tree,
@@ -14,7 +16,7 @@ from treealg.catalog import (
     standard_tower,
     triple_copy_tower,
 )
-from treealg.embeddings import RegularEmbedding, refinement_embedding
+from treealg.embeddings import RegularEmbedding, refinement_embedding, translation_embedding
 import treealg.tower
 from treealg.errors import MismatchedLevels, OutputTooLarge
 from treealg.tower import (
@@ -25,6 +27,7 @@ from treealg.tower import (
     LevelStructureWitness,
     NestRule,
     NestRuleWitness,
+    RefinementRule,
     StandardRule,
     Tower,
     Verdict,
@@ -270,38 +273,61 @@ def test_decision_is_deterministic():
     assert ea == eb
 
 
+def check_against_the_eager_reference(t: Tower, depth: int) -> bool:
+    """Compare decide_tensor with the eager chain list, when every level
+    is a tree: under a rule the witness is the first rising chain of the
+    list at its first rise, without one the unsettled chains are the eager
+    filter, and a Yes certificate is the one built afresh.  False when
+    some level is not a tree."""
+    levels, maps = materialize(t, depth)
+    solved = [solve_grading(a) for a in levels]
+    if not all(solved):
+        return False
+    grades = [s.grade for s in solved]
+    chains = ref.all_chain_grades(levels, maps, grades)
+    dec = decide_tensor(t, depth)
+    cert = dec.certificate
+    if t.rule is not None:
+        rises = (
+            GradeGrowthWitness(cg, cg.start_level + i)
+            for cg in chains
+            for i in range(len(cg.grades) - 1)
+            if cg.grades[i + 1] > cg.grades[i]
+        )
+        first = next(rises, None)
+        if first is None:
+            assert not isinstance(cert, GradeGrowthWitness)
+        else:
+            assert cert == first
+    else:
+        unsettled = cert.unsettled if isinstance(cert, InconclusiveReport) else ()
+        assert unsettled == tuple(
+            cg for cg in chains if any(g != cg.grades[1] for g in cg.grades[2:])
+        )
+    if dec.verdict is Verdict.YES:
+        want = ref.forest_presentation(levels, maps, grades)
+        assert len(cert.levels) == len(want)
+        for lv, (pairs, alg, emb) in zip(cert.levels, want):
+            edges = [(unit_name(j), unit_name(i)) for i, j in pairs]
+            assert sorted(lv.forest.graph.edges) == sorted(edges)
+            assert lv.algebra == alg
+            assert lv.embedding == emb
+    return True
+
+
 def test_chain_walk_matches_the_eager_reference():
-    # Over the golden decision corpus, wherever every level is a tree:
-    # under a rule the witness is the first rising chain of the eager list
-    # at its first rise, without one the unsettled chains are the eager
-    # filter, and counting_grade lists a pair's eager chains in order.
+    # Over the golden decision corpus; counting_grade lists a pair's eager
+    # chains in order.
     checked = 0
     for _, t in golden_towers():
         for depth in DEPTHS:
-            levels, maps = materialize(t, depth)
-            solved = [solve_grading(a) for a in levels]
-            if not all(solved):
+            if not check_against_the_eager_reference(t, depth):
                 continue
             checked += 1
-            chains = ref.all_chain_grades(levels, maps, [s.grade for s in solved])
-            cert = decide_tensor(t, depth).certificate
-            if t.rule is not None:
-                rises = (
-                    GradeGrowthWitness(cg, cg.start_level + i)
-                    for cg in chains
-                    for i in range(len(cg.grades) - 1)
-                    if cg.grades[i + 1] > cg.grades[i]
-                )
-                first = next(rises, None)
-                if first is None:
-                    assert not isinstance(cert, GradeGrowthWitness)
-                else:
-                    assert cert == first
-            else:
-                unsettled = cert.unsettled if isinstance(cert, InconclusiveReport) else ()
-                assert unsettled == tuple(
-                    cg for cg in chains if any(g != cg.grades[1] for g in cg.grades[2:])
-                )
+            levels, maps = materialize(t, depth)
+            chains = ref.all_chain_grades(
+                levels, maps, [solve_grading(a).grade for a in levels]
+            )
             # Every pair of level 1, where chains are longest, and the
             # first pair of each later level: counting_grade materializes
             # the tower on every call.
@@ -312,3 +338,72 @@ def test_chain_walk_matches_the_eager_reference():
                         cg for cg in chains if cg.start_level == k and cg.pairs[0] == p
                     ]
     assert checked > 50
+
+
+MAX_PROPERTY_UNITS = 32
+
+
+@st.composite
+def translation_towers(draw):
+    """A stored prefix of translation embeddings, with or without a rule.
+
+    Each level is one block holding an order whose units increase along
+    every pair: a full triangular block or a forest order.  Each step
+    places m copies of the level along rows that interleave at random and
+    increase inside each copy, into the image or into the full triangular
+    level of size n * m.
+    """
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        level = DigraphAlgebra.upper_triangular(n)
+    else:
+        parents = [draw(st.integers(i, n)) for i in range(1, n)]
+        level = DigraphAlgebra.from_generators(
+            [n], [((0, i), (0, p)) for i, p in enumerate(parents, 1) if p != i]
+        )
+    levels, maps = [level], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 3))
+        if n * m > MAX_PROPERTY_UNITS:
+            break
+        labels = draw(st.permutations([c for c in range(m) for _ in range(n)]))
+        # Row i of copy c goes to the position of the i-th label c.
+        at = {i: [0] * m for i in range(1, n + 1)}
+        seen = [0] * m
+        for pos, c in enumerate(labels, 1):
+            seen[c] += 1
+            at[seen[c]][c] = pos
+        target = DigraphAlgebra.upper_triangular(n * m) if draw(st.booleans()) else None
+        e = translation_embedding(levels[-1], at.__getitem__, target)
+        levels.append(e.target)
+        maps.append(e)
+        n *= m
+    rule = draw(st.sampled_from([None, StandardRule(1), StandardRule(2), RefinementRule(2)]))
+    extra = 0
+    while rule is not None and n * 2 ** (extra + 1) <= MAX_PROPERTY_UNITS and extra < 2:
+        extra += 1
+    depth = len(levels) + draw(st.integers(0, extra))
+    return Tower(levels, maps, rule), depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(translation_towers())
+def test_decision_matches_the_eager_reference_on_translation_towers(case):
+    t, depth = case
+    assert check_against_the_eager_reference(t, depth)
+
+
+@pytest.mark.parametrize(
+    "tower, depth", [(standard_tower(2, 2), 7), (triple_copy_tower(3), 3)]
+)
+def test_yes_walks_no_chain(monkeypatch, tower, depth):
+    calls = []
+
+    def counted(maps, grades, level, pair):
+        calls.append((level, pair))
+        return chain_grades(maps, grades, level, pair)
+
+    chain_grades = treealg.tower._chain_grades
+    monkeypatch.setattr(treealg.tower, "_chain_grades", counted)
+    assert decide_tensor(tower, depth).verdict is Verdict.YES
+    assert calls == []
