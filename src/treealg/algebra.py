@@ -159,7 +159,12 @@ class DigraphAlgebra:
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
-        return cls([n], [((0, i), (0, j)) for i in range(1, n + 1) for j in range(i, n + 1)])
+        """One n-unit block whose row i holds the units i, i+1, ..., n."""
+        bl, us, _ = cls._rows_of([n], ())
+        full = (1 << n) - 1
+        a = cls.__new__(cls)
+        a._set(bl, us, [full ^ ((1 << i) - 1) for i in range(n)])
+        return a
 
     @classmethod
     def from_graph(cls, g: DirectedGraph | OutForest) -> tuple["DigraphAlgebra", dict[str, Unit]]:

@@ -5,6 +5,13 @@ Ampliating a tree by a multiplicity l replaces every vertex i by a chain
 single edge (j,l) -> (i,1).  Row (i-1)l + s of the next matrix level
 corresponds to the vertex (i,s), so the refinement embedding carries the
 order algebra of a tree into the order algebra of its ampliation.
+
+K steps by l have a closed form.  Each step turns a chain
+x_1 -> ... -> x_m into the chain (x_1,1) -> ... -> (x_1,l) -> (x_2,1)
+-> ... -> (x_m,l), so by induction vertex i becomes one chain of the l^K
+nested names (...((i,s_1),s_2)...,s_K), in lexicographic order of
+(s_1, ..., s_K), and tree edge j -> i becomes the single edge from the
+last name of j, all s = l, to the first name of i, all s = 1.
 """
 
 from __future__ import annotations
@@ -22,23 +29,32 @@ def pair_name(base: str, s: int) -> str:
     return f"({base},{s})"
 
 
-def ampliate(tree: OutForest, l: int) -> OutForest:
-    """The multiplicity-l ampliation of a single out-tree.
+def ampliate(tree: OutForest, l: int, steps: int = 1) -> OutForest:
+    """The ampliation of a single out-tree by multiplicity l, applied
+    steps times.
 
-    Vertices are named "(v,s)" with v the base vertex and 1 <= s <= l, in
-    base declaration order; weights are not carried over.
+    Built in one pass from the closed form in the module docstring, with
+    the names and the vertex order that steps single ampliations give:
+    "(v,s)" after one step, "((v,s),t)" after two, in base declaration
+    order and then lexicographically.  Weights are not carried over.
+    Zero steps return the input itself, which may then be a forest.
     """
-    if not tree.is_tree():
+    if steps > 0 and not tree.is_tree():
         raise NotATree("ampliation is defined for single-rooted trees")
     if l < 1:
         raise ValueError("multiplicity must be at least 1")
-    vertices = [pair_name(v, s) for v in tree.vertices for s in range(1, l + 1)]
-    edges = []
-    for v in tree.vertices:
-        for s in range(1, l):
-            edges.append((pair_name(v, s), pair_name(v, s + 1)))
-    for j, i in tree.edges:
-        edges.append((pair_name(j, l), pair_name(i, 1)))
+    if steps < 0:
+        raise ValueError("the number of steps must not be negative")
+    if steps == 0:
+        return tree
+    tails = [""]
+    for _ in range(steps):
+        tails = [f"{tail},{s})" for tail in tails for s in range(1, l + 1)]
+    head = "(" * steps
+    chains = {v: [f"{head}{v}{tail}" for tail in tails] for v in tree.vertices}
+    vertices = [name for chain in chains.values() for name in chain]
+    edges = [e for chain in chains.values() for e in zip(chain, chain[1:])]
+    edges += [(chains[j][-1], chains[i][0]) for j, i in tree.edges]
     return OutForest(DirectedGraph(vertices, edges))
 
 

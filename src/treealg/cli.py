@@ -50,8 +50,9 @@ DATA_ERROR = 65
 INTERNAL_ERROR = 70
 
 MAX_AMPLIATED_VERTICES = 250_000
-# The most vertices `ampliate` builds over all its steps; step k of an
-# n-vertex tree by l builds n·l^k of them.
+# The most vertices `ampliate` may count over all its steps, n·l + ... +
+# n·l^K for K steps of an n-vertex tree by l, though only the last n·l^K
+# are built.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,8 +151,58 @@ def _emit(ns: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(o, indent: str = "\n") -> str:
+    """o as json.dumps(o, indent=2) writes it, without the pure-Python
+    encoder that json selects for an indent.
+
+    indent is the newline and indentation in front of o's closing
+    bracket.  Values must have the exact types str, int, float, bool,
+    None, list, tuple or dict, and dict keys must be strings; lists and
+    tuples are written alike, and only floats go through json.
+    """
+    t = type(o)
+    if t is str:
+        return _string(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        deeper = inner + "  "
+        items = []
+        for x in o:
+            if type(x) is str:
+                items.append(_string(x))
+            elif type(x) is list and len(x) == 2 and type(x[0]) is str and type(x[1]) is str:
+                # Every edge is a pair of strings; writing pairs here saves
+                # a call per edge.
+                items.append(f"[{deeper}{_string(x[0])},{deeper}{_string(x[1])}{inner}]")
+            else:
+                items.append(_json_text(x, inner))
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = [_string(k) + ": " + _json_text(v, inner) for k, v in o.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return repr(o)
+    if t is float:
+        return json.dumps(o)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit_json(ns: argparse.Namespace, doc) -> None:
-    _emit(ns, json.dumps(doc, indent=2) + "\n")
+    _emit(ns, _json_text(doc) + "\n")
 
 
 def _emit_graph(ns: argparse.Namespace, g) -> None:
@@ -214,7 +265,8 @@ def cmd_check_tensor(ns: argparse.Namespace) -> int:
 def cmd_ampliate(ns: argparse.Namespace) -> int:
     tree = _read(formats.forest_from_json, ns.graph)
     built, size = 0, len(tree.vertices)
-    for _ in range(ns.steps):
+    # An empty forest builds nothing at any step, and ampliate rejects it.
+    for _ in range(ns.steps if size else 0):
         size *= ns.multiplicity
         built += size
         if built > MAX_AMPLIATED_VERTICES:
@@ -222,9 +274,7 @@ def cmd_ampliate(ns: argparse.Namespace) -> int:
                 f"{ns.steps} ampliation steps by {ns.multiplicity} build more than"
                 f" {MAX_AMPLIATED_VERTICES} vertices"
             )
-    for _ in range(ns.steps):
-        tree = ampliate(tree, ns.multiplicity)
-    _emit_graph(ns, tree)
+    _emit_graph(ns, ampliate(tree, ns.multiplicity, ns.steps))
     return 0
 
 

@@ -87,13 +87,14 @@ def _positive(obj: dict, key: str, path: str) -> int:
 
 def graph_to_json(g: DirectedGraph | OutForest) -> dict:
     graph = g.graph if isinstance(g, OutForest) else g
-    order = {v: k for k, v in enumerate(graph.vertices)}
     verts: list[Json] = [
         {"id": v, "weight": graph.weight(v)} if graph.weight(v) else v
         for v in graph.vertices
     ]
-    edges = sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]]))
-    return {"vertices": verts, "edges": [[s, t] for s, t in edges]}
+    # Successors are stored in vertex order, so this lists the edges
+    # sorted by (source, target) position.
+    edges = [[s, t] for s in graph.vertices for t in graph.successors(s)]
+    return {"vertices": verts, "edges": edges}
 
 
 def graph_from_json(obj: Json, path: str = "graph") -> DirectedGraph:
@@ -519,13 +520,13 @@ def _dot_quote(s: str) -> str:
 
 def graph_to_dot(g: DirectedGraph | OutForest, name: str = "G") -> str:
     graph = g.graph if isinstance(g, OutForest) else g
-    order = {v: k for k, v in enumerate(graph.vertices)}
     lines = [f"digraph {_dot_quote(name)[1:-1]} {{"]
     for v in graph.vertices:
         w = graph.weight(v)
         label = f" [label={_dot_quote(f'{v} ({w})')}]" if w else ""
         lines.append(f"  {_dot_quote(v)}{label};")
-    for s, t in sorted(graph.edges, key=lambda e: (order[e[0]], order[e[1]])):
-        lines.append(f"  {_dot_quote(s)} -> {_dot_quote(t)};")
+    for s in graph.vertices:
+        for t in graph.successors(s):
+            lines.append(f"  {_dot_quote(s)} -> {_dot_quote(t)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

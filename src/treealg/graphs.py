@@ -59,10 +59,13 @@ class DirectedGraph:
         self._weights = {v: ws.get(v, 0) for v in vs}
         succ: dict[str, list[str]] = {v: [] for v in vs}
         pred: dict[str, list[str]] = {v: [] for v in vs}
-        # Adjacency kept in declaration order so traversals are deterministic.
-        for s, t in sorted(es, key=lambda e: (index[e[0]], index[e[1]])):
+        for s, t in es:
             succ[s].append(t)
             pred[t].append(s)
+        # Adjacency kept in declaration order so traversals are deterministic.
+        for adjacent in (*succ.values(), *pred.values()):
+            if len(adjacent) > 1:
+                adjacent.sort(key=index.__getitem__)
         self._succ = succ
         self._pred = pred
 
@@ -89,9 +92,6 @@ class DirectedGraph:
 
     def out_degree(self, v: str) -> int:
         return len(self._succ[v])
-
-    def in_degree(self, v: str) -> int:
-        return len(self._pred[v])
 
     def has_edge(self, s: str, t: str) -> bool:
         return (s, t) in self._edges
@@ -166,12 +166,13 @@ class OutForest:
     __slots__ = ("_graph", "_roots")
 
     def __init__(self, graph: DirectedGraph) -> None:
-        bad = next((v for v in graph.vertices if graph.in_degree(v) > 1), None)
+        pred = graph._pred
+        bad = next((v for v in graph.vertices if len(pred[v]) > 1), None)
         if bad is not None:
             raise ValueError(
                 f"vertex {bad!r} has several parents: {graph.predecessors(bad)}"
             )
-        roots = tuple(v for v in graph.vertices if graph.in_degree(v) == 0)
+        roots = tuple(v for v in graph.vertices if not pred[v])
         # With every in-degree at most 1, the graph is acyclic exactly when
         # every vertex is reached from a root, and no vertex is reached twice.
         reached, stack = 0, list(roots)

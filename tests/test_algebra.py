@@ -112,6 +112,19 @@ def test_upper_triangular_relation_size():
     assert not DigraphAlgebra([3], pairs((1, 2), (1, 3), (3, 2))).is_full_upper_triangular()
 
 
+def test_upper_triangular_matches_the_generic_constructor():
+    for n in range(1, 41):
+        generic = DigraphAlgebra(
+            [n], [(u(i), u(j)) for i in range(1, n + 1) for j in range(i, n + 1)]
+        )
+        a = DigraphAlgebra.upper_triangular(n)
+        assert a == generic
+        assert a.units() == generic.units()
+        assert a.irreflexive_pairs() == generic.irreflexive_pairs()
+    with pytest.raises(ValueError):
+        DigraphAlgebra.upper_triangular(0)
+
+
 def test_from_graph_unit_assignment():
     a, to_unit = branching_algebra()
     assert to_unit == {"1": u(1), "2": u(2), "3": u(3), "4": u(4)}

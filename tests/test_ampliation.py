@@ -1,6 +1,8 @@
 """Ampliation of trees and the refinement towers built from them."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treealg.ampliation import (
     TreeRefinementSpec,
@@ -13,6 +15,8 @@ from treealg.catalog import branching_tree, lambda_tree
 from treealg.errors import NotATree
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import TreeRefinementRule
+
+from reference_kernel import iterated_ampliation
 
 
 def test_lambda_ampliation_by_two_exact_lists():
@@ -54,6 +58,34 @@ def test_rejects_forests_and_bad_multiplicity():
         ampliate(two, 2)
     with pytest.raises(ValueError):
         ampliate(lambda_tree(), 0)
+
+
+@st.composite
+def trees(draw):
+    """Trees on 1 to 8 vertices in a random declaration order, with names
+    holding the "(", "," and ")" of ampliated names."""
+    n = draw(st.integers(1, 8))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    names = draw(st.lists(st.sampled_from(["a", "a)", "(a", ",1", "b"]), min_size=n, max_size=n))
+    vs = [f"{x}{k}" for k, x in enumerate(names)]
+    edges = [(vs[p], vs[i]) for i, p in enumerate(parents, start=1)]
+    return OutForest(DirectedGraph(draw(st.permutations(vs)), edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.integers(1, 4), st.integers(0, 3))
+def test_steps_match_the_iterated_single_step(tree, l, k):
+    # Same names, same vertex order, same edges as k single steps.
+    assert ampliate(tree, l, k) == iterated_ampliation(tree, [l] * k)
+
+
+def test_zero_steps_return_the_input_and_negative_steps_fail():
+    two = OutForest(DirectedGraph(["1", "2"], []))
+    assert ampliate(two, 3, 0) is two
+    with pytest.raises(NotATree):
+        ampliate(two, 3, 2)
+    with pytest.raises(ValueError):
+        ampliate(lambda_tree(), 2, -1)
 
 
 def test_refinement_between_images_are_the_copy_translates():

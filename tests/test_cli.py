@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.catalog import (
@@ -14,7 +16,7 @@ from treealg.catalog import (
     standard_tower,
     triple_copy_tower,
 )
-from treealg.cli import main
+from treealg.cli import _json_text, main
 from treealg.embeddings import standard_embedding
 from treealg.formats import graph_to_json, spec_to_json, tower_to_json
 from treealg.tower import Tower
@@ -61,6 +63,23 @@ def test_ampliate_zero_steps_echoes(capsys, lam):
     code, out, _ = run(capsys, "ampliate", lam, "-l", "5", "--steps", "0")
     assert code == 0
     assert json.loads(out) == graph_to_json(lambda_tree()) or json.loads(out) == LAMBDA_DOC
+
+
+def test_ampliate_zero_steps_echoes_a_forest(capsys, tmp_path):
+    doc = {"vertices": ["a", "b", "c"], "edges": [["b", "c"]]}
+    path = write(tmp_path, "forest.json", doc)
+    code, out, _ = run(capsys, "ampliate", path, "-l", "2", "--steps", "0")
+    assert code == 0
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_ampliate_an_empty_forest_fails_before_counting_steps(capsys, tmp_path):
+    path = write(tmp_path, "empty.json", {"vertices": [], "edges": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ampliate", path, "-l", "2", "--steps", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 65 and out == ""
+    assert err == "treealg: error: ampliation is defined for single-rooted trees\n"
 
 
 def test_ampliate_chain_growth(capsys, tmp_path):
@@ -443,3 +462,30 @@ def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "check-tensor", path)
     assert code == 70 and out == ""
     assert err == "treealg: internal error: KeyError: 'boom'\n"
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids)
+    | st.lists(kids).map(tuple)
+    | st.dictionaries(st.text(), kids)
+    | st.lists(st.text(), min_size=2, max_size=2),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_DOCS)
+def test_json_writer_matches_the_indenting_encoder(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)

@@ -23,6 +23,18 @@ def g(vertices, edges, weights=None):
     return DirectedGraph(vertices.split(), edges, weights)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_adjacency_follows_declaration_order(data):
+    vs = data.draw(st.permutations([str(k) for k in range(6)]))
+    pairs = st.tuples(st.sampled_from(vs), st.sampled_from(vs)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pairs, max_size=20))
+    graph = DirectedGraph(vs, edges)
+    for v in vs:
+        assert graph.successors(v) == tuple(t for t in vs if (v, t) in edges)
+        assert graph.predecessors(v) == tuple(s for s in vs if (s, v) in edges)
+
+
 def test_rejects_self_loop():
     with pytest.raises(ValueError):
         g("a b", [("a", "a")])
