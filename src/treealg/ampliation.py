@@ -12,6 +12,11 @@ x_1 -> ... -> x_m into the chain (x_1,1) -> ... -> (x_1,l) -> (x_2,1)
 nested names (...((i,s_1),s_2)...,s_K), in lexicographic order of
 (s_1, ..., s_K), and tree edge j -> i becomes the single edge from the
 last name of j, all s = l, to the first name of i, all s = 1.
+
+ampliate builds that graph directly and states there why it is an
+out-tree, so the result is not checked again.  The refinement
+embeddings come from translation_embedding, which establishes their
+laws from its row conditions.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from .algebra import DigraphAlgebra
 from .embeddings import RegularEmbedding, refinement_rows, translation_embedding
 from .errors import NotATree
-from .graphs import DirectedGraph, OutForest
+from .graphs import OutForest, unchecked_forest
 from .tower import Tower, TreeRefinementRule
 
 
@@ -38,6 +43,17 @@ def ampliate(tree: OutForest, l: int, steps: int = 1) -> OutForest:
     "(v,s)" after one step, "((v,s),t)" after two, in base declaration
     order and then lexicographically.  Weights are not carried over.
     Zero steps return the input itself, which may then be a forest.
+
+    The forest laws hold by construction, so the result is built by
+    unchecked_forest.  Names are injective: the text after the last
+    comma of "(x,s)" is "s)", so the name gives x and s, and by
+    induction on the steps the base vertex and every s.  Every vertex
+    but the root's first copy has one parent: the previous name of its
+    chain, or, first in a chain, the last name of the base parent's
+    chain.  Following chains and tree edges from the root's first copy
+    reaches every vertex, so there is no cycle and that copy is the
+    only root.  Parents are listed in vertex order, since the chains
+    are laid out in base order.
     """
     if steps > 0 and not tree.is_tree():
         raise NotATree("ampliation is defined for single-rooted trees")
@@ -52,10 +68,13 @@ def ampliate(tree: OutForest, l: int, steps: int = 1) -> OutForest:
         tails = [f"{tail},{s})" for tail in tails for s in range(1, l + 1)]
     head = "(" * steps
     chains = {v: [f"{head}{v}{tail}" for tail in tails] for v in tree.vertices}
-    vertices = [name for chain in chains.values() for name in chain]
-    edges = [e for chain in chains.values() for e in zip(chain, chain[1:])]
-    edges += [(chains[j][-1], chains[i][0]) for j, i in tree.edges]
-    return OutForest(DirectedGraph(vertices, edges))
+    parent = {}
+    for v, chain in chains.items():
+        u = tree.parent(v)
+        if u is not None:
+            parent[chain[0]] = chains[u][-1]
+        parent.update(zip(chain[1:], chain))
+    return unchecked_forest((name for chain in chains.values() for name in chain), parent)
 
 
 @dataclass(frozen=True)

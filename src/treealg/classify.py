@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .ampliation import TreeRefinementSpec, pair_name
 from .errors import NotATree
-from .graphs import DirectedGraph, OutForest
+from .graphs import OutForest, unchecked_forest
 
 
 def reduce(g: OutForest, weights: bool = True) -> OutForest:
@@ -48,6 +48,11 @@ def reduce(g: OutForest, weights: bool = True) -> OutForest:
     weights it carried to the chain's deeper endpoint; the weights ride
     on the result's graph.  With weights False the weights g carries are
     read as 0, as ampliation reads them.
+
+    The result is a tree by construction, so it is built by
+    unchecked_forest: each kept vertex but the root gets its nearest
+    kept proper ancestor as parent, so parent chains follow those of g
+    up to the root, and parents are listed in g's vertex order.
     """
     if not g.is_tree():
         raise NotATree("reduction is defined for single-rooted trees")
@@ -59,19 +64,17 @@ def reduce(g: OutForest, weights: bool = True) -> OutForest:
         if v == root or g.graph.out_degree(v) != 1
     ]
     kept = set(keep)
-    edges = []
-    extra = {v: 0 for v in keep}
+    parent = {}
+    weight = {v: base[v] for v in keep}
     for v in keep:
         if v == root:
             continue
-        absorbed = 0
         a = g.parent(v)
         while a not in kept:
-            absorbed += 1 + base[a]
+            weight[v] += 1 + base[a]
             a = g.parent(a)
-        edges.append((a, v))
-        extra[v] = absorbed
-    return OutForest(DirectedGraph(keep, edges, {v: base[v] + extra[v] for v in keep}))
+        parent[v] = a
+    return unchecked_forest(keep, parent, weight)
 
 
 @dataclass(frozen=True, order=True)
@@ -224,6 +227,13 @@ def ampliated_reduction(red: OutForest, factors: Sequence[int]) -> OutForest:
     the module docstring for the proof); the cost is O(|red|) however
     large the product of the factors.  Like ampliation, this reads the
     weights of g as 0, so with no factor it returns red itself.
+
+    The result is built by unchecked_forest.  Its names are distinct:
+    nested pair names are injective, and the root's first and last
+    copies are both present only when L > 1, where they differ.  Every
+    vertex but the root's first copy gets one parent, a copy of its
+    parent in red or, for the root's last copy, the first, and parents
+    are listed in vertex order.
     """
     root = red.single_root()
     l = math.prod(factors)
@@ -231,18 +241,19 @@ def ampliated_reduction(red: OutForest, factors: Sequence[int]) -> OutForest:
     top = functools.reduce(pair_name, [1] * len(factors), root)
     stem = l == 1 or red.graph.out_degree(root) == 1
     weights: dict[str, int] = {}  # in the order of the ampliation's vertices
-    edges = [] if stem else [(top, last[root])]
+    parent = {}
     for v in red.vertices:
         if v == root:
             weights[top] = 0
             if not stem:
                 weights[last[v]] = l - 2
+                parent[last[v]] = top
             continue
         u = red.parent(v)
-        parent = top if u == root and stem else last[u]
-        weights[last[v]] = l * red.graph.weight(v) + l - 1 + (l - 1 if parent == top else 0)
-        edges.append((parent, last[v]))
-    return OutForest(DirectedGraph(weights, edges, weights))
+        up = top if u == root and stem else last[u]
+        parent[last[v]] = up
+        weights[last[v]] = l * red.graph.weight(v) + l - 1 + (l - 1 if up == top else 0)
+    return unchecked_forest(weights, parent, weights)
 
 
 def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:

@@ -10,12 +10,15 @@ must have to come from a star-extendable algebra homomorphism:
 * images compose: im(i,j) * im(j,k) = im(i,k) pairwise, checked where
   (i, j) is a covering pair (see RegularEmbedding).
 
-Embeddings that place copies of a single-block level along a row formula
-are built by one helper, translation_embedding.  The two classical row
-formulas: with block size n and multiplicity m, the standard embedding
-sends e_ij to the sum of e_{i+kn, j+kn} over k < m; with step l the
-refinement embedding sends e_ij to the sum of e_{(i-1)l+s, (j-1)l+s} over
-1 <= s <= l.
+The RegularEmbedding constructor checks these laws on any map it is
+given, such as one read from a file.  Embeddings that place copies of a
+single-block level along a row formula are built by one helper,
+translation_embedding, which establishes the laws from three cheap
+conditions on its rows instead and skips the constructor.  The two
+classical row formulas: with block size n and multiplicity m, the
+standard embedding sends e_ij to the sum of e_{i+kn, j+kn} over k < m;
+with step l the refinement embedding sends e_ij to the sum of
+e_{(i-1)l+s, (j-1)l+s} over 1 <= s <= l.
 """
 
 from __future__ import annotations
@@ -110,9 +113,24 @@ class RegularEmbedding:
                             f"images of ({i},{j}) and ({j},{k}) compose to "
                             f"{sorted(composed)} but ({i},{k}) maps to {sorted(img[(i, k)])}"
                         )
+        self._set(source, target, img)
+
+    def _set(
+        self,
+        source: DigraphAlgebra,
+        target: DigraphAlgebra,
+        image: dict[Pair, frozenset[Pair]],
+    ) -> "RegularEmbedding":
+        """Store the fields as given and return self, checking nothing.
+
+        The constructor ends here after its checks;
+        translation_embedding calls it on a fresh instance once its row
+        conditions guarantee every law.
+        """
         self._source = source
         self._target = target
-        self._image = img
+        self._image = image
+        return self
 
     @property
     def source(self) -> DigraphAlgebra:
@@ -164,19 +182,47 @@ def translation_embedding(
     order; e_ij goes to the sum over copies c of e_{rows(i)[c], rows(j)[c]}.
     Without a target the image algebra is used: one block of size n times
     the number of copies, holding exactly the image pairs.
+
+    The laws of RegularEmbedding follow from three conditions, checked
+    here in their place: every rows(i) has the same length m >= 1, the
+    n·m rows are pairwise distinct, and every image pair lies in the
+    target relation.  Then the image covers the source relation with
+    nonempty sets; a diagonal unit goes to its m diagonal rows, disjoint
+    from those of any other unit; the image of (i, j) pairs copy c of
+    row i with copy c of row j, so its ranges and sources enumerate the
+    diagonal images of i and j once each; and the images of (i, j) and
+    (j, k) compose copy by copy to the image of (i, k).
     """
     if len(source.blocks) != 1:
         raise MultiBlockUnsupported("row translations need a single-block source")
     n = source.blocks[0]
     at = {i: rows(i) for i in range(1, n + 1)}
+    m = len(at[1])
+    if not m:
+        raise ValueError(f"unit {(0, 1)} has no rows")
+    owner: dict[int, int] = {}
+    for i, rs in at.items():
+        if len(rs) != m:
+            raise ValueError(f"unit {(0, i)} has {len(rs)} rows where unit {(0, 1)} has {m}")
+        for r in rs:
+            if owner.get(r) == i:
+                raise ValueError(f"unit {(0, i)} lists row {r} twice")
+            if r in owner:
+                raise ValueError(f"row {r} of unit {(0, i)} is a row of unit {(0, owner[r])} too")
+            owner[r] = i
     image = {
         (u, v): frozenset(((0, pi), (0, pj)) for pi, pj in zip(at[u[1]], at[v[1]]))
         for u, v in source.relation
     }
     if target is None:
         off = {q for im in image.values() for q in im if q[0] != q[1]}
-        target = DigraphAlgebra([n * len(at[1])], off)
-    return RegularEmbedding(source, target, image)
+        target = DigraphAlgebra([n * m], off)
+    target_rel = target.relation
+    for p, im in image.items():
+        for q in im:
+            if q not in target_rel:
+                raise ValueError(f"image pair {q} of {p} is not in the target relation")
+    return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, image)
 
 
 def standard_embedding(n: int, m: int) -> RegularEmbedding:

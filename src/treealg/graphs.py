@@ -5,6 +5,11 @@ deterministic ordering in the package derives from that order.  Graphs are
 irreflexive (self-loops are rejected) and immutable after construction.
 Reflexivity and transitive closure, where they matter, are handled at the
 algebra layer.
+
+The constructors check every graph and forest given to them, such as one
+read from a file.  The library's own constructions (ampliations,
+reductions, forest presentations) are forests by construction, proved
+where they are built, and go through unchecked_forest instead.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ class DirectedGraph:
                 raise ValueError(f"weight given for undeclared vertex {v!r}")
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError(f"weight of {v!r} must be a nonnegative integer")
-        self._vertices = vs
-        self._edges = frozenset(es)
-        self._weights = {v: ws.get(v, 0) for v in vs}
         succ: dict[str, list[str]] = {v: [] for v in vs}
         pred: dict[str, list[str]] = {v: [] for v in vs}
         for s, t in es:
@@ -66,8 +68,27 @@ class DirectedGraph:
         for adjacent in (*succ.values(), *pred.values()):
             if len(adjacent) > 1:
                 adjacent.sort(key=index.__getitem__)
+        self._set(vs, succ, pred, {v: ws.get(v, 0) for v in vs})
+
+    def _set(
+        self,
+        vertices: tuple[str, ...],
+        succ: dict[str, list[str]],
+        pred: dict[str, list[str]],
+        weights: dict[str, int],
+    ) -> "DirectedGraph":
+        """Store the fields as given and return self, checking nothing.
+
+        The constructor ends here after its checks, and unchecked_forest
+        calls it on graphs that pass them by construction.  Adjacency
+        lists are in declaration order, and every vertex has a weight.
+        """
+        self._vertices = vertices
         self._succ = succ
         self._pred = pred
+        self._weights = weights
+        self._edges = None
+        return self
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -75,6 +96,9 @@ class DirectedGraph:
 
     @property
     def edges(self) -> frozenset[Edge]:
+        # Built from the successors on first use.
+        if self._edges is None:
+            self._edges = frozenset((s, t) for s, ts in self._succ.items() for t in ts)
         return self._edges
 
     @property
@@ -94,24 +118,24 @@ class DirectedGraph:
         return len(self._succ[v])
 
     def has_edge(self, s: str, t: str) -> bool:
-        return (s, t) in self._edges
+        return (s, t) in self.edges
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
         return (
             self._vertices == other._vertices
-            and self._edges == other._edges
+            and self._succ == other._succ
             and self._weights == other._weights
         )
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._edges, tuple(sorted(self._weights.items()))))
+        return hash((self._vertices, self.edges, tuple(sorted(self._weights.items()))))
 
     def __repr__(self) -> str:
         return (
             f"DirectedGraph({len(self._vertices)} vertices, "
-            f"{len(self._edges)} edges)"
+            f"{len(self.edges)} edges)"
         )
 
 
@@ -181,8 +205,17 @@ class OutForest:
             stack.extend(graph._succ[stack.pop()])
         if reached != len(graph.vertices):
             raise ValueError(f"directed cycle: {' -> '.join(find_cycle(graph))}")
+        self._set(graph, roots)
+
+    def _set(self, graph: DirectedGraph, roots: tuple[str, ...]) -> "OutForest":
+        """Store the fields as given and return self, checking nothing.
+
+        The constructor ends here after its checks, and unchecked_forest
+        calls it on forests that pass them by construction.
+        """
         self._graph = graph
         self._roots = roots
+        return self
 
     @property
     def graph(self) -> DirectedGraph:
@@ -238,3 +271,28 @@ class OutForest:
     def __repr__(self) -> str:
         return f"OutForest({len(self.vertices)} vertices, roots={list(self._roots)})"
 
+
+def unchecked_forest(
+    vertices: Iterable[str],
+    parent: Mapping[str, str],
+    weights: dict[str, int] | None = None,
+) -> OutForest:
+    """The out-forest on vertices, in that order, with the given parents,
+    built without the checks of DirectedGraph and OutForest.
+
+    For a forest that is one by construction.  The caller guarantees
+    what the checks would: distinct vertices, every parent a vertex
+    other than its child, no cycle, and a nonnegative weight for every
+    vertex when weights is given.  parent must list children in vertex
+    order, so that every adjacency list comes out in declaration order.
+    The roots are the vertices without a parent.
+    """
+    vs = tuple(vertices)
+    succ: dict[str, list[str]] = {v: [] for v in vs}
+    for v, u in parent.items():
+        succ[u].append(v)
+    roots = tuple(v for v in vs if v not in parent)
+    pred = {v: [u] for v, u in parent.items()} | {r: [] for r in roots}
+    ws = dict.fromkeys(vs, 0) if weights is None else weights
+    graph = DirectedGraph.__new__(DirectedGraph)._set(vs, succ, pred, ws)
+    return OutForest.__new__(OutForest)._set(graph, roots)

@@ -4,9 +4,10 @@ These are the loops the algebra layer ran before it stored relations as
 row bitmasks.  They work on plain sets of (range, source) unit pairs and
 cost up to |R|^2 steps each, so they serve only as the oracle that
 test_kernel.py compares the bitmask kernel against on small relations.
-grading_ok and embedding_ok check additivity and composition on every
-composable pair, where Grading and RegularEmbedding check only those
-whose first factor is a covering pair.
+grading_ok checks additivity and coherence on every composable pair;
+solve_grading returns grades that must pass it.  embedding_ok checks
+composition on every composable pair, where RegularEmbedding checks only
+those whose first factor is a covering pair.
 
 The graph-level closure, covering edges and out-forest completion test
 once duplicated the kernel on DirectedGraph values; they stay here as
@@ -137,7 +138,7 @@ def chain_grades(rel, units) -> dict[Pair, int]:
 
 
 def grading_ok(rel, units, grade) -> bool:
-    """The checks a caller-supplied grading must pass."""
+    """The laws a coherent additive grading satisfies."""
     if set(grade) != set(rel):
         return False
     for (i, j), g in grade.items():

@@ -221,21 +221,6 @@ def test_diamond_grading_is_infeasible():
     assert isinstance(got, NonTreeTriple)
 
 
-def test_grading_constructor_rejects_wrong_grades():
-    a = DigraphAlgebra.upper_triangular(3)
-    good = solve_grading(a)
-    bad = dict(good.grade)
-    bad[(u(1), u(3))] = 1
-    with pytest.raises(ValueError):
-        Grading(a, bad)
-
-
-def test_grading_constructor_rejects_nonzero_diagonal():
-    a = DigraphAlgebra([2])
-    with pytest.raises(ValueError):
-        Grading(a, {((0, 1), (0, 1)): 1, ((0, 2), (0, 2)): 0})
-
-
 def test_grade_zero_iff_diagonal():
     a = DigraphAlgebra.upper_triangular(5)
     g = solve_grading(a)

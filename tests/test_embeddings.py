@@ -130,6 +130,24 @@ def test_translation_embedding_rejects_non_embedding_rows():
         translation_embedding(src, lambda i: [3 - i], DigraphAlgebra.upper_triangular(2))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Two copies on one row would merge in the image set.
+        (lambda i: [i, i], r"unit \(0, 1\) lists row 1 twice"),
+        (lambda i: [i, i + 1], r"row 2 of unit \(0, 2\) is a row of unit \(0, 1\) too"),
+        (lambda i: [1, 2, 3][: i + 1], r"unit \(0, 2\) has 3 rows where unit \(0, 1\) has 2"),
+        (lambda i: [], r"unit \(0, 1\) has no rows"),
+    ],
+    ids=["repeated-row", "shared-row", "unequal-lengths", "no-rows"],
+)
+def test_translation_embedding_rejects_rows_that_do_not_place_copies(rows, message):
+    src = DigraphAlgebra.upper_triangular(2)
+    for target in (None, DigraphAlgebra.upper_triangular(4)):
+        with pytest.raises(ValueError, match=message):
+            translation_embedding(src, rows, target)
+
+
 def test_pushforward_structure_of_refinement():
     # The image of the source relation decomposes into copies: each image
     # set has one pair per copy index s, and the pairs for fixed s form a

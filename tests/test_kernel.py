@@ -2,10 +2,16 @@
 
 Random small relations on one to three blocks go through both the
 kernel in treealg.algebra and the set-based loops in reference_kernel,
-which must agree on acceptance, closure, covering pairs, grades, the
-first non-tree triple, and which caller-supplied gradings are valid.
+which must agree on acceptance, closure, covering pairs, grades and the
+first non-tree triple; every solved grading must pass the reference.
 Mutated translation embeddings must be accepted by RegularEmbedding
 exactly when the all-pairs reference accepts them.
+
+The library builds ampliations, reductions, forest presentations and
+translation embeddings without the checks of the public constructors.
+Rebuilt through DirectedGraph, OutForest and RegularEmbedding, each must
+come out equal, with the same adjacency and roots, and every grading
+solve_grading returns must pass the reference.
 """
 
 from __future__ import annotations
@@ -15,6 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
+from test_ampliation import trees as named_trees
+from test_golden_classify import cli_inputs, small_trees
+from test_golden_decisions import DEPTHS, towers as golden_towers
+from test_tower import translation_towers
 from treealg.algebra import (
     DigraphAlgebra,
     Grading,
@@ -23,6 +33,8 @@ from treealg.algebra import (
     is_tree_semigroupoid,
     solve_grading,
 )
+from treealg.ampliation import ampliate
+from treealg.classify import ampliated_reduction, reduce
 from treealg.embeddings import (
     RegularEmbedding,
     refinement_embedding,
@@ -30,6 +42,9 @@ from treealg.embeddings import (
     standard_rows,
     translation_embedding,
 )
+from treealg.formats import spec_from_json
+from treealg.graphs import DirectedGraph, OutForest
+from treealg.tower import ForestPresentation, decide_tensor, materialize
 
 
 @st.composite
@@ -85,7 +100,7 @@ def test_closure_matches_reference(gen):
 
 
 @settings(max_examples=300, deadline=None)
-@given(generators())
+@given(st.one_of(generators(), trees()))
 def test_covers_tree_condition_and_grades_match_reference(gen):
     blocks, pairs = gen
     try:
@@ -101,49 +116,10 @@ def test_covers_tree_condition_and_grades_match_reference(gen):
         assert tree is True
         assert isinstance(solved, Grading)
         assert solved.grade == ref.chain_grades(rel, units)
+        assert ref.grading_ok(rel, units, solved.grade)
     else:
         assert tree == NonTreeTriple(*triple)
         assert solved == tree
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(generators(), trees()), st.data())
-def test_grading_validation_matches_reference(gen, data):
-    blocks, pairs = gen
-    try:
-        a = DigraphAlgebra.from_generators(blocks, pairs)
-    except ValueError:
-        return
-    solved = solve_grading(a)
-    if not solved:
-        return
-    grade = dict(solved.grade)
-    strict = sorted(p for p in grade if p[0] != p[1])
-    mutation = data.draw(st.sampled_from(["set", "shift", "bump"]))
-    if mutation == "set":
-        for _ in range(data.draw(st.integers(0, 2))):
-            pair = data.draw(st.sampled_from(sorted(grade)))
-            grade[pair] = data.draw(st.integers(-1, 4))
-    elif strict:
-        # A shift adds c to every grade whose source is one unit u, which
-        # breaks additivity on the pairs composed through u.  A bump adds
-        # c to one grade, of a pair that is not a cover where there is
-        # one, so that the break lies away from the covering pairs.
-        c = data.draw(st.integers(1, 3))
-        if mutation == "shift":
-            u = data.draw(st.sampled_from(sorted({j for _, j in strict})))
-            for i, j in strict:
-                if j == u:
-                    grade[(i, j)] += c
-        else:
-            far = sorted(set(strict) - covering_pairs(a)) or strict
-            grade[data.draw(st.sampled_from(far))] += c
-    ok = ref.grading_ok(a.relation, ref.units_of(blocks), grade)
-    if ok:
-        Grading(a, grade)
-    else:
-        with pytest.raises(ValueError):
-            Grading(a, grade)
 
 
 @st.composite
@@ -216,8 +192,64 @@ def test_composition_is_checked_beyond_the_first_source_of_each_cover():
     assert not ref.embedding_ok(e.source.relation, e.target.relation, image)
     with pytest.raises(ValueError, match=r"compose to"):
         RegularEmbedding(e.source, e.target, image)
-    grade = dict(solve_grading(e.source).grade)
-    grade[p] += 1
-    assert not ref.grading_ok(e.source.relation, e.source.units(), grade)
-    with pytest.raises(ValueError, match="fail to add"):
-        Grading(e.source, grade)
+
+
+def _assert_rebuilds(f: OutForest) -> None:
+    """The checked constructors give f back, adjacency and roots alike."""
+    g = f.graph
+    again = OutForest(DirectedGraph(g.vertices, g.edges, g.weights))
+    assert again == f
+    assert again.roots == f.roots
+    for v in g.vertices:
+        assert again.graph.successors(v) == g.successors(v)
+        assert again.graph.predecessors(v) == g.predecessors(v)
+
+
+def _assert_tower_rebuilds(levels, maps) -> None:
+    """Every map rebuilds through RegularEmbedding, and every grading
+    of a level passes the reference."""
+    for e in maps:
+        assert RegularEmbedding(e.source, e.target, e.image) == e
+    for a in levels:
+        solved = solve_grading(a)
+        if solved:
+            assert ref.grading_ok(a.relation, a.units(), solved.grade)
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_trees(), st.integers(1, 4), st.integers(0, 3))
+def test_ampliations_rebuild_alike(tree, l, steps):
+    _assert_rebuilds(ampliate(tree, l, steps))
+
+
+def _classify_corpus() -> list[OutForest]:
+    bases = [spec_from_json(doc).base for doc in cli_inputs().values()]
+    return small_trees() + bases
+
+
+@pytest.mark.parametrize("factors", [(), (1,), (2,), (3,), (1, 2), (2, 3), (2, 2, 3)])
+def test_reductions_rebuild_alike(factors):
+    for t in _classify_corpus():
+        _assert_rebuilds(reduce(t))
+        plain = reduce(t, weights=False)
+        _assert_rebuilds(plain)
+        _assert_rebuilds(ampliated_reduction(plain, factors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(translation_towers())
+def test_translation_towers_rebuild_alike(case):
+    t, depth = case
+    _assert_tower_rebuilds(*materialize(t, depth))
+
+
+def test_golden_presentations_rebuild_alike():
+    for _, tower in golden_towers():
+        for depth in DEPTHS:
+            _assert_tower_rebuilds(*materialize(tower, depth))
+            cert = decide_tensor(tower, depth).certificate
+            if isinstance(cert, ForestPresentation):
+                for lv in cert.levels:
+                    _assert_rebuilds(lv.forest)
+                    if lv.embedding is not None:
+                        _assert_tower_rebuilds([lv.algebra], [lv.embedding])
