@@ -16,14 +16,16 @@ sorted order, and the relation is stored as one Python int per unit:
 bit j of row i is set when the pair (unit i, unit j) is present.  Row i
 holds the sources of range i; column j, bit j read across all rows, holds
 the ranges of source j.  A row operation (and, or, subset test) costs
-O(N/64) machine words.  Each row's strict sources are also kept as a
-list of unit indices, decoded once by the constructor, so that no loop
-below decodes a row again.  With |R| pairs in the relation:
+O(N/64) machine words.  Each row's strict sources are also kept as an
+ascending list of unit indices, so that no loop below decodes a row.
+With |R| pairs in the relation:
 
 * constructor: transitivity as "row j is a subset of row i" for every
   pair (i, j), then antisymmetry as "no two rows are equal": |R| row
   operations;
 * from_generators: Warshall's closure on the rows, N^2 row operations;
+* upper_triangular, ampliated and placed: closed-form rows, each
+  builder stating why they form an order, so nothing is checked: O(|R|);
 * covering_pairs: the transitive reduction, strict minus strict∘strict
   (Aho, Garey and Ullman, SIAM J. Comput. 1972): |R| row operations;
 * is_tree_semigroupoid: the strict sources of x must lie in row y or
@@ -37,8 +39,9 @@ The relation as a frozenset of pairs is built from the rows on first use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import CyclicGraph
 from .graphs import DirectedGraph, OutForest, find_cycle
@@ -81,7 +84,8 @@ class DigraphAlgebra:
     __slots__ = ("_blocks", "_units", "_rows", "_strict", "_relation")
 
     def __init__(self, blocks: Iterable[int], units: Iterable[Pair] = ()) -> None:
-        self._set(*self._rows_of(blocks, units))
+        bl, us, rows = self._rows_of(blocks, units)
+        self._set(bl, us, rows, _order_strict(us, rows))
 
     @staticmethod
     def _rows_of(
@@ -98,42 +102,23 @@ class DigraphAlgebra:
         for i, j in pairs:
             for u in (i, j):
                 if u not in index:
-                    DigraphAlgebra._check_unit(bl, u)
+                    raise ValueError(f"unit {u} is out of range for blocks {list(bl)}")
             if i[0] != j[0]:
                 raise ValueError(f"pair {i} / {j} crosses blocks")
             rows[index[i]] |= 1 << index[j]
         return bl, units, rows
 
-    def _set(self, blocks: tuple[int, ...], units: tuple[Unit, ...], rows: list[int]) -> None:
-        """Check transitivity and antisymmetry of the rows, then store them
-        with their strict source lists."""
-        strict = tuple(_bits(row & ~(1 << i)) for i, row in enumerate(rows))
-        for i, row in enumerate(rows):
-            composites = row
-            for j in strict[i]:
-                composites |= rows[j]
-            if composites != row:
-                # A two-cycle is reported ahead of a missing composite.
-                _raise_two_cycle(units, rows)
-                j = next(j for j in strict[i] if rows[j] & ~row)
-                l = _lowest(rows[j] & ~row)
-                ui, uj, ul = units[i], units[j], units[l]
-                raise ValueError(f"missing composite ({ui},{ul}) of ({ui},{uj}) and ({uj},{ul})")
-        # In a transitive relation, pairs (i, j) and (j, i) make rows i and
-        # j equal, and equal rows i != j hold both pairs.
-        if len(set(rows)) != len(rows):
-            _raise_two_cycle(units, rows)
+    def _set(
+        self, blocks: tuple[int, ...], units: tuple[Unit, ...], rows: list[int], strict: Iterable
+    ) -> "DigraphAlgebra":
+        """Store the rows and their ascending strict source lists and
+        return self, checking nothing: the constructors check first."""
         self._blocks = blocks
         self._units = units
         self._rows = tuple(rows)
-        self._strict = strict
+        self._strict = tuple(strict)
         self._relation = None
-
-    @staticmethod
-    def _check_unit(blocks: tuple[int, ...], u: Unit) -> None:
-        b, r = u
-        if not (0 <= b < len(blocks)) or not (1 <= r <= blocks[b]):
-            raise ValueError(f"unit {u} is out of range for blocks {list(blocks)}")
+        return self
 
     @classmethod
     def from_generators(cls, blocks: Iterable[int], units: Iterable[Pair]) -> "DigraphAlgebra":
@@ -148,18 +133,49 @@ class DigraphAlgebra:
             for i, row in enumerate(rows):
                 if row & bit:
                     rows[i] = row | through
-        a = cls.__new__(cls)
-        a._set(bl, us, rows)
-        return a
+        return cls.__new__(cls)._set(bl, us, rows, _order_strict(us, rows))
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
-        """One n-unit block whose row i holds the units i, i+1, ..., n."""
+        """One n-unit block whose row i holds the units i, i+1, ..., n:
+        unit j lies in row i exactly when j >= i, which is an order."""
         bl, us, _ = cls._rows_of([n], ())
         full = (1 << n) - 1
-        a = cls.__new__(cls)
-        a._set(bl, us, [full ^ ((1 << i) - 1) for i in range(n)])
-        return a
+        rows = [full ^ ((1 << i) - 1) for i in range(n)]
+        return cls.__new__(cls)._set(bl, us, rows, [list(range(i + 1, n)) for i in range(n)])
+
+    def ampliated(self, l: int) -> "DigraphAlgebra":
+        """Unit k becomes its copies kl, ..., kl + l - 1, and row (k, s)
+        holds the copies 1 to s of k and every copy of every strict source
+        of k: the lexicographic order of two orders, an order.  On a tree
+        order it is the order of ampliate(tree, l), where (i,s) lies below
+        (i,1), ..., (i,s-1) and every copy of every strict ancestor of i.
+        """
+        if l < 1:
+            raise ValueError("multiplicity must be at least 1")
+        bl, us, _ = self._rows_of((n * l for n in self._blocks), ())
+        strict = []
+        for k, sources in enumerate(self._strict):
+            copies = [j * l + t for j in sources for t in range(l)]
+            cut = bisect_left(copies, k * l)
+            for s in range(l):
+                strict.append(copies[:cut] + list(range(k * l, k * l + s)) + copies[cut:])
+        rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
+        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, us, rows, strict)
+
+    def placed(self, at: Mapping[int, list[int]]) -> "DigraphAlgebra":
+        """m copies of this single-block order on one block of n·m units,
+        copy c of unit (0, i) at (0, at[i][c]), the n·m rows distinct and
+        in range (translation_embedding checks this).  The copies are
+        relabelled orders on disjoint units, so together an order.
+        """
+        bl, us, _ = self._rows_of([self._blocks[0] * len(at[1])], ())
+        strict = [[]] * len(us)
+        for i, sources in enumerate(self._strict, start=1):
+            for c, r in enumerate(at[i]):
+                strict[r - 1] = sorted(at[j + 1][c] - 1 for j in sources)
+        rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
+        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, us, rows, strict)
 
     @classmethod
     def from_graph(cls, g: DirectedGraph | OutForest) -> tuple["DigraphAlgebra", dict[str, Unit]]:
@@ -201,7 +217,10 @@ class DigraphAlgebra:
         return [(us[i], us[j]) for i, sources in enumerate(self._strict) for j in sources]
 
     def has_pair(self, i: Unit, j: Unit) -> bool:
-        return (i, j) in self.relation
+        """Is (i, j) in the relation?  One bit of row i."""
+        us = self._units
+        k, m = bisect_left(us, i), bisect_left(us, j)
+        return us[k : k + 1] == (i,) and us[m : m + 1] == (j,) and self._rows[k] >> m & 1 == 1
 
     def _covers(self) -> list[list[int]]:
         """Per row i, the units j with (i, j) a covering pair: the strict
@@ -235,13 +254,6 @@ class DigraphAlgebra:
             if ranges[j] and strict[j]
         ]
 
-    def is_full_upper_triangular(self) -> bool:
-        """One block whose row i holds exactly the units i, i+1, ..., n."""
-        if len(self._blocks) != 1:
-            return False
-        full = (1 << self._blocks[0]) - 1
-        return all(row == full ^ ((1 << i) - 1) for i, row in enumerate(self._rows))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DigraphAlgebra):
             return NotImplemented
@@ -253,6 +265,27 @@ class DigraphAlgebra:
     def __repr__(self) -> str:
         off = sum(row.bit_count() for row in self._rows) - len(self._rows)
         return f"DigraphAlgebra(blocks={list(self._blocks)}, {off} off-diagonal units)"
+
+
+def _order_strict(units: tuple[Unit, ...], rows: list[int]) -> tuple[list[int], ...]:
+    """The strict source lists of rows checked to form an order."""
+    strict = tuple(_bits(row & ~(1 << i)) for i, row in enumerate(rows))
+    for i, row in enumerate(rows):
+        composites = row
+        for j in strict[i]:
+            composites |= rows[j]
+        if composites != row:
+            # A two-cycle is reported ahead of a missing composite.
+            _raise_two_cycle(units, rows)
+            j = next(j for j in strict[i] if rows[j] & ~row)
+            l = _lowest(rows[j] & ~row)
+            ui, uj, ul = units[i], units[j], units[l]
+            raise ValueError(f"missing composite ({ui},{ul}) of ({ui},{uj}) and ({uj},{ul})")
+    # In a transitive relation, pairs (i, j) and (j, i) make rows i and
+    # j equal, and equal rows i != j hold both pairs.
+    if len(set(rows)) != len(rows):
+        _raise_two_cycle(units, rows)
+    return strict
 
 
 def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:

@@ -14,9 +14,9 @@ nested names (...((i,s_1),s_2)...,s_K), in lexicographic order of
 last name of j, all s = l, to the first name of i, all s = 1.
 
 ampliate builds that graph directly and states there why it is an
-out-tree, so the result is not checked again.  The refinement
-embeddings come from translation_embedding, which establishes their
-laws from its row conditions.
+out-tree, so the result is not checked again.  Towers read each order
+off the one before (tree_refinement_embedding) and ampliate only the
+tree a stationary rule holds.
 """
 
 from __future__ import annotations
@@ -24,10 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DigraphAlgebra
-from .embeddings import RegularEmbedding, refinement_rows, translation_embedding
+from .embeddings import tree_refinement_embedding
 from .errors import NotATree
 from .graphs import OutForest, unchecked_forest
 from .tower import Tower, TreeRefinementRule
+
+
+MAX_MULTIPLICITY = 2**32
+# classify factors each multiplicity by trial division: milliseconds at
+# this cap, minutes for a prime near 10**18.
 
 
 def pair_name(base: str, s: int) -> str:
@@ -96,6 +101,8 @@ class TreeRefinementSpec:
             raise ValueError("multiplicities must be positive")
         if self.stationary is not None and self.stationary < 1:
             raise ValueError("the stationary multiplicity must be positive")
+        if max((*self.multiplicities, self.stationary or 1)) > MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicities must be at most {MAX_MULTIPLICITY}")
 
     def multiplicity(self, step: int) -> int:
         """Multiplicity applied at step (0-based), or raise when exhausted."""
@@ -108,39 +115,25 @@ class TreeRefinementSpec:
         )
 
 
-def level_algebra(tree: OutForest) -> DigraphAlgebra:
-    """The order algebra of a tree, rows following declaration order."""
-    return DigraphAlgebra.from_graph(tree.graph)[0]
-
-
-def refinement_between(
-    tree: OutForest, l: int, source: DigraphAlgebra
-) -> tuple[OutForest, RegularEmbedding]:
-    """The ampliation of tree by l, and the refinement embedding from
-    source, the order algebra of tree, onto the order algebra of the
-    ampliation."""
-    nxt = ampliate(tree, l)
-    e = translation_embedding(source, refinement_rows(l), level_algebra(nxt))
-    return nxt, e
-
-
 def build_tree_refinement_tower(spec: TreeRefinementSpec, depth: int) -> Tower:
     """Materialize the first depth levels of the tower of a spec.
 
-    Levels are order algebras of the iterated ampliations; maps are the
-    refinement embeddings.  A stationary schedule is recorded as a rule so
-    deeper levels can be generated on demand.
+    Levels and maps come from the steps a TreeRefinementRule generates.
+    A stationary schedule is recorded as a rule, holding the tree of the
+    last level, so deeper levels can be generated on demand.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    tree = spec.base
-    levels = [level_algebra(tree)]
+    levels = [DigraphAlgebra.from_graph(spec.base)[0]]
     maps = []
     for step in range(depth - 1):
-        tree, e = refinement_between(tree, spec.multiplicity(step), levels[-1])
+        e = tree_refinement_embedding(levels[-1], spec.multiplicity(step))
         levels.append(e.target)
         maps.append(e)
     rule = None
     if spec.stationary is not None and len(spec.multiplicities) <= depth - 1:
+        tree = spec.base
+        for step in range(depth - 1):
+            tree = ampliate(tree, spec.multiplicity(step))
         rule = TreeRefinementRule(tree, spec.stationary)
     return Tower(levels, maps, rule)

@@ -344,7 +344,7 @@ def check_neat_inequality(
     g = x.graph
     for v in g.vertices:
         val = d.get(v, 0.0)
-        if val < -tol or val > 1 + tol:
+        if not math.isfinite(val) or val < -tol or val > 1 + tol:
             raise PreconditionViolated(f"d({v!r}) = {val} is not in [0, 1]")
     for e in g.edges:
         dv = d.get(edge_source(e), 0.0)

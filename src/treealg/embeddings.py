@@ -18,7 +18,8 @@ conditions on its rows instead and skips the constructor.  The two
 classical row formulas: with block size n and multiplicity m, the
 standard embedding sends e_ij to the sum of e_{i+kn, j+kn} over k < m;
 with step l the refinement embedding sends e_ij to the sum of
-e_{(i-1)l+s, (j-1)l+s} over 1 <= s <= l.
+e_{(i-1)l+s, (j-1)l+s} over 1 <= s <= l, which also carries the order
+of a tree onto the order of its ampliation (tree_refinement_embedding).
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def translation_embedding(
     rows(i) lists the target rows of source row i, one per copy, in copy
     order; e_ij goes to the sum over copies c of e_{rows(i)[c], rows(j)[c]}.
     Without a target the image algebra is used: one block of size n times
-    the number of copies, holding exactly the image pairs.
+    the number of copies, holding exactly the image pairs (placed).
 
     The laws of RegularEmbedding follow from three conditions, checked
     here in their place: every rows(i) has the same length m >= 1, the
@@ -209,19 +210,22 @@ def translation_embedding(
                 raise ValueError(f"unit {(0, i)} lists row {r} twice")
             if r in owner:
                 raise ValueError(f"row {r} of unit {(0, i)} is a row of unit {(0, owner[r])} too")
+            if target is None and not 1 <= r <= n * m:
+                raise ValueError(f"unit {(0, r)} is out of range for blocks {[n * m]}")
             owner[r] = i
     image = {
         (u, v): frozenset(((0, pi), (0, pj)) for pi, pj in zip(at[u[1]], at[v[1]]))
         for u, v in source.relation
     }
     if target is None:
-        off = {q for im in image.values() for q in im if q[0] != q[1]}
-        target = DigraphAlgebra([n * m], off)
-    target_rel = target.relation
-    for p, im in image.items():
-        for q in im:
-            if q not in target_rel:
-                raise ValueError(f"image pair {q} of {p} is not in the target relation")
+        # The image pairs are exactly the pairs of the placed copies.
+        target = source.placed(at)
+    else:
+        target_rel = target.relation
+        for p, im in image.items():
+            for q in im:
+                if q not in target_rel:
+                    raise ValueError(f"image pair {q} of {p} is not in the target relation")
     return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, image)
 
 
@@ -245,6 +249,11 @@ def refinement_embedding(n: int, l: int) -> RegularEmbedding:
         refinement_rows(l),
         DigraphAlgebra.upper_triangular(n * l),
     )
+
+
+def tree_refinement_embedding(source: DigraphAlgebra, l: int) -> RegularEmbedding:
+    """One tree-refinement step: the refinement rows onto the ampliated order."""
+    return translation_embedding(source, refinement_rows(l), source.ampliated(l))
 
 
 def _descend_copy(
@@ -357,17 +366,10 @@ def tree_standard_embedding(
                 taken.update(part.values())
         copies.append(phi)
 
-    blocks = [len(t.vertices) for t in sources]
-    unit_of: dict[str, Unit] = {}
-    for b, t in enumerate(sources):
-        for k, v in enumerate(t.vertices):
-            unit_of[v] = (b, k + 1)
-    src_pairs: list[Pair] = []
-    for b, t in enumerate(sources):
-        comp = DigraphAlgebra.from_graph(t.graph)[0]
-        for (i, j) in comp.irreflexive_pairs():
-            src_pairs.append(((b, i[1]), (b, j[1])))
-    src_alg = DigraphAlgebra(blocks, src_pairs)
+    # Tree b is block b, ordered by its edges as from_graph orders it.
+    unit_of = {v: (b, k + 1) for b, t in enumerate(sources) for k, v in enumerate(t.vertices)}
+    src_pairs = [(unit_of[c], unit_of[p]) for t in sources for p, c in t.edges]
+    src_alg = DigraphAlgebra.from_generators([len(t.vertices) for t in sources], src_pairs)
     tgt_alg, t_unit = DigraphAlgebra.from_graph(target.graph)
 
     vertex_of = {u: v for v, u in unit_of.items()}

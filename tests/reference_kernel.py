@@ -16,6 +16,9 @@ the oracle of test_graphs.py and of the grading solver.
 iterated_ampliation builds the trees the classification search built
 for every candidate before it read their reductions off in closed form;
 it is the oracle of classify.ampliated_reduction in test_classify.py.
+refinement_between builds one tree-refinement step through the tree,
+as towers did before they read the next order off the rows; it is the
+oracle of the generated steps in test_kernel.py.
 
 all_chain_grades lists every summand chain of a tower before any is
 looked at, as decide_tensor did before it walked chains lazily; it is
@@ -50,7 +53,7 @@ from treealg.correspondence import (
     edge_range,
     edge_source,
 )
-from treealg.embeddings import RegularEmbedding
+from treealg.embeddings import RegularEmbedding, refinement_rows, translation_embedding
 from treealg.errors import CyclicGraph, GraphMismatch
 from treealg.graphs import DirectedGraph, OutForest, find_cycle
 from treealg.tower import ChainGrades
@@ -246,6 +249,17 @@ def iterated_ampliation(base: OutForest, factors) -> OutForest:
     for f in factors:
         g = ampliate(g, f)
     return g
+
+
+def refinement_between(
+    tree: OutForest, l: int, source: DigraphAlgebra
+) -> tuple[OutForest, RegularEmbedding]:
+    """The ampliation of tree by l, and the refinement embedding from
+    source, the order algebra of tree, onto the order algebra of the
+    ampliation, built from its graph."""
+    nxt = ampliate(tree, l)
+    target = DigraphAlgebra.from_graph(nxt)[0]
+    return nxt, translation_embedding(source, refinement_rows(l), target)
 
 
 def _chains_from(

@@ -106,10 +106,18 @@ def test_from_generators_closes_transitively():
 def test_upper_triangular_relation_size():
     a = DigraphAlgebra.upper_triangular(3)
     assert len(a.relation) == 6
-    assert a.is_full_upper_triangular()
+    assert a == DigraphAlgebra([3], pairs((1, 2), (1, 3), (2, 3)))
     # same number of pairs, opposite order
-    assert not DigraphAlgebra([2], pairs((2, 1))).is_full_upper_triangular()
-    assert not DigraphAlgebra([3], pairs((1, 2), (1, 3), (3, 2))).is_full_upper_triangular()
+    assert DigraphAlgebra([2], pairs((2, 1))) != DigraphAlgebra.upper_triangular(2)
+    assert DigraphAlgebra([3], pairs((1, 2), (1, 3), (3, 2))) != a
+
+
+def test_has_pair_agrees_with_the_relation():
+    a = DigraphAlgebra([2, 3], [((0, 1), (0, 2)), ((1, 1), (1, 3)), ((1, 2), (1, 3))])
+    probes = a.units() + [(0, 0), (0, 3), (1, 4), (2, 1), (-1, 1)]
+    for i in probes:
+        for j in probes:
+            assert a.has_pair(i, j) == ((i, j) in a.relation)
 
 
 def test_upper_triangular_matches_the_generic_constructor():

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treealg.algebra import DigraphAlgebra
 from treealg.ampliation import (
     TreeRefinementSpec,
     ampliate,
     build_tree_refinement_tower,
-    level_algebra,
-    refinement_between,
 )
 from treealg.catalog import branching_tree, lambda_tree
+from treealg.embeddings import tree_refinement_embedding
 from treealg.errors import NotATree
 from treealg.graphs import DirectedGraph, OutForest
-from treealg.tower import TreeRefinementRule
+from treealg.tower import Tower, TreeRefinementRule, Verdict, decide_tensor, materialize
 
 from reference_kernel import iterated_ampliation
 
@@ -88,13 +88,12 @@ def test_zero_steps_return_the_input_and_negative_steps_fail():
         ampliate(lambda_tree(), 2, -1)
 
 
-def test_refinement_between_images_are_the_copy_translates():
+def test_ampliation_step_images_are_the_copy_translates():
     tree = lambda_tree()
-    source = level_algebra(tree)
-    nxt, emb = refinement_between(tree, 2, source)
-    assert nxt == ampliate(tree, 2)
+    source = DigraphAlgebra.from_graph(tree)[0]
+    emb = tree_refinement_embedding(source, 2)
     assert emb.source is source
-    assert emb.target == level_algebra(nxt)
+    assert emb.target == DigraphAlgebra.from_graph(ampliate(tree, 2))[0]
     # root row 1, child a row 2: base pair has range row 2, source row 1
     assert emb.of(((0, 2), (0, 1))) == frozenset(
         {((0, 3), (0, 1)), ((0, 4), (0, 2))}
@@ -121,10 +120,32 @@ def test_schedule_exhaustion_leaves_no_rule():
         build_tree_refinement_tower(spec, 3)
 
 
-def test_level_algebra_rows_follow_declaration_order():
-    alg = level_algebra(branching_tree())
+def test_tree_order_rows_follow_declaration_order():
+    alg = DigraphAlgebra.from_graph(branching_tree())[0]
     # edges 1->2, 1->3, 3->4 become range/source pairs on rows
     assert ((0, 2), (0, 1)) in alg.relation
     assert ((0, 4), (0, 3)) in alg.relation
     assert ((0, 4), (0, 1)) in alg.relation  # transitive completion
     assert ((0, 2), (0, 3)) not in alg.relation
+
+
+def test_a_forest_rule_tree_fails_at_the_first_generated_step():
+    # Two roots: r -> a, and s.  The stored level is the forest's order,
+    # so the rule matches it, but no step can ampliate a forest.
+    forest = OutForest(DirectedGraph(["r", "a", "s"], [("r", "a")]))
+    level = DigraphAlgebra.from_graph(forest)[0]
+    t = Tower([level], [], TreeRefinementRule(forest, 2))
+    assert materialize(t, 1) == ([level], [])
+    assert decide_tensor(t, 1).verdict is Verdict.INCONCLUSIVE
+    with pytest.raises(NotATree, match="ampliation is defined for single-rooted trees"):
+        materialize(t, 2)
+
+
+def test_multiplicities_are_capped():
+    cap = 2**32
+    TreeRefinementSpec(lambda_tree(), (cap,), cap)
+    big = cap + 1
+    with pytest.raises(ValueError, match="multiplicities must be at most"):
+        TreeRefinementSpec(lambda_tree(), (2, big))
+    with pytest.raises(ValueError, match="multiplicities must be at most"):
+        TreeRefinementSpec(lambda_tree(), (), big)

@@ -453,6 +453,39 @@ def test_tree_rule_off_the_last_level_exits_65(capsys, tmp_path):
     assert code == 1 and "verdict: no" in out
 
 
+def test_forest_rule_tree_exits_65_at_the_first_generated_step(capsys, tmp_path):
+    # The rule's tree r -> a, s has two roots.  It gives the stored level,
+    # so depth 1 reads it, but depth 2 would ampliate a forest.
+    tree = {"vertices": ["r", "a", "s"], "edges": [["r", "a"]]}
+    doc = {
+        "levels": [{"blocks": [3], "units": [[[0, 2], [0, 1]]]}],
+        "maps": [],
+        "rule": {"kind": "tree-refinement", "tree": tree, "l": 2},
+    }
+    path = write(tmp_path, "t.json", doc)
+    code, out, _ = run(capsys, "check-tensor", path, "--depth", "1")
+    assert code == 2 and "verdict: inconclusive" in out
+    code, out, err = run(capsys, "check-tensor", path, "--depth", "2")
+    assert code == 65 and out == ""
+    assert err == "treealg: error: ampliation is defined for single-rooted trees\n"
+
+
+def test_multiplicities_over_the_cap_exit_65_at_once(capsys, tmp_path):
+    # 10**18 + 3 is prime: factoring it by trial division would take
+    # minutes.  The largest prime under the cap factors at once.
+    start = time.perf_counter()
+    for key, value in (("stationary", 10**18 + 3), ("multiplicities", [2, 2**32 + 1])):
+        spec = write(tmp_path, "s.json", {"base": LAMBDA_DOC, key: value})
+        for argv in (("supernatural", spec), ("classify", spec, spec)):
+            code, out, err = run(capsys, *argv)
+            assert code == 65 and out == ""
+            assert err.count("\n") == 1 and "must be at most 4294967296" in err
+    spec = write(tmp_path, "s.json", {"base": LAMBDA_DOC, "stationary": 2**32 - 5})
+    code, out, _ = run(capsys, "supernatural", spec)
+    assert code == 0 and out == "4294967291^inf\n"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
     def crash(*args, **kwargs):
         raise KeyError("boom")

@@ -343,6 +343,16 @@ def test_neat_preconditions_enforced():
         check_neat_inequality(x, GraphCorrespondenceVector(g), {"a": 2.0})
 
 
+def test_neat_rejects_non_finite_d():
+    # nan compares false both ways, so it once passed the range check
+    # and gave a false counterexample: x = y = e_ab has norm 1, x + y 2.
+    g = DirectedGraph(["a", "b"], [("a", "b")])
+    x = GraphCorrespondenceVector(g, {("a", "b"): 1})
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionViolated, match=r"d\('b'\) = .* is not in \[0, 1\]"):
+            check_neat_inequality(x, x, {"b": bad})
+
+
 def test_neat_inequality_randomized():
     rng = random.Random(41)
     done = 0

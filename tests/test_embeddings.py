@@ -148,6 +148,13 @@ def test_translation_embedding_rejects_rows_that_do_not_place_copies(rows, messa
             translation_embedding(src, rows, target)
 
 
+def test_image_rows_must_lie_in_the_image_block():
+    src = DigraphAlgebra.upper_triangular(2)
+    for rows, unit in ((lambda i: [i + 5], 6), (lambda i: [i - 1], 0)):
+        with pytest.raises(ValueError, match=rf"unit \(0, {unit}\) is out of range for blocks \[2\]"):
+            translation_embedding(src, rows)
+
+
 def test_pushforward_structure_of_refinement():
     # The image of the source relation decomposes into copies: each image
     # set has one pair per copy index s, and the pairs for fixed s form a

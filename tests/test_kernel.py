@@ -7,11 +7,14 @@ first non-tree triple; every solved grading must pass the reference.
 Mutated translation embeddings must be accepted by RegularEmbedding
 exactly when the all-pairs reference accepts them.
 
-The library builds ampliations, reductions, forest presentations and
-translation embeddings without the checks of the public constructors.
-Rebuilt through DirectedGraph, OutForest and RegularEmbedding, each must
-come out equal, with the same adjacency and roots, and every grading
-solve_grading returns must pass the reference.
+The library builds ampliations, reductions, forest presentations,
+translation embeddings, full triangular, image and ampliated orders
+without the checks of the public constructors.  Rebuilt through
+DirectedGraph, OutForest, RegularEmbedding and DigraphAlgebra, each must
+come out equal, with the same adjacency, roots and strict source lists,
+and every grading solve_grading returns must pass the reference.  Every
+tree-refinement step a tower generates must equal the step built through
+the ampliated tree, reference_kernel.refinement_between.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from treealg.algebra import (
     is_tree_semigroupoid,
     solve_grading,
 )
-from treealg.ampliation import ampliate
+from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.classify import ampliated_reduction, reduce
 from treealg.embeddings import (
     RegularEmbedding,
@@ -42,9 +45,15 @@ from treealg.embeddings import (
     standard_rows,
     translation_embedding,
 )
-from treealg.formats import spec_from_json
+from treealg.formats import rule_to_json, spec_from_json
 from treealg.graphs import DirectedGraph, OutForest
-from treealg.tower import ForestPresentation, decide_tensor, materialize
+from treealg.tower import (
+    ForestPresentation,
+    Tower,
+    TreeRefinementRule,
+    decide_tensor,
+    materialize,
+)
 
 
 @st.composite
@@ -205,12 +214,22 @@ def _assert_rebuilds(f: OutForest) -> None:
         assert again.graph.predecessors(v) == g.predecessors(v)
 
 
+def _assert_algebra_rebuilds(a: DigraphAlgebra) -> None:
+    """The checked constructor gives a back, with the same strict
+    source lists in the same order."""
+    again = DigraphAlgebra(a.blocks, a.irreflexive_pairs())
+    assert again == a
+    assert again.irreflexive_pairs() == a.irreflexive_pairs()
+    assert again.relation == a.relation
+
+
 def _assert_tower_rebuilds(levels, maps) -> None:
-    """Every map rebuilds through RegularEmbedding, and every grading
-    of a level passes the reference."""
+    """Every level rebuilds through DigraphAlgebra and every map through
+    RegularEmbedding, and every grading of a level passes the reference."""
     for e in maps:
         assert RegularEmbedding(e.source, e.target, e.image) == e
     for a in levels:
+        _assert_algebra_rebuilds(a)
         solved = solve_grading(a)
         if solved:
             assert ref.grading_ok(a.relation, a.units(), solved.grade)
@@ -253,3 +272,77 @@ def test_golden_presentations_rebuild_alike():
                     _assert_rebuilds(lv.forest)
                     if lv.embedding is not None:
                         _assert_tower_rebuilds([lv.algebra], [lv.embedding])
+
+
+def test_upper_triangular_rebuilds_alike():
+    for n in range(1, 41):
+        _assert_algebra_rebuilds(DigraphAlgebra.upper_triangular(n))
+
+
+@st.composite
+def shuffled_translations(draw):
+    """m copies of a single-block order on at most five units, placed
+    along rows in random order, so that the image of an ascending
+    strict source list need not ascend."""
+    n = draw(st.integers(1, 5))
+    units = ref.units_of([n])
+    strict = [(i, j) for i in units for j in units if i != j]
+    pairs = draw(st.lists(st.sampled_from(strict), max_size=8)) if strict else []
+    try:
+        source = DigraphAlgebra.from_generators([n], pairs)
+    except ValueError:
+        source = DigraphAlgebra([n])
+    m = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(1, n * m + 1)))
+    return translation_embedding(source, lambda i: list(perm[(i - 1) * m : i * m]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_translations())
+def test_image_algebras_rebuild_alike(e):
+    _assert_tower_rebuilds([e.source, e.target], [e])
+
+
+def _tree_rule_tower(tree: OutForest, l: int) -> Tower:
+    return Tower([DigraphAlgebra.from_graph(tree)[0]], [], TreeRefinementRule(tree, l))
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_trees(), st.integers(1, 4), st.integers(1, 3))
+def test_ampliated_orders_rebuild_alike(tree, l, depth):
+    levels, maps = materialize(_tree_rule_tower(tree, l), depth)
+    assert len(levels) == depth
+    for a in levels:
+        _assert_algebra_rebuilds(a)
+    for e in maps:
+        assert RegularEmbedding(e.source, e.target, e.image) == e
+
+
+@settings(max_examples=150, deadline=None)
+@given(named_trees(), st.integers(1, 4), st.integers(1, 3))
+def test_tree_rule_steps_match_the_ampliation_oracle(tree, l, depth):
+    levels, maps = materialize(_tree_rule_tower(tree, l), depth)
+    for k, e in enumerate(maps):
+        tree, want = ref.refinement_between(tree, l, levels[k])
+        assert e == want
+        assert levels[k + 1] == want.target
+        assert levels[k + 1].irreflexive_pairs() == want.target.irreflexive_pairs()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    named_trees(),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.one_of(st.none(), st.integers(1, 3)),
+)
+def test_built_tree_towers_match_the_ampliation_oracle(tree, mults, stationary):
+    spec = TreeRefinementSpec(tree, tuple(mults), stationary)
+    depth = len(mults) + 1 + (stationary is not None)
+    t = build_tree_refinement_tower(spec, depth)
+    assert t.levels[0] == DigraphAlgebra.from_graph(tree)[0]
+    for k, e in enumerate(t.maps):
+        tree, want = ref.refinement_between(tree, spec.multiplicity(k), t.levels[k])
+        assert e == want
+        assert t.levels[k + 1].irreflexive_pairs() == want.target.irreflexive_pairs()
+    want_rule = None if stationary is None else TreeRefinementRule(tree, stationary)
+    assert rule_to_json(t.rule) == rule_to_json(want_rule)
