@@ -318,6 +318,18 @@ def test_ampliated_orders_rebuild_alike(tree, l, depth):
         assert RegularEmbedding(e.source, e.target, e.image) == e
 
 
+@settings(max_examples=200, deadline=None)
+@given(generators(), st.integers(1, 3))
+def test_ampliated_orders_of_any_order_rebuild_alike(gen, l):
+    # The lexicographic order is an order for any order on any blocks,
+    # not only for the order of a tree.
+    try:
+        a = DigraphAlgebra.from_generators(*gen)
+    except ValueError:
+        return
+    _assert_algebra_rebuilds(a.ampliated(l))
+
+
 @settings(max_examples=150, deadline=None)
 @given(named_trees(), st.integers(1, 4), st.integers(1, 3))
 def test_tree_rule_steps_match_the_ampliation_oracle(tree, l, depth):
