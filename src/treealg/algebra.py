@@ -34,7 +34,8 @@ With |R| pairs in the relation:
   are its ancestors in the covering forest, so a grade is a difference
   of two depths (popcounts): O(|R|).
 
-The relation as a frozenset of pairs is built from the rows on first use.
+has_pair reads one row bit through the unit index; pairs() lists the
+relation sorted, and relation builds a frozenset of it on each read.
 """
 
 from __future__ import annotations
@@ -81,18 +82,18 @@ def _columns(strict: tuple[list[int], ...]) -> list[int]:
 class DigraphAlgebra:
     """Block sizes plus a reflexive transitive antisymmetric unit relation."""
 
-    __slots__ = ("_blocks", "_units", "_rows", "_strict", "_relation")
+    __slots__ = ("_blocks", "_units", "_index", "_rows", "_strict")
 
     def __init__(self, blocks: Iterable[int], units: Iterable[Pair] = ()) -> None:
-        bl, us, rows = self._rows_of(blocks, units)
-        self._set(bl, us, rows, _order_strict(us, rows))
+        bl, index, rows = self._rows_of(blocks, units)
+        self._set(bl, index, rows, _order_strict(tuple(index), rows))
 
     @staticmethod
     def _rows_of(
         blocks: Iterable[int], pairs: Iterable[Pair]
-    ) -> tuple[tuple[int, ...], tuple[Unit, ...], list[int]]:
-        """Validated block sizes, the units, and the reflexive rows
-        holding the pairs."""
+    ) -> tuple[tuple[int, ...], dict[Unit, int], list[int]]:
+        """Validated block sizes, the unit-to-index map in unit order, and
+        the reflexive rows holding the pairs."""
         bl = tuple(blocks)
         if not bl or any(not isinstance(n, int) or n < 1 for n in bl):
             raise ValueError("blocks must be a nonempty list of positive sizes")
@@ -106,18 +107,18 @@ class DigraphAlgebra:
             if i[0] != j[0]:
                 raise ValueError(f"pair {i} / {j} crosses blocks")
             rows[index[i]] |= 1 << index[j]
-        return bl, units, rows
+        return bl, index, rows
 
     def _set(
-        self, blocks: tuple[int, ...], units: tuple[Unit, ...], rows: list[int], strict: Iterable
+        self, blocks: tuple[int, ...], index: dict[Unit, int], rows: list[int], strict: Iterable
     ) -> "DigraphAlgebra":
         """Store the rows and their ascending strict source lists and
         return self, checking nothing: the constructors check first."""
         self._blocks = blocks
-        self._units = units
+        self._units = tuple(index)
+        self._index = index
         self._rows = tuple(rows)
         self._strict = tuple(strict)
-        self._relation = None
         return self
 
     @classmethod
@@ -127,22 +128,22 @@ class DigraphAlgebra:
         Warshall's closure: after step k, every row holding unit k also
         holds row k.
         """
-        bl, us, rows = cls._rows_of(blocks, units)
+        bl, index, rows = cls._rows_of(blocks, units)
         for k in range(len(rows)):
             bit, through = 1 << k, rows[k]
             for i, row in enumerate(rows):
                 if row & bit:
                     rows[i] = row | through
-        return cls.__new__(cls)._set(bl, us, rows, _order_strict(us, rows))
+        return cls.__new__(cls)._set(bl, index, rows, _order_strict(tuple(index), rows))
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
         """One n-unit block whose row i holds the units i, i+1, ..., n:
         unit j lies in row i exactly when j >= i, which is an order."""
-        bl, us, _ = cls._rows_of([n], ())
+        bl, index, _ = cls._rows_of([n], ())
         full = (1 << n) - 1
         rows = [full ^ ((1 << i) - 1) for i in range(n)]
-        return cls.__new__(cls)._set(bl, us, rows, [list(range(i + 1, n)) for i in range(n)])
+        return cls.__new__(cls)._set(bl, index, rows, [list(range(i + 1, n)) for i in range(n)])
 
     def ampliated(self, l: int) -> "DigraphAlgebra":
         """Unit k becomes its copies kl, ..., kl + l - 1, and row (k, s)
@@ -153,7 +154,7 @@ class DigraphAlgebra:
         """
         if l < 1:
             raise ValueError("multiplicity must be at least 1")
-        bl, us, _ = self._rows_of((n * l for n in self._blocks), ())
+        bl, index, _ = self._rows_of((n * l for n in self._blocks), ())
         strict = []
         for k, sources in enumerate(self._strict):
             copies = [j * l + t for j in sources for t in range(l)]
@@ -161,7 +162,7 @@ class DigraphAlgebra:
             for s in range(l):
                 strict.append(copies[:cut] + list(range(k * l, k * l + s)) + copies[cut:])
         rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
-        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, us, rows, strict)
+        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, index, rows, strict)
 
     def placed(self, at: Mapping[int, list[int]]) -> "DigraphAlgebra":
         """m copies of this single-block order on one block of n·m units,
@@ -169,13 +170,13 @@ class DigraphAlgebra:
         in range (translation_embedding checks this).  The copies are
         relabelled orders on disjoint units, so together an order.
         """
-        bl, us, _ = self._rows_of([self._blocks[0] * len(at[1])], ())
-        strict = [[]] * len(us)
+        bl, index, _ = self._rows_of([self._blocks[0] * len(at[1])], ())
+        strict = [[]] * len(index)
         for i, sources in enumerate(self._strict, start=1):
             for c, r in enumerate(at[i]):
                 strict[r - 1] = sorted(at[j + 1][c] - 1 for j in sources)
         rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
-        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, us, rows, strict)
+        return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, index, rows, strict)
 
     @classmethod
     def from_graph(cls, g: DirectedGraph | OutForest) -> tuple["DigraphAlgebra", dict[str, Unit]]:
@@ -201,12 +202,17 @@ class DigraphAlgebra:
 
     @property
     def relation(self) -> frozenset[Pair]:
-        if self._relation is None:
-            us = self._units
-            self._relation = frozenset(
-                (us[i], us[j]) for i, sources in enumerate(self._strict) for j in (i, *sources)
-            )
-        return self._relation
+        """The pairs as a frozenset, built anew on each read."""
+        return frozenset(self.pairs())
+
+    def __len__(self) -> int:
+        """The number of pairs, at least one per unit."""
+        return sum(row.bit_count() for row in self._rows)
+
+    def pairs(self) -> list[Pair]:
+        """The pairs (i, j), sorted."""
+        us = self._units
+        return [(us[i], us[j]) for i, s in enumerate(self._strict) for j in sorted((i, *s))]
 
     def units(self) -> list[Unit]:
         return list(self._units)
@@ -218,9 +224,16 @@ class DigraphAlgebra:
 
     def has_pair(self, i: Unit, j: Unit) -> bool:
         """Is (i, j) in the relation?  One bit of row i."""
-        us = self._units
-        k, m = bisect_left(us, i), bisect_left(us, j)
-        return us[k : k + 1] == (i,) and us[m : m + 1] == (j,) and self._rows[k] >> m & 1 == 1
+        k, m = self._index.get(i), self._index.get(j)
+        return k is not None and m is not None and self._rows[k] >> m & 1 == 1
+
+    def first_pair_outside(self, other: "DigraphAlgebra") -> Pair | None:
+        """The first pair in sorted order that other, on the same units,
+        lacks, or None: one subset test per row."""
+        for i, (row, theirs) in enumerate(zip(self._rows, other._rows)):
+            if row & ~theirs:
+                return self._units[i], self._units[_lowest(row & ~theirs)]
+        return None
 
     def _covers(self) -> list[list[int]]:
         """Per row i, the units j with (i, j) a covering pair: the strict
@@ -263,7 +276,7 @@ class DigraphAlgebra:
         return hash((self._blocks, self._rows))
 
     def __repr__(self) -> str:
-        off = sum(row.bit_count() for row in self._rows) - len(self._rows)
+        off = len(self) - len(self._rows)
         return f"DigraphAlgebra(blocks={list(self._blocks)}, {off} off-diagonal units)"
 
 

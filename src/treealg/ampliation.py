@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import DigraphAlgebra
 from .embeddings import tree_refinement_embedding
-from .errors import NotATree
+from .errors import NotATree, OutputTooLarge
 from .graphs import OutForest, unchecked_forest
 from .tower import Tower, TreeRefinementRule
 
@@ -33,6 +33,11 @@ from .tower import Tower, TreeRefinementRule
 MAX_MULTIPLICITY = 2**32
 # classify factors each multiplicity by trial division: milliseconds at
 # this cap, minutes for a prime near 10**18.
+
+MAX_AMPLIATED_VERTICES = 250_000
+# The most vertices `ampliate` may count over all its steps, n·l + ... +
+# n·l^K for K steps of an n-vertex tree by l, though only the last n·l^K
+# are built.
 
 
 def pair_name(base: str, s: int) -> str:
@@ -58,8 +63,19 @@ def ampliate(tree: OutForest, l: int, steps: int = 1) -> OutForest:
     chain.  Following chains and tree edges from the root's first copy
     reaches every vertex, so there is no cycle and that copy is the
     only root.  Parents are listed in vertex order, since the chains
-    are laid out in base order.
+    are laid out in base order.  OutputTooLarge comes before any other
+    check when the steps count more than MAX_AMPLIATED_VERTICES vertices.
     """
+    built, size = 0, len(tree.vertices)
+    # An empty forest builds nothing and is no tree; l < 1 is refused below.
+    for _ in range(steps if size and l >= 1 else 0):
+        size *= l
+        built += size
+        if built > MAX_AMPLIATED_VERTICES:
+            raise OutputTooLarge(
+                f"{steps} ampliation steps by {l} build more than"
+                f" {MAX_AMPLIATED_VERTICES} vertices"
+            )
     if steps > 0 and not tree.is_tree():
         raise NotATree("ampliation is defined for single-rooted trees")
     if l < 1:

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ampliation import TreeRefinementSpec, pair_name
+from .ampliation import MAX_MULTIPLICITY, TreeRefinementSpec, pair_name
 from .errors import NotATree
 from .graphs import OutForest, unchecked_forest
 
@@ -177,17 +177,22 @@ def supernatural(
     """Prime content of a multiplicity schedule.
 
     The listed multiplicities contribute finite exponents; a stationary
-    tail repeats forever, so its primes go unbounded.
+    tail repeats forever, so its primes go unbounded.  Trial division
+    factors each, so none may exceed MAX_MULTIPLICITY.
     """
     acc: Counter[int] = Counter()
     for m in mults:
         if m < 1:
             raise ValueError("multiplicities must be positive")
+        if m > MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicities must be at most {MAX_MULTIPLICITY}")
         acc.update(_factor(m))
     inf: frozenset[int] = frozenset()
     if tail is not None:
         if tail < 1:
             raise ValueError("the stationary multiplicity must be positive")
+        if tail > MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicities must be at most {MAX_MULTIPLICITY}")
         inf = frozenset(_factor(tail))
     finite = tuple(sorted((p, e) for p, e in acc.items() if p not in inf))
     return SupernaturalNumber(finite, inf)

@@ -32,7 +32,7 @@ from .classify import (
     trees_isomorphic,
 )
 from .correspondence import build_ckt_family, module_norm, verify_ckt
-from .errors import FormatError, OutputTooLarge, TreealgError
+from .errors import FormatError, TreealgError
 from .graphs import OutForest
 from .tower import (
     Decision,
@@ -48,11 +48,6 @@ from .tower import (
 USAGE_ERROR = 64
 DATA_ERROR = 65
 INTERNAL_ERROR = 70
-
-MAX_AMPLIATED_VERTICES = 250_000
-# The most vertices `ampliate` may count over all its steps, n·l + ... +
-# n·l^K for K steps of an n-vertex tree by l, though only the last n·l^K
-# are built.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,16 +259,6 @@ def cmd_check_tensor(ns: argparse.Namespace) -> int:
 
 def cmd_ampliate(ns: argparse.Namespace) -> int:
     tree = _read(formats.forest_from_json, ns.graph)
-    built, size = 0, len(tree.vertices)
-    # An empty forest builds nothing at any step, and ampliate rejects it.
-    for _ in range(ns.steps if size else 0):
-        size *= ns.multiplicity
-        built += size
-        if built > MAX_AMPLIATED_VERTICES:
-            raise OutputTooLarge(
-                f"{ns.steps} ampliation steps by {ns.multiplicity} build more than"
-                f" {MAX_AMPLIATED_VERTICES} vertices"
-            )
     _emit_graph(ns, ampliate(tree, ns.multiplicity, ns.steps))
     return 0
 

@@ -56,20 +56,18 @@ class RegularEmbedding:
         image: Mapping[Pair, Iterable[Pair]],
     ) -> None:
         img: dict[Pair, frozenset[Pair]] = {p: frozenset(v) for p, v in image.items()}
-        rel = source.relation
-        if img.keys() != rel:
-            missing = rel - img.keys()
-            extra = img.keys() - rel
+        extra = sum(not source.has_pair(i, j) for i, j in img)
+        missing = len(source) - (len(img) - extra)
+        if missing or extra:
             raise ValueError(
                 f"image must cover the source relation exactly "
-                f"(missing {len(missing)}, extra {len(extra)})"
+                f"(missing {missing}, extra {extra})"
             )
-        target_rel = target.relation
         for p, v in img.items():
             if not v:
                 raise ValueError(f"pair {p} has an empty image")
             for q in v:
-                if q not in target_rel:
+                if not target.has_pair(*q):
                     raise ValueError(f"image pair {q} of {p} is not in the target relation")
         diag: dict[Unit, frozenset[Unit]] = {}
         for d in source.units():
@@ -81,9 +79,7 @@ class RegularEmbedding:
         for d, s in diag.items():
             for t in s:
                 if t in seen:
-                    raise ValueError(
-                        f"diagonal images of {seen[t]} and {d} both contain {t}"
-                    )
+                    raise ValueError(f"diagonal images of {seen[t]} and {d} both contain {t}")
                 seen[t] = d
         for (i, j), v in img.items():
             if i == j:
@@ -181,12 +177,13 @@ def translation_embedding(
 
     rows(i) lists the target rows of source row i, one per copy, in copy
     order; e_ij goes to the sum over copies c of e_{rows(i)[c], rows(j)[c]}.
-    Without a target the image algebra is used: one block of size n times
-    the number of copies, holding exactly the image pairs (placed).
+    The image algebra (placed), one block of n·m units holding exactly
+    the image pairs, is the target unless one is given, which must have
+    that block and contain it: one subset test per row.
 
     The laws of RegularEmbedding follow from three conditions, checked
     here in their place: every rows(i) has the same length m >= 1, the
-    n·m rows are pairwise distinct, and every image pair lies in the
+    n·m rows are distinct and in range, and every image pair lies in the
     target relation.  Then the image covers the source relation with
     nonempty sets; a diagonal unit goes to its m diagonal rows, disjoint
     from those of any other unit; the image of (i, j) pairs copy c of
@@ -210,22 +207,22 @@ def translation_embedding(
                 raise ValueError(f"unit {(0, i)} lists row {r} twice")
             if r in owner:
                 raise ValueError(f"row {r} of unit {(0, i)} is a row of unit {(0, owner[r])} too")
-            if target is None and not 1 <= r <= n * m:
+            if not 1 <= r <= n * m:
                 raise ValueError(f"unit {(0, r)} is out of range for blocks {[n * m]}")
             owner[r] = i
-    image = {
-        (u, v): frozenset(((0, pi), (0, pj)) for pi, pj in zip(at[u[1]], at[v[1]]))
-        for u, v in source.relation
-    }
+    placed = source.placed(at)
     if target is None:
-        # The image pairs are exactly the pairs of the placed copies.
-        target = source.placed(at)
+        target = placed
+    elif target.blocks != placed.blocks:
+        blocks = list(target.blocks)
+        raise ValueError(f"the target has blocks {blocks} where the image has {[n * m]}")
     else:
-        target_rel = target.relation
-        for p, im in image.items():
-            for q in im:
-                if q not in target_rel:
-                    raise ValueError(f"image pair {q} of {p} is not in the target relation")
+        q = placed.first_pair_outside(target)
+        if q is not None:
+            p = ((0, owner[q[0][1]]), (0, owner[q[1][1]]))
+            raise ValueError(f"image pair {q} of {p} is not in the target relation")
+    copies = {i: [(0, r) for r in rs] for i, rs in at.items()}
+    image = {(u, v): frozenset(zip(copies[u[1]], copies[v[1]])) for u, v in source.pairs()}
     return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, image)
 
 
@@ -233,22 +230,16 @@ def standard_embedding(n: int, m: int) -> RegularEmbedding:
     """The multiplicity-m standard embedding on upper triangular algebras."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return translation_embedding(
-        DigraphAlgebra.upper_triangular(n),
-        standard_rows(n, m),
-        DigraphAlgebra.upper_triangular(n * m),
-    )
+    full = DigraphAlgebra.upper_triangular
+    return translation_embedding(full(n), standard_rows(n, m), full(n * m))
 
 
 def refinement_embedding(n: int, l: int) -> RegularEmbedding:
     """The step-l refinement embedding on upper triangular algebras."""
     if n < 1 or l < 1:
         raise ValueError("need n >= 1 and l >= 1")
-    return translation_embedding(
-        DigraphAlgebra.upper_triangular(n),
-        refinement_rows(l),
-        DigraphAlgebra.upper_triangular(n * l),
-    )
+    full = DigraphAlgebra.upper_triangular
+    return translation_embedding(full(n), refinement_rows(l), full(n * l))
 
 
 def tree_refinement_embedding(source: DigraphAlgebra, l: int) -> RegularEmbedding:
@@ -374,7 +365,7 @@ def tree_standard_embedding(
 
     vertex_of = {u: v for v, u in unit_of.items()}
     image: dict[Pair, set[Pair]] = {}
-    for i, j in src_alg.relation:
+    for i, j in src_alg.pairs():
         vi, vj = vertex_of[i], vertex_of[j]
         image[(i, j)] = {(t_unit[phi[vi]], t_unit[phi[vj]]) for phi in copies}
     try:

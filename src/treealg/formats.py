@@ -159,21 +159,19 @@ def _pair_from_json(obj: Json, path: str) -> Pair:
     return (_unit_from_json(pair[0], f"{path}[0]"), _unit_from_json(pair[1], f"{path}[1]"))
 
 
-def _matrix_units(items: list) -> list[Pair] | None:
-    """The matrix units of a list in one typed pass, or None as soon as an
-    item is not a [[int, int], [int, int]] list of lists.  The caller then
-    decodes the list again with _pair_from_json, which words the error."""
+def _matrix_units(items: list, path: str) -> list[Pair]:
+    """The matrix units of a list, item k at f"{path}[{k}]": an item that is
+    no [[int, int], [int, int]] list of lists goes to _pair_from_json."""
     out = []
-    for p in items:
-        if type(p) is not list or len(p) != 2:
-            return None
-        u, v = p
-        if not (type(u) is type(v) is list and len(u) == len(v) == 2):
-            return None
-        (a, b), (c, e) = u, v
-        if not type(a) is type(b) is type(c) is type(e) is int:
-            return None
-        out.append(((a, b), (c, e)))
+    for k, p in enumerate(items):
+        if type(p) is list and len(p) == 2:
+            u, v = p
+            if type(u) is type(v) is list and len(u) == len(v) == 2:
+                (a, b), (c, e) = u, v
+                if type(a) is type(b) is type(c) is type(e) is int:
+                    out.append(((a, b), (c, e)))
+                    continue
+        out.append(_pair_from_json(p, f"{path}[{k}]"))
     return out
 
 
@@ -188,10 +186,7 @@ def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
         _as_int(b, f"{path}.blocks[{k}]")
         for k, b in enumerate(_as_list(_get(doc, "blocks", path), f"{path}.blocks"))
     ]
-    raw = _as_list(doc.get("units", []), f"{path}.units")
-    units = _matrix_units(raw)
-    if units is None:
-        units = [_pair_from_json(item, f"{path}.units[{k}]") for k, item in enumerate(raw)]
+    units = _matrix_units(_as_list(doc.get("units", []), f"{path}.units"), f"{path}.units")
     try:
         return DigraphAlgebra.from_generators(blocks, units)
     except ValueError as exc:
@@ -205,7 +200,7 @@ def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
 def embedding_to_json(e: RegularEmbedding) -> dict:
     image = [
         [_pair_to_json(p), [_pair_to_json(q) for q in sorted(e.of(p))]]
-        for p in sorted(e.source.relation)
+        for p in e.source.pairs()
     ]
     return {"kind": "explicit", "image": image}
 
@@ -233,13 +228,7 @@ def embedding_from_json(
                 f"{path}: explicit embeddings need surrounding source and target algebras"
             )
         raw = _as_list(_get(doc, "image", path), f"{path}.image")
-        # Each entry [source, [targets...]] as the list [source, targets...].
-        entries = [
-            type(e) is list and len(e) == 2 and type(e[1]) is list and _matrix_units([e[0], *e[1]])
-            for e in raw
-        ]
-        if not all(entries):
-            entries = [_entry_from_json(e, f"{path}.image[{k}]") for k, e in enumerate(raw)]
+        entries = [_entry_from_json(e, f"{path}.image[{k}]") for k, e in enumerate(raw)]
         image: dict[Pair, frozenset[Pair]] = {}
         for k, (src, *tgts) in enumerate(entries):
             if src in image:
@@ -256,12 +245,13 @@ def embedding_from_json(
 
 
 def _entry_from_json(obj: Json, path: str) -> list[Pair]:
+    """An entry [source, [targets...]] as the list [source, targets...]."""
     entry = _as_list(obj, path)
     if len(entry) != 2:
         raise FormatError(f"{path}: an entry is [source-pair, [target-pairs]]")
-    src = _pair_from_json(entry[0], f"{path}[0]")
-    tgts = _as_list(entry[1], f"{path}[1]")
-    return [src, *(_pair_from_json(t, f"{path}[1][{j}]") for j, t in enumerate(tgts))]
+    # The source pair is item 0 of the entry, at f"{path}[0]".
+    src = _matrix_units(entry[:1], path)
+    return src + _matrix_units(_as_list(entry[1], f"{path}[1]"), f"{path}[1]")
 
 
 def _complete_diagonal(
@@ -273,8 +263,8 @@ def _complete_diagonal(
         seen.setdefault(a, set()).update((p, p) for p, _ in tgts)
         seen.setdefault(b, set()).update((q, q) for _, q in tgts)
     out = dict(image)
-    for i, j in source.relation:
-        if i == j and (i, i) not in out and seen.get(i):
+    for i in source.units():
+        if (i, i) not in out and seen.get(i):
             out[(i, i)] = frozenset(seen[i])
     return out
 

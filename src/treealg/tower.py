@@ -74,8 +74,8 @@ MAX_LEVEL_UNITS = 512
 # The most units a level generated from a rule may have.  Each rule step
 # multiplies the units by m or l, so the count of the deepest requested
 # level is known before any step runs.  decide_tensor on standard_tower(2, 2)
-# takes about 0.1 s at 256 units and 0.45 s at 512 on a 2-core x86 VM
-# (Python 3.11), a third of it building the image sets of the rule's steps.
+# takes about 0.06 s at 256 units and 0.35 s at 512 on a 2-core x86 VM
+# (Python 3.11), half of it generating the rule's steps.
 
 
 @dataclass(frozen=True)
@@ -355,7 +355,7 @@ def _forest_presentation(
         if k < d - 1 and full[k] and full[k + 1]:
             emb = maps[k]
         elif k < d - 1:
-            img = {q: maps[k].of(q) for q in algs[k].relation}
+            img = {q: maps[k].of(q) for q in algs[k].pairs()}
             emb = RegularEmbedding(algs[k], algs[k + 1], img)
         entries.append(PresentationLevel(k + 1, forest, algs[k], emb))
     return ForestPresentation(tuple(entries))
@@ -469,7 +469,7 @@ def counting_grade(t: Tower, level: int, pair: Pair, depth: int) -> list[ChainGr
     d = len(levels)
     if not 1 <= level <= d:
         raise ValueError(f"level {level} outside the materialized tower of depth {d}")
-    if pair not in levels[level - 1].relation:
+    if not levels[level - 1].has_pair(*pair):
         raise ValueError(f"pair {pair} is not a unit of level {level}")
     # Levels above the pair's level need not be trees and are not graded.
     grades: list[dict[Pair, int]] = [{}] * (level - 1)

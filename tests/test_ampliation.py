@@ -1,5 +1,7 @@
 """Ampliation of trees and the refinement towers built from them."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from treealg.ampliation import (
 )
 from treealg.catalog import branching_tree, lambda_tree
 from treealg.embeddings import tree_refinement_embedding
-from treealg.errors import NotATree
+from treealg.errors import NotATree, OutputTooLarge
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import Tower, TreeRefinementRule, Verdict, decide_tensor, materialize
 
@@ -149,3 +151,22 @@ def test_multiplicities_are_capped():
         TreeRefinementSpec(lambda_tree(), (2, big))
     with pytest.raises(ValueError, match="multiplicities must be at most"):
         TreeRefinementSpec(lambda_tree(), (), big)
+
+
+def test_ampliate_refuses_to_count_past_its_cap():
+    # The cap is checked before anything is built, and before the tree
+    # check, so even a forest is refused for its size.
+    start = time.perf_counter()
+    two = OutForest(DirectedGraph(["a", "b"], []))
+    for tree, l, steps, message in [
+        (lambda_tree(), 1, 10**6, "1000000 ampliation steps by 1 build more than 250000 vertices"),
+        (lambda_tree(), 10**9, 1, "1 ampliation steps by 1000000000 build more than"),
+        (lambda_tree(), 2, 10**9, "1000000000 ampliation steps by 2 build more than"),
+        (two, 10**6, 1, "1 ampliation steps by 1000000 build more than"),
+    ]:
+        with pytest.raises(OutputTooLarge, match=message):
+            ampliate(tree, l, steps)
+    # An empty forest builds nothing at any step: no count, but no tree.
+    with pytest.raises(NotATree):
+        ampliate(OutForest(DirectedGraph([], [])), 10**9, 10**9)
+    assert time.perf_counter() - start < 1

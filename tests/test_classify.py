@@ -206,6 +206,16 @@ def test_supernatural_examples():
     assert supernatural((2,), None) != supernatural((2,), 2)
 
 
+def test_supernatural_caps_what_it_factors():
+    # Trial division of a prime near the cap takes milliseconds; past it,
+    # nothing is factored.
+    cap = "multiplicities must be at most 4294967296"
+    assert supernatural((2**32,), 2**32) == SupernaturalNumber((), frozenset({2}))
+    for mults, tail in [((), 10**12 + 39), ((2**32 + 1,), None), ((2, 10**18 + 9), 3)]:
+        with pytest.raises(ValueError, match=cap):
+            supernatural(mults, tail)
+
+
 def test_supernatural_divisibility():
     s = supernatural((2,), 3)  # 2 * 3^inf
     assert s.divisible_by(2) and s.divisible_by(27) and s.divisible_by(6)

@@ -43,21 +43,34 @@ def test_validation_rejects_overlapping_diagonal_images():
         p(1, 1): {p(1, 1)},
         p(2, 2): {p(1, 1), p(2, 2)},
     }
-    with pytest.raises(ValueError, match="both contain"):
+    with pytest.raises(ValueError) as info:
         RegularEmbedding(src, tgt, image)
+    assert str(info.value) == "diagonal images of (0, 1) and (0, 2) both contain (0, 1)"
+
+
+def _broken_bijection(image12) -> str:
+    src = DigraphAlgebra.upper_triangular(2)
+    tgt = DigraphAlgebra.upper_triangular(4)
+    image = {p(1, 1): {p(1, 1), p(3, 3)}, p(2, 2): {p(2, 2), p(4, 4)}, p(1, 2): image12}
+    with pytest.raises(ValueError) as info:
+        RegularEmbedding(src, tgt, image)
+    return str(info.value)
 
 
 def test_validation_rejects_broken_bijection():
-    src = DigraphAlgebra.upper_triangular(2)
-    tgt = DigraphAlgebra.upper_triangular(4)
-    image = {
-        p(1, 1): {p(1, 1), p(3, 3)},
-        p(2, 2): {p(2, 2), p(4, 4)},
-        # ranges repeat row 1 instead of enumerating {1, 3}
-        p(1, 2): {p(1, 2), p(1, 4)},
-    }
-    with pytest.raises(ValueError):
-        RegularEmbedding(src, tgt, image)
+    # The ranges repeat row 1 instead of enumerating {1, 3}.
+    assert _broken_bijection({p(1, 2), p(1, 4)}) == (
+        "ranges of the image of ((0, 1), (0, 2)) must enumerate the "
+        "diagonal image of (0, 1) exactly once each"
+    )
+
+
+def test_validation_rejects_repeated_sources():
+    # The sources repeat row 4 instead of enumerating {2, 4}.
+    assert _broken_bijection({p(1, 4), p(3, 4)}) == (
+        "sources of the image of ((0, 1), (0, 2)) must enumerate the "
+        "diagonal image of (0, 2) exactly once each"
+    )
 
 
 def test_validation_rejects_non_multiplicative_images():
@@ -81,8 +94,78 @@ def test_validation_rejects_non_multiplicative_images():
 def test_validation_requires_nonempty_images():
     src = DigraphAlgebra([1])
     tgt = DigraphAlgebra([1])
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError) as info:
         RegularEmbedding(src, tgt, {p(1, 1): set()})
+    assert str(info.value) == "pair ((0, 1), (0, 1)) has an empty image"
+
+
+# The remaining messages of the RegularEmbedding constructor, word for word.
+def _diagonal(n):
+    return {p(i, i): {p(i, i)} for i in range(1, n + 1)}
+
+
+COVER = "image must cover the source relation exactly "
+
+
+@pytest.mark.parametrize(
+    "extra_keys, missing, extra",
+    [
+        ([], 1, 0),
+        ([p(1, 1, b=1)], 1, 1),
+        ([p(3, 3)], 1, 1),
+        ([p(2, 1)], 1, 1),
+        ([p(1, 2), p(1, 1, b=1), p(3, 3), p(1, 3)], 0, 3),
+    ],
+    ids=["missing", "another-block", "past-the-end", "reversed", "extra-only"],
+)
+def test_validation_counts_missing_and_extra_keys(extra_keys, missing, extra):
+    src = DigraphAlgebra.upper_triangular(2)
+    image = {**_diagonal(2), **{q: {q} for q in extra_keys}}
+    with pytest.raises(ValueError) as info:
+        RegularEmbedding(src, src, image)
+    assert str(info.value) == COVER + f"(missing {missing}, extra {extra})"
+
+
+@pytest.mark.parametrize(
+    "pair, image_pair",
+    [(p(1, 2), p(2, 1)), (p(1, 1), p(3, 3)), (p(2, 2), p(1, 1, b=1))],
+    ids=["reversed", "past-the-end", "another-block"],
+)
+def test_validation_names_an_image_pair_outside_the_target(pair, image_pair):
+    src = DigraphAlgebra.upper_triangular(2)
+    image = {**_diagonal(2), p(1, 2): {p(1, 2)}, pair: {image_pair}}
+    with pytest.raises(ValueError) as info:
+        RegularEmbedding(src, src, image)
+    assert str(info.value) == f"image pair {image_pair} of {pair} is not in the target relation"
+
+
+def test_validation_names_a_diagonal_unit_sent_off_the_diagonal():
+    tgt = DigraphAlgebra.upper_triangular(2)
+    with pytest.raises(ValueError) as info:
+        RegularEmbedding(DigraphAlgebra([1]), tgt, {p(1, 1): {p(1, 2)}})
+    assert str(info.value) == "diagonal unit (0, 1) maps to off-diagonal pairs"
+
+
+def test_validation_names_images_that_do_not_compose():
+    # Two copies of the chain 1 < 2 < 3 where (1, 3) crosses the copies.
+    src = DigraphAlgebra.upper_triangular(3)
+    gens = [p(1, 2), p(2, 3), p(4, 5), p(5, 6), p(1, 6), p(4, 3)]
+    tgt = DigraphAlgebra.from_generators([6], gens)
+    image = {
+        p(1, 1): {p(1, 1), p(4, 4)},
+        p(2, 2): {p(2, 2), p(5, 5)},
+        p(3, 3): {p(3, 3), p(6, 6)},
+        p(1, 2): {p(1, 2), p(4, 5)},
+        p(2, 3): {p(2, 3), p(5, 6)},
+        p(1, 3): {p(1, 6), p(4, 3)},
+    }
+    with pytest.raises(ValueError) as info:
+        RegularEmbedding(src, tgt, image)
+    assert str(info.value) == (
+        "images of ((0, 1),(0, 2)) and ((0, 2),(0, 3)) compose to "
+        "[((0, 1), (0, 3)), ((0, 4), (0, 6))] but ((0, 1),(0, 3)) maps to "
+        "[((0, 1), (0, 6)), ((0, 4), (0, 3))]"
+    )
 
 
 def test_multiplicity_data_of_standard():
@@ -146,6 +229,24 @@ def test_translation_embedding_rejects_rows_that_do_not_place_copies(rows, messa
     for target in (None, DigraphAlgebra.upper_triangular(4)):
         with pytest.raises(ValueError, match=message):
             translation_embedding(src, rows, target)
+
+
+def test_translation_embedding_names_the_image_pair_outside_the_target():
+    # The second copy of (1, 2) lands on (3, 4), the one pair the target lacks.
+    tgt = DigraphAlgebra([4], [p(1, 2)])
+    with pytest.raises(ValueError) as info:
+        translation_embedding(DigraphAlgebra.upper_triangular(2), standard_rows(2, 2), tgt)
+    assert str(info.value) == (
+        "image pair ((0, 3), (0, 4)) of ((0, 1), (0, 2)) is not in the target relation"
+    )
+
+
+@pytest.mark.parametrize("blocks", [[3], [5], [2, 2], [4, 1]])
+def test_translation_embedding_target_is_the_image_block(blocks):
+    src = DigraphAlgebra.upper_triangular(2)
+    with pytest.raises(ValueError) as info:
+        translation_embedding(src, standard_rows(2, 2), DigraphAlgebra(blocks))
+    assert str(info.value) == f"the target has blocks {blocks} where the image has [4]"
 
 
 def test_image_rows_must_lie_in_the_image_block():

@@ -109,6 +109,21 @@ def test_closure_matches_reference(gen):
 
 
 @settings(max_examples=300, deadline=None)
+@given(generators())
+def test_pairs_list_the_relation_in_sorted_order(gen):
+    blocks, pairs = gen
+    try:
+        a = DigraphAlgebra.from_generators(blocks, pairs)
+    except ValueError:
+        return
+    rel = a.relation
+    assert a.pairs() == sorted(rel)
+    assert len(a) == len(rel)
+    units = ref.units_of(blocks) + [(len(blocks), 1), (0, blocks[0] + 1)]
+    assert all(a.has_pair(i, j) == ((i, j) in rel) for i in units for j in units)
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(generators(), trees()))
 def test_covers_tree_condition_and_grades_match_reference(gen):
     blocks, pairs = gen
