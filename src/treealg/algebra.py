@@ -155,13 +155,16 @@ class DigraphAlgebra:
         if l < 1:
             raise ValueError("multiplicity must be at least 1")
         bl, index, _ = self._rows_of((n * l for n in self._blocks), ())
-        strict = []
+        every = (1 << l) - 1
+        strict, rows = [], []
         for k, sources in enumerate(self._strict):
             copies = [j * l + t for j in sources for t in range(l)]
             cut = bisect_left(copies, k * l)
+            below, above = copies[:cut], copies[cut:]
+            row = sum([every << j * l for j in sources])
             for s in range(l):
-                strict.append(copies[:cut] + list(range(k * l, k * l + s)) + copies[cut:])
-        rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
+                strict.append(below + list(range(k * l, k * l + s)) + above)
+                rows.append(row | ((2 << s) - 1) << k * l)
         return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, index, rows, strict)
 
     def placed(self, at: Mapping[int, list[int]]) -> "DigraphAlgebra":
@@ -170,12 +173,16 @@ class DigraphAlgebra:
         in range (translation_embedding checks this).  The copies are
         relabelled orders on disjoint units, so together an order.
         """
-        bl, index, _ = self._rows_of([self._blocks[0] * len(at[1])], ())
-        strict = [[]] * len(index)
-        for i, sources in enumerate(self._strict, start=1):
-            for c, r in enumerate(at[i]):
-                strict[r - 1] = sorted(at[j + 1][c] - 1 for j in sources)
-        rows = [sum(1 << t for t in s) | 1 << r for r, s in enumerate(strict)]
+        n, m = self._blocks[0], len(at[1])
+        bl, index, _ = self._rows_of([n * m], ())
+        strict, rows = [[]] * (n * m), [0] * (n * m)
+        for c in range(m):
+            # Copy c of unit (0, i + 1) sits at index to[i], bit bit[i].
+            to = [at[i][c] - 1 for i in range(1, n + 1)]
+            bit = [1 << t for t in to]
+            for i, sources in enumerate(self._strict):
+                strict[to[i]] = sorted([to[j] for j in sources])
+                rows[to[i]] = sum([bit[j] for j in sources]) | bit[i]
         return DigraphAlgebra.__new__(DigraphAlgebra)._set(bl, index, rows, strict)
 
     @classmethod

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -264,7 +263,7 @@ _NONNEGATIVE = bytes([1]) + bytes(255)
 # translating by _NONNEGATIVE turns it into the 0/1 domain byte.
 
 
-def _excess(counts: Counter, mask: bytearray) -> int:
+def _excess(counts: dict[int, int], mask: bytearray) -> int:
     """The largest count of a path less its mask byte."""
     return max(map(sub, counts.values(), map(mask.__getitem__, counts)), default=0)
 
@@ -289,7 +288,13 @@ def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
     # entry (i, j) of T_eᵀ T_f is 1 when e·i = f·j, so it vanishes
     # exactly when the ranges of e and f are disjoint.
     domains = {e: d.tobytes()[_HIGH::8].translate(_NONNEGATIVE) for e, d in T.items()}
-    hits = {e: Counter(compress(d, domains[e])) for e, d in T.items()}
+    # Counted in plain dicts: a Counter checks each argument against the
+    # Mapping ABC, a walk that every fresh process pays for again.
+    hits: dict[Edge, dict[int, int]] = {}
+    for e, d in T.items():
+        h = hits[e] = {}
+        for x in compress(d, domains[e]):
+            h[x] = h.get(x, 0) + 1
     r = int(len(set().union(*hits.values())) < sum(map(len, hits.values())))
     checks["orthogonal-edges"] = RelationCheck(r, r == 0)
 
@@ -307,9 +312,11 @@ def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
     r = max((_excess(h, L[edge_range(e)]) for e, h in hits.items()), default=0)
     checks["range-domination"] = RelationCheck(r, r <= 0)
 
-    summed = {v: Counter() for v in L}
+    summed: dict[str, dict[int, int]] = {v: {} for v in L}
     for e, h in hits.items():
-        summed[edge_range(e)].update(h.elements())
+        s = summed[edge_range(e)]
+        for x, c in h.items():
+            s[x] = s.get(x, 0) + c
     r = max((_excess(s, L[v]) for v, s in summed.items()), default=0)
     checks["summed-domination"] = RelationCheck(r, r <= 0)
 

@@ -1,13 +1,19 @@
 """Exit codes, output formats, and error reporting of the front end."""
 
+import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treealg import cli
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.catalog import (
     lambda_tree,
@@ -23,6 +29,7 @@ from treealg.tower import Tower
 
 from conftest import random_out_tree
 
+TESTS = Path(__file__).resolve().parent
 LAMBDA_DOC = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["1", "3"]]}
 
 
@@ -372,6 +379,68 @@ def test_data_errors_exit_65(capsys, tmp_path, lam):
         tmp_path, "forest.json", {"vertices": ["a", "b"], "edges": []}
     )
     assert run(capsys, "ampliate", forest, "-l", "2")[0] == 65
+
+
+@pytest.mark.parametrize(
+    "name, data",
+    [
+        ("latin1.json", b'{"vertices": ["\xff"], "edges": []}'),
+        ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+        ("long.json", b'{"vertices": [' + b"7" * 5000 + b'], "edges": []}'),
+    ],
+)
+def test_undecodable_inputs_exit_65_naming_the_file(capsys, tmp_path, name, data):
+    # Not UTF-8, nested past the decoder's recursion limit, and an integer
+    # literal longer than the interpreter converts.
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out, err = run(capsys, "emit-dot", str(path))
+    assert code == 65 and out == ""
+    assert err.startswith(f"treealg: error: {path}: ") and err.count("\n") == 1
+
+
+def test_crlf_inputs_report_text_mode_positions(capsys, tmp_path):
+    path = tmp_path / "crlf.json"
+    path.write_bytes(b'{"vertices": ["a"],\r\n\r "edges": [}')
+    code, _, err = run(capsys, "emit-dot", str(path))
+    assert code == 65 and err == f"treealg: error: {path}:3:12: Expecting value\n"
+
+
+COUNT_COMPILES = """
+import json, sys
+import treealg.cli
+try:
+    from re import _compiler as compiler
+except ImportError:
+    import sre_compile as compiler
+compiled = []
+real = compiler.compile
+def counting(pattern, flags=0):
+    compiled.append(pattern)
+    return real(pattern, flags)
+compiler.compile = counting
+for argv in json.load(sys.stdin):
+    treealg.cli._PARSER.parse_args(argv)
+print(json.dumps(compiled))
+"""
+
+
+def test_parsing_compiles_no_pattern_after_import():
+    # A fresh interpreter: this one has compiled argparse's patterns already.
+    golden = (TESTS / "golden" / "cli.jsonl").read_text().splitlines()
+    argvs = [c["case"].split(" ") for c in map(json.loads, golden) if not c.get("argparse")]
+    paths = [str(TESTS.parent / "src")] + [os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", COUNT_COMPILES], input=json.dumps(argvs),
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert len(argvs) > 100 and json.loads(done.stdout) == []
+
+
+def test_import_parses_one_line_per_command():
+    commands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(argv[0] for argv in cli._WARM_ARGV) == sorted(commands.choices)
 
 
 def test_help_exits_zero(capsys):
