@@ -126,11 +126,14 @@ class DigraphAlgebra:
         """Close the given pairs transitively, then build the algebra.
 
         Warshall's closure: after step k, every row holding unit k also
-        holds row k.
+        holds row k.  A step whose row holds only unit k changes nothing
+        and is skipped.
         """
         bl, index, rows = cls._rows_of(blocks, units)
         for k in range(len(rows)):
             bit, through = 1 << k, rows[k]
+            if through == bit:
+                continue
             for i, row in enumerate(rows):
                 if row & bit:
                     rows[i] = row | through

@@ -27,8 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .algebra import DigraphAlgebra, Pair, Unit
-from .errors import IllFormedAttachment, MultiBlockUnsupported
-from .graphs import OutForest
+from .errors import MultiBlockUnsupported
 
 
 class RegularEmbedding:
@@ -245,130 +244,3 @@ def refinement_embedding(n: int, l: int) -> RegularEmbedding:
 def tree_refinement_embedding(source: DigraphAlgebra, l: int) -> RegularEmbedding:
     """One tree-refinement step: the refinement rows onto the ampliated order."""
     return translation_embedding(source, refinement_rows(l), source.ampliated(l))
-
-
-def _descend_copy(
-    tree: OutForest,
-    target: OutForest,
-    root: str,
-    anchor: str,
-    taken: set[str],
-) -> dict[str, str]:
-    """Extend root -> anchor to a full edge-preserving injection of tree
-    into target, children matched deterministically in declaration order.
-
-    Raises IllFormedAttachment when no extension exists.
-    """
-    if anchor in taken:
-        raise IllFormedAttachment(f"target vertex {anchor!r} is already used")
-    phi = {root: anchor}
-    used = set(taken) | {anchor}
-    def place(v: str, t: str) -> None:
-        free = [c for c in target.children(t) if c not in used]
-        for child in tree.children(v):
-            for c in list(free):
-                sub = tree.subtree_vertices(child)
-                avail = set(target.subtree_vertices(c)) - used
-                if len(avail) < len(sub):
-                    continue
-                free.remove(c)
-                phi[child] = c
-                used.add(c)
-                place(child, c)
-                break
-            else:
-                raise IllFormedAttachment(
-                    f"no free child of {t!r} can host the branch at {child!r}"
-                )
-    place(root, anchor)
-    # Greedy by-order placement can fail where a different assignment
-    # works; re-check the result and report honestly if it broke.
-    for s, t in tree.edges:
-        if (phi[s], phi[t]) not in target.edges:
-            raise IllFormedAttachment(
-                f"edge {s!r} -> {t!r} does not land on a target edge"
-            )
-    return phi
-
-
-def tree_standard_embedding(
-    sources: list[OutForest],
-    target: OutForest,
-    attach: list[Mapping[str, str]],
-) -> RegularEmbedding:
-    """Embed a disjoint union of out-trees onto branches of a target forest.
-
-    Each entry of attach describes one copy: a map from source vertices to
-    target vertices.  A copy may give only the roots (with the special
-    value "new-root" meaning the first unused target root); the rest of
-    each tree is then placed along the target branches in declaration
-    order.  Every copy must send edges to single target edges and the
-    copies must not overlap; that is exactly what makes the induced
-    embedding send edge generators to sums of edge generators.
-    """
-    for t in sources:
-        if not t.is_tree():
-            raise IllFormedAttachment("each source component must be a single out-tree")
-    all_src = [v for t in sources for v in t.vertices]
-    if len(set(all_src)) != len(all_src):
-        raise IllFormedAttachment("source trees must use distinct vertex names")
-    if not attach:
-        raise IllFormedAttachment("at least one copy is required")
-
-    tvs = set(target.vertices)
-    taken: set[str] = set()
-    copies: list[dict[str, str]] = []
-    for copy_no, spec in enumerate(attach):
-        spec = dict(spec)
-        phi: dict[str, str] = {}
-        for t in sources:
-            root = t.single_root()
-            if set(t.vertices) <= set(spec):
-                # Fully explicit copy: validate as given.
-                part = {v: spec[v] for v in t.vertices}
-                if any(w not in tvs for w in part.values()):
-                    raise IllFormedAttachment("attachment names an unknown target vertex")
-                if len(set(part.values())) != len(part):
-                    raise IllFormedAttachment("copy map is not injective")
-                if set(part.values()) & taken:
-                    raise IllFormedAttachment("copies overlap on the target")
-                for s, u in t.edges:
-                    if (part[s], part[u]) not in target.edges:
-                        raise IllFormedAttachment(
-                            f"edge {s!r} -> {u!r} does not land on a target edge"
-                        )
-                phi.update(part)
-                taken.update(part.values())
-            else:
-                anchor = spec.get(root)
-                if anchor is None:
-                    raise IllFormedAttachment(
-                        f"copy {copy_no} gives no image for root {root!r}"
-                    )
-                if anchor == "new-root":
-                    free_roots = [r for r in target.roots if r not in taken]
-                    if not free_roots:
-                        raise IllFormedAttachment("no unused target root available")
-                    anchor = free_roots[0]
-                elif anchor not in tvs:
-                    raise IllFormedAttachment(f"unknown target vertex {anchor!r}")
-                part = _descend_copy(t, target, root, anchor, taken)
-                phi.update(part)
-                taken.update(part.values())
-        copies.append(phi)
-
-    # Tree b is block b, ordered by its edges as from_graph orders it.
-    unit_of = {v: (b, k + 1) for b, t in enumerate(sources) for k, v in enumerate(t.vertices)}
-    src_pairs = [(unit_of[c], unit_of[p]) for t in sources for p, c in t.edges]
-    src_alg = DigraphAlgebra.from_generators([len(t.vertices) for t in sources], src_pairs)
-    tgt_alg, t_unit = DigraphAlgebra.from_graph(target.graph)
-
-    vertex_of = {u: v for v, u in unit_of.items()}
-    image: dict[Pair, set[Pair]] = {}
-    for i, j in src_alg.pairs():
-        vi, vj = vertex_of[i], vertex_of[j]
-        image[(i, j)] = {(t_unit[phi[vi]], t_unit[phi[vj]]) for phi in copies}
-    try:
-        return RegularEmbedding(src_alg, tgt_alg, image)
-    except ValueError as exc:
-        raise IllFormedAttachment(str(exc)) from exc

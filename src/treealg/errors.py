@@ -13,10 +13,6 @@ class NotATree(TreealgError):
     """A single-rooted out-tree was required."""
 
 
-class IllFormedAttachment(TreealgError):
-    """A tree attachment does not describe a valid branch embedding."""
-
-
 class MismatchedLevels(TreealgError):
     """Embeddings or levels of a tower do not line up."""
 

@@ -214,14 +214,21 @@ def embedding_from_json(
     """Decode an embedding document.
 
     The explicit form needs the enclosing source and target algebras;
-    tower files supply them from the surrounding levels.
+    tower files supply them from the surrounding levels.  A standard or
+    refinement map is checked against the sizes of those it is given
+    before it is built.
     """
     doc = _as_dict(obj, path)
     kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
-    if kind == "standard":
-        return standard_embedding(_positive(doc, "n", path), _positive(doc, "m", path))
-    if kind == "refinement":
-        return refinement_embedding(_positive(doc, "n", path), _positive(doc, "l", path))
+    if kind in ("standard", "refinement"):
+        n, m = _positive(doc, "n", path), _positive(doc, "m" if kind == "standard" else "l", path)
+        for name, level, size in (("source", source, n), ("target", target, n * m)):
+            if level is not None and level.blocks != (size,):
+                raise FormatError(
+                    f"{path}: this {kind} map needs a {name} level with blocks [{size}], "
+                    f"found {list(level.blocks)}"
+                )
+        return (standard_embedding if kind == "standard" else refinement_embedding)(n, m)
     if kind == "explicit":
         if source is None or target is None:
             raise FormatError(

@@ -248,18 +248,6 @@ class OutForest:
             raise NotATree(f"forest has {len(self._roots)} roots, expected one")
         return self._roots[0]
 
-    def subtree_vertices(self, v: str) -> tuple[str, ...]:
-        """All vertices below and including v, in declaration order."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in self.children(u):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return tuple(u for u in self.vertices if u in seen)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutForest):
             return NotImplemented

@@ -457,25 +457,3 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
             f"need depth at least 3"
         ),
     )
-
-
-def counting_grade(t: Tower, level: int, pair: Pair, depth: int) -> list[ChainGrades]:
-    """Grade sequences of every summand chain of one pair down to depth.
-
-    Grades exist only on tree semigroupoids, so every level from the
-    pair's level down must satisfy the tree condition.
-    """
-    levels, maps = materialize(t, depth)
-    d = len(levels)
-    if not 1 <= level <= d:
-        raise ValueError(f"level {level} outside the materialized tower of depth {d}")
-    if not levels[level - 1].has_pair(*pair):
-        raise ValueError(f"pair {pair} is not a unit of level {level}")
-    # Levels above the pair's level need not be trees and are not graded.
-    grades: list[dict[Pair, int]] = [{}] * (level - 1)
-    for k in range(level, d + 1):
-        solved = solve_grading(levels[k - 1])
-        if not solved:
-            raise ValueError(f"level {k} is not a tree semigroupoid, so it has no grades")
-        grades.append(solved.grade)
-    return list(_chain_grades(maps, grades, level, pair))

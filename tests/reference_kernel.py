@@ -22,7 +22,9 @@ oracle of the generated steps in test_kernel.py.
 
 all_chain_grades lists every summand chain of a tower before any is
 looked at, as decide_tensor did before it walked chains lazily; it is
-the oracle of the chain order in test_tower.py.  forest_presentation
+the oracle of the chain order in test_tower.py.  pair_chain_grades lists
+those of one pair, as tower.counting_grade did; acceptance criterion 10
+reads grades off them.  forest_presentation
 builds every algebra and embedding of a Yes certificate afresh, as
 decide_tensor did before it reused the tower's own where they agree.
 
@@ -274,6 +276,21 @@ def _chains_from(
             yield (pair,) + rest
 
 
+def pair_chain_grades(
+    maps: Sequence[RegularEmbedding],
+    grades: Sequence[dict[Pair, int]],
+    level: int,
+    pair: Pair,
+) -> list[ChainGrades]:
+    """Every summand chain of one pair from its level, 1-based, down to
+    the last graded level, with its grades: depth first over sorted
+    images."""
+    return [
+        ChainGrades(level, chain, tuple(grades[level - 1 + k][q] for k, q in enumerate(chain)))
+        for chain in _chains_from(maps, level, pair, len(grades))
+    ]
+
+
 def all_chain_grades(
     levels: Sequence[DigraphAlgebra],
     maps: Sequence[RegularEmbedding],
@@ -282,14 +299,12 @@ def all_chain_grades(
     """Every summand chain of every pair above the last level, listed
     before any is looked at: level by level, pairs in relation order,
     chains depth first over sorted images."""
-    out = []
-    d = len(levels)
-    for k in range(1, d):
-        for p in levels[k - 1].irreflexive_pairs():
-            for chain in _chains_from(maps, k, p, d):
-                seq = tuple(grades[k - 1 + idx][q] for idx, q in enumerate(chain))
-                out.append(ChainGrades(k, chain, seq))
-    return out
+    return [
+        cg
+        for k in range(1, len(levels))
+        for p in levels[k - 1].irreflexive_pairs()
+        for cg in pair_chain_grades(maps, grades, k, p)
+    ]
 
 
 def forest_presentation(

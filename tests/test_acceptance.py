@@ -37,8 +37,9 @@ from treealg.correspondence import (
 )
 from treealg.embeddings import RegularEmbedding
 from treealg.graphs import DirectedGraph, OutForest
-from treealg.tower import Verdict, counting_grade, decide_tensor
+from treealg.tower import Verdict, decide_tensor, materialize
 
+import reference_kernel as ref
 from conftest import all_parent_arrays, random_dag, random_out_tree, tree_from_parents
 
 
@@ -305,11 +306,13 @@ def test_criterion_10_counting_grades_agree(capsys):
     for tower, depth in corpus:
         decision = decide_tensor(tower, depth=depth)
         assert decision.verdict is Verdict.YES
+        levels, maps = materialize(tower, depth)
+        grades = [solve_grading(a).grade for a in levels]
         for lv in decision.certificate.levels:
             grading = solve_grading(lv.algebra)
             assert grading
             for pair in lv.algebra.irreflexive_pairs():
-                chains = counting_grade(tower, lv.level, pair, depth)
+                chains = ref.pair_chain_grades(maps, grades, lv.level, pair)
                 assert chains
                 assert grading.grade[pair] == max(cg.grades[-1] for cg in chains)
     finish(10, "counting grades agree on yes towers", start, 10.0)

@@ -555,6 +555,39 @@ def test_multiplicities_over_the_cap_exit_65_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+def test_translation_maps_off_the_level_sizes_exit_65_before_building(
+    capsys, monkeypatch, tmp_path
+):
+    # n = 2500 would build triangular algebras of 2500 and 5000 units
+    # before the tower found that they are not its levels.
+    def never(*args):
+        raise AssertionError("the map was built")
+
+    monkeypatch.setattr("treealg.formats.standard_embedding", never)
+    monkeypatch.setattr("treealg.formats.refinement_embedding", never)
+    levels = [{"blocks": [1]}, {"blocks": [2]}]
+    for emb, name, size in (
+        ({"kind": "standard", "n": 2500, "m": 2}, "source", 2500),
+        ({"kind": "refinement", "n": 2500, "l": 2}, "source", 2500),
+        ({"kind": "standard", "n": 1, "m": 3}, "target", 3),
+        ({"kind": "refinement", "n": 1, "l": 3}, "target", 3),
+    ):
+        path = write(tmp_path, "t.json", {"levels": levels, "maps": [emb], "rule": None})
+        code, out, err = run(capsys, "check-tensor", path)
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and f"needs a {name} level with blocks [{size}]" in err
+
+
+def test_a_level_of_many_units_without_pairs_decides_at_once(capsys, tmp_path):
+    # No unit has a strict source, so the transitive closure has nothing
+    # to add; one scan of every row per unit took seconds at 6000 units.
+    path = write(tmp_path, "t.json", {"levels": [{"blocks": [6000]}], "maps": [], "rule": None})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check-tensor", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "too short without a rule" in out
+
+
 def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
     def crash(*args, **kwargs):
         raise KeyError("boom")

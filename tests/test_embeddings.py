@@ -12,10 +12,8 @@ from treealg.embeddings import (
     standard_embedding,
     standard_rows,
     translation_embedding,
-    tree_standard_embedding,
 )
-from treealg.errors import IllFormedAttachment, MultiBlockUnsupported
-from treealg.graphs import DirectedGraph, OutForest
+from treealg.errors import MultiBlockUnsupported
 
 
 def p(i, j, b=0):
@@ -274,103 +272,6 @@ def test_grade_shift_under_refinement():
     e = refinement_embedding(2, 2)
     g = solve_grading(e.target)
     assert {g.of(q) for q in e.of(p(1, 2))} == {2}
-
-
-def chain(*names):
-    vs = list(names)
-    return OutForest(DirectedGraph(vs, list(zip(vs, vs[1:]))))
-
-
-def test_tree_standard_identity_copy():
-    t = chain("a", "b")
-    e = tree_standard_embedding([t], t, [{"a": "a", "b": "b"}])
-    assert e.of(p(2, 1)) == {p(2, 1)}
-
-
-def test_tree_standard_two_components_onto_disjoint_edges():
-    # Two 1-edge trees onto the two disjoint edges of a 4-vertex path.
-    # Each edge generator goes to a single target generator.
-    t1, t2 = chain("r", "s"), chain("u", "v")
-    path = chain("a", "b", "c", "d")
-    e = tree_standard_embedding([t1, t2], path, [{"r": "a", "s": "b", "u": "c", "v": "d"}])
-    assert e.of(((0, 2), (0, 1))) == {p(2, 1)}
-    assert e.of(((1, 2), (1, 1))) == {p(4, 3)}
-    tg = solve_grading(e.target)
-    for b in (0, 1):
-        for q in e.of(((b, 2), (b, 1))):
-            assert tg.of(q) == 1
-
-
-def test_tree_standard_two_copies_disjoint():
-    # One edge embedded twice into a 4-chain, multiplicity 2.
-    t = chain("x", "y")
-    path = chain("a", "b", "c", "d")
-    e = tree_standard_embedding(
-        [t], path, [{"x": "a", "y": "b"}, {"x": "c", "y": "d"}]
-    )
-    assert e.of(p(2, 1)) == {p(2, 1), p(4, 3)}
-    assert e.of(p(1, 1)) == {p(1, 1), p(3, 3)}
-
-
-def test_tree_standard_root_only_shorthand():
-    # Root-only attachment descends along the target branch.
-    t = chain("x", "y")
-    path = chain("a", "b", "c")
-    e = tree_standard_embedding([t], path, [{"x": "b"}])
-    assert e.of(p(2, 1)) == {p(3, 2)}
-
-
-def test_tree_standard_new_root_attachment():
-    t = chain("x", "y")
-    target = OutForest(
-        DirectedGraph("a b r2 c".split(), [("a", "b"), ("r2", "c")])
-    )
-    e = tree_standard_embedding([t], target, [{"x": "new-root"}])
-    # first unused root in declaration order is "a"
-    assert e.of(p(2, 1)) == {p(2, 1)}
-
-
-def test_tree_standard_rejects_overlapping_copies():
-    t = chain("x", "y")
-    path = chain("a", "b", "c")
-    with pytest.raises(IllFormedAttachment):
-        tree_standard_embedding(
-            [t], path, [{"x": "a", "y": "b"}, {"x": "b", "y": "c"}]
-        )
-
-
-def test_tree_standard_rejects_edge_stretching():
-    # "b" -> "d" is a length-2 path, not an edge, so this map does not
-    # describe a branch embedding.
-    t = chain("x", "y")
-    path = chain("a", "b", "c", "d")
-    with pytest.raises(IllFormedAttachment):
-        tree_standard_embedding([t], path, [{"x": "b", "y": "d"}])
-
-
-def test_tree_standard_rejects_too_wide_tree():
-    # A 2-branch root cannot sit on a straight chain.
-    lam = OutForest(DirectedGraph("1 2 3".split(), [("1", "2"), ("1", "3")]))
-    path = chain("a", "b", "c")
-    with pytest.raises(IllFormedAttachment):
-        tree_standard_embedding([lam], path, [{"1": "a"}])
-
-
-def test_tree_standard_preserves_grades():
-    # Edge generators map to sums of grade-1 generators by construction.
-    lam = OutForest(DirectedGraph("1 2 3".split(), [("1", "2"), ("1", "3")]))
-    big = OutForest(
-        DirectedGraph(
-            "r a b p q".split(),
-            [("r", "a"), ("a", "b"), ("r", "p"), ("p", "q")],
-        )
-    )
-    e = tree_standard_embedding([lam], big, [{"1": "r", "2": "a", "3": "p"}])
-    sg = solve_grading(e.source)
-    tg = solve_grading(e.target)
-    for q in e.source.irreflexive_pairs():
-        grades = {tg.of(w) for w in e.of(q)}
-        assert grades == {sg.of(q)}
 
 
 def test_semigroupoid_graph_pushforward_bijection():

@@ -150,7 +150,6 @@ def test_forest_navigation():
     assert f.children("a") == ("b", "c")
     assert f.parent("b") == "a"
     assert f.parent("r") is None
-    assert f.subtree_vertices("a") == ("a", "b", "c")
 
 
 def test_covering_edges_of_total_order():
