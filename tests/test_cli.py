@@ -555,8 +555,18 @@ def test_multiplicities_over_the_cap_exit_65_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "emb, name, size",
+    [
+        ({"kind": "standard", "n": 2500, "m": 2}, "source", 2500),
+        ({"kind": "refinement", "n": 2500, "l": 2}, "source", 2500),
+        ({"kind": "standard", "n": 1, "m": 3}, "target", 3),
+        ({"kind": "refinement", "n": 1, "l": 3}, "target", 3),
+    ],
+    ids=["standard-source", "refinement-source", "standard-target", "refinement-target"],
+)
 def test_translation_maps_off_the_level_sizes_exit_65_before_building(
-    capsys, monkeypatch, tmp_path
+    capsys, monkeypatch, tmp_path, emb, name, size
 ):
     # n = 2500 would build triangular algebras of 2500 and 5000 units
     # before the tower found that they are not its levels.
@@ -566,16 +576,10 @@ def test_translation_maps_off_the_level_sizes_exit_65_before_building(
     monkeypatch.setattr("treealg.formats.standard_embedding", never)
     monkeypatch.setattr("treealg.formats.refinement_embedding", never)
     levels = [{"blocks": [1]}, {"blocks": [2]}]
-    for emb, name, size in (
-        ({"kind": "standard", "n": 2500, "m": 2}, "source", 2500),
-        ({"kind": "refinement", "n": 2500, "l": 2}, "source", 2500),
-        ({"kind": "standard", "n": 1, "m": 3}, "target", 3),
-        ({"kind": "refinement", "n": 1, "l": 3}, "target", 3),
-    ):
-        path = write(tmp_path, "t.json", {"levels": levels, "maps": [emb], "rule": None})
-        code, out, err = run(capsys, "check-tensor", path)
-        assert code == 65 and out == ""
-        assert err.count("\n") == 1 and f"needs a {name} level with blocks [{size}]" in err
+    path = write(tmp_path, "t.json", {"levels": levels, "maps": [emb], "rule": None})
+    code, out, err = run(capsys, "check-tensor", path)
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and f"needs a {name} level with blocks [{size}]" in err
 
 
 def test_a_level_of_many_units_without_pairs_decides_at_once(capsys, tmp_path):

@@ -108,6 +108,23 @@ def test_closure_matches_reference(gen):
     assert got == want
 
 
+@st.composite
+def sparse_generators(draw):
+    """One block of up to 40 units and at most eight pairs, so that most
+    units have no strict source and their Warshall steps are skipped."""
+    n = draw(st.integers(2, 40))
+    pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    return [n], [((0, i), (0, j)) for i, j in draw(st.lists(pair, max_size=8))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_generators())
+def test_sparse_closure_matches_reference(gen):
+    blocks, pairs = gen
+    want = ref.relation(blocks, ref.closure(pairs))
+    assert DigraphAlgebra.from_generators(blocks, pairs).relation == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(generators())
 def test_pairs_list_the_relation_in_sorted_order(gen):

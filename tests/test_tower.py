@@ -284,11 +284,17 @@ def check_tails_agree(t: Tower) -> None:
     assert proofs != {"yes", "no"}, f"verdicts by tail: {by_tail}"
 
 
-def test_tails_never_get_opposite_proof_verdicts():
-    ruled = [t for _, t in golden_towers() if t.rule is not None]
-    assert len(ruled) == 16
-    for t in ruled:
-        check_tails_agree(t)
+def ruled_golden_towers():
+    return {name: t for name, t in golden_towers() if t.rule is not None}
+
+
+def test_the_corpus_has_sixteen_towers_with_a_rule():
+    assert len(ruled_golden_towers()) == 16
+
+
+@pytest.mark.parametrize("name", list(ruled_golden_towers()))
+def test_tails_never_get_opposite_proof_verdicts(name):
+    check_tails_agree(ruled_golden_towers()[name])
 
 
 def stored_step_towers():
