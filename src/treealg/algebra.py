@@ -23,16 +23,21 @@ With |R| pairs in the relation:
 * constructor: transitivity as "row j is a subset of row i" for every
   pair (i, j), then antisymmetry as "no two rows are equal": |R| row
   operations;
-* from_generators: Warshall's closure on the rows, N^2 row operations;
+* from_generators: Warshall's closure on the rows, N^2 row operations,
+  then antisymmetry alone, as the closure is transitive;
 * upper_triangular, ampliated and placed: closed-form rows, each
   builder stating why they form an order, so nothing is checked: O(|R|);
 * covering_pairs: the transitive reduction, strict minus strict∘strict
-  (Aho, Garey and Ullman, SIAM J. Comput. 1972): |R| row operations;
-* is_tree_semigroupoid: the strict sources of x must lie in row y or
-  column y, for every pair (x, y): |R| row operations;
+  (Aho, Garey and Ullman, SIAM J. Comput. 1972): |R| row operations,
+  or O(N) under the tree condition (below);
+* is_tree_semigroupoid: the strict sources of every unit x must be the
+  row of one unit, x's one cover, which one dict from row to unit finds:
+  N lookups.  Only on failure are the strict sources of x checked
+  against row y and column y, for every pair (x, y), to name the first
+  failing triple: |R| row operations;
 * solve_grading: under the tree condition the strict sources of a unit
   are its ancestors in the covering forest, so a grade is a difference
-  of two depths (popcounts): O(|R|).
+  of two depths (popcounts), one per unit: O(N).
 
 has_pair reads one row bit through the unit index; pairs() lists the
 relation sorted, and relation builds a frozenset of it on each read.
@@ -101,12 +106,13 @@ class DigraphAlgebra:
         index = {u: k for k, u in enumerate(units)}
         rows = [1 << k for k in range(len(units))]
         for i, j in pairs:
-            for u in (i, j):
-                if u not in index:
-                    raise ValueError(f"unit {u} is out of range for blocks {list(bl)}")
+            k, m = index.get(i), index.get(j)
+            if k is None or m is None:
+                u = i if k is None else j
+                raise ValueError(f"unit {u} is out of range for blocks {list(bl)}")
             if i[0] != j[0]:
                 raise ValueError(f"pair {i} / {j} crosses blocks")
-            rows[index[i]] |= 1 << index[j]
+            rows[k] |= 1 << m
         return bl, index, rows
 
     def _set(
@@ -127,7 +133,8 @@ class DigraphAlgebra:
 
         Warshall's closure: after step k, every row holding unit k also
         holds row k.  A step whose row holds only unit k changes nothing
-        and is skipped.
+        and is skipped.  The closed rows are transitive, so of the order
+        laws only antisymmetry is checked.
         """
         bl, index, rows = cls._rows_of(blocks, units)
         for k in range(len(rows)):
@@ -137,7 +144,7 @@ class DigraphAlgebra:
             for i, row in enumerate(rows):
                 if row & bit:
                     rows[i] = row | through
-        return cls.__new__(cls)._set(bl, index, rows, _order_strict(tuple(index), rows))
+        return cls.__new__(cls)._set(bl, index, rows, _order_strict(tuple(index), rows, True))
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
@@ -246,8 +253,12 @@ class DigraphAlgebra:
         return None
 
     def _covers(self) -> list[list[int]]:
-        """Per row i, the units j with (i, j) a covering pair: the strict
-        row minus strict∘strict (Aho, Garey and Ullman, 1972)."""
+        """Per row i, the units j with (i, j) a covering pair: the one
+        cover of _parents under the tree condition, else the strict row
+        minus strict∘strict (Aho, Garey and Ullman, 1972)."""
+        parents = _parents(self)
+        if parents is not None:
+            return [[c] if c >= 0 else [] for c in parents]
         strict_rows = [row & ~(1 << i) for i, row in enumerate(self._rows)]
         out = []
         for row, sources in zip(strict_rows, self._strict):
@@ -290,10 +301,14 @@ class DigraphAlgebra:
         return f"DigraphAlgebra(blocks={list(self._blocks)}, {off} off-diagonal units)"
 
 
-def _order_strict(units: tuple[Unit, ...], rows: list[int]) -> tuple[list[int], ...]:
-    """The strict source lists of rows checked to form an order."""
+def _order_strict(
+    units: tuple[Unit, ...], rows: list[int], transitive: bool = False
+) -> tuple[list[int], ...]:
+    """The strict source lists of rows checked to form an order; rows
+    transitive by construction (Warshall's) are checked for antisymmetry
+    alone."""
     strict = tuple(_bits(row & ~(1 << i)) for i, row in enumerate(rows))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(() if transitive else rows):
         composites = row
         for j in strict[i]:
             composites |= rows[j]
@@ -332,13 +347,42 @@ class NonTreeTriple:
         return False
 
 
+def _parents(a: DigraphAlgebra) -> list[int] | None:
+    """The one cover (x, c) of every unit x, as c, or -1 where x has no
+    strict source; None where the tree condition fails.
+
+    The strict sources of every unit form a chain exactly when those of
+    each unit x, if any, are the row of some unit c.  If they form a
+    chain, let c be the one with the largest row: any other strict
+    source s is comparable with c, and (s, c) would put row c strictly
+    inside row s, so every such s lies in row c; and row c lies in row x
+    without x, by transitivity and antisymmetry.  Conversely, by
+    induction on the row size, the strict sources of x are c and those
+    of c, which form a chain below c.  Any other strict source of x then
+    lies above c, so (x, c) is the one covering pair of x.  One dict from
+    row to unit decides it: N lookups.
+    """
+    unit_of = {row: c for c, row in enumerate(a._rows)}
+    parents = []
+    for x, row in enumerate(a._rows):
+        strict = row ^ (1 << x)
+        c = unit_of.get(strict) if strict else -1
+        if c is None:
+            return None
+        parents.append(c)
+    return parents
+
+
 def is_tree_semigroupoid(a: DigraphAlgebra) -> "bool | NonTreeTriple":
     """True, or a falsy counterexample triple.
 
     The condition: whenever pairs (x, y) and (x, z) are present with
-    y != z, then y and z are comparable.  The triple returned is the
-    first in sorted order: smallest x, then y, then z.
+    y != z, then y and z are comparable.  _parents decides it; only on
+    failure are the rows scanned for the triple to return, the first in
+    sorted order: smallest x, then y, then z.
     """
+    if _parents(a) is not None:
+        return True
     rows, us = a._rows, a._units
     cols = _columns(a._strict)
     for x, row in enumerate(rows):
@@ -360,17 +404,25 @@ def covering_pairs(a: DigraphAlgebra) -> frozenset[Pair]:
 
 @dataclass(frozen=True)
 class Grading:
-    """The coherent additive integer grading of an algebra's relation.
+    """The coherent additive integer grading of an algebra's relation,
+    held as one depth per unit: the grade of a pair (i, j) is
+    depth[i] - depth[j].
 
     solve_grading is its only constructor, and its grades satisfy the
     laws by construction, so nothing is checked here.
     """
 
     algebra: DigraphAlgebra
-    grade: dict[Pair, int]
+    depth: tuple[int, ...]
 
     def of(self, pair: Pair) -> int:
-        return self.grade[pair]
+        """The grade of a pair; KeyError outside the relation."""
+        i, j = pair
+        index, rows = self.algebra._index, self.algebra._rows
+        k, m = index.get(i), index.get(j)
+        if k is None or m is None or not rows[k] >> m & 1:
+            raise KeyError(pair)
+        return self.depth[k] - self.depth[m]
 
     def __bool__(self) -> bool:
         return True
@@ -387,16 +439,10 @@ def solve_grading(a: DigraphAlgebra) -> Grading | NonTreeTriple:
     construction, they are 0 exactly on the diagonal, and a pair (i, k)
     of grade g >= 2 splits into the cover (i, j), j the deepest strict
     source of i, of grade 1, and (j, k), present because the strict
-    sources of i form a chain, of grade g - 1.
+    sources of i form a chain, of grade g - 1.  The depths are the row
+    popcounts (less one, which cancels): O(N).
     """
     tree = is_tree_semigroupoid(a)
     if not tree:
         return tree
-    us, strict = a._units, a._strict
-    depth = [row.bit_count() for row in a._rows]
-    grade = {
-        (us[i], us[j]): depth[i] - depth[j]
-        for i, sources in enumerate(strict)
-        for j in (i, *sources)
-    }
-    return Grading(a, grade)
+    return Grading(a, tuple(row.bit_count() for row in a._rows))

@@ -11,10 +11,11 @@ must have to come from a star-extendable algebra homomorphism:
   (i, j) is a covering pair (see RegularEmbedding).
 
 The RegularEmbedding constructor checks these laws on any map it is
-given, such as one read from a file.  Embeddings that place copies of a
-single-block level along a row formula are built by one helper,
-translation_embedding, which establishes the laws from three cheap
-conditions on its rows instead and skips the constructor.  The two
+given, such as one read from a file, and keeps its image sets.
+Embeddings that place copies of a single-block level along a row formula
+are built by one helper, translation_embedding, which establishes the
+laws from three cheap conditions on its rows instead, skips the
+constructor and keeps only the copies of each unit.  The two
 classical row formulas: with block size n and multiplicity m, the
 standard embedding sends e_ij to the sum of e_{i+kn, j+kn} over k < m;
 with step l the refinement embedding sends e_ij to the sum of
@@ -33,6 +34,20 @@ from .errors import MultiBlockUnsupported
 class RegularEmbedding:
     """A validated pair-image map between two digraph algebras.
 
+    An image is held in one of two forms.  A map given to the
+    constructor, such as one read from a file, keeps its dict of image
+    sets.  A translation embedding keeps one list of target units per
+    source unit, its copies, and of((u, v)) pairs them up copy by copy
+    when asked; image builds the whole dict from either.
+
+    The constructor works on unit indices.  A key or an image pair is
+    looked up in the unit index of its algebra and its row bit read; the
+    diagonal images become disjoint masks of target indices; the ranges
+    of an image enumerate the diagonal image of its range unit once each
+    exactly when their mask is that image and its popcount is the image
+    size, and likewise the sources.  The messages name the first failure
+    in the order the checks are listed in the module docstring.
+
     Composition, img(i,k) = img(i,j) ∘ img(j,k), is checked only where
     (i, j) is a covering pair, and that suffices.  Induct on the length
     of the longest covering chain from i up to j.  If (i, j) is not a
@@ -46,7 +61,7 @@ class RegularEmbedding:
     all composable pairs would take O(N^3 m).
     """
 
-    __slots__ = ("_source", "_target", "_image")
+    __slots__ = ("_source", "_target", "_image", "_copies")
 
     def __init__(
         self,
@@ -62,35 +77,45 @@ class RegularEmbedding:
                 f"image must cover the source relation exactly "
                 f"(missing {missing}, extra {extra})"
             )
+        # Per pair, the masks of the target indices of its ranges and of
+        # its sources.
+        index, rows = target._index, target._rows
+        masks = []
         for p, v in img.items():
             if not v:
                 raise ValueError(f"pair {p} has an empty image")
+            ranges = sources = 0
             for q in v:
-                if not target.has_pair(*q):
+                a, b = q
+                k, m = index.get(a), index.get(b)
+                if k is None or m is None or not rows[k] >> m & 1:
                     raise ValueError(f"image pair {q} of {p} is not in the target relation")
-        diag: dict[Unit, frozenset[Unit]] = {}
+                ranges |= 1 << k
+                sources |= 1 << m
+            masks.append((ranges, sources))
+        diag: dict[Unit, int] = {}
         for d in source.units():
             im = img[(d, d)]
             if any(i != j for i, j in im):
                 raise ValueError(f"diagonal unit {d} maps to off-diagonal pairs")
-            diag[d] = frozenset(i for i, _ in im)
-        seen: dict[Unit, Unit] = {}
-        for d, s in diag.items():
-            for t in s:
-                if t in seen:
-                    raise ValueError(f"diagonal images of {seen[t]} and {d} both contain {t}")
-                seen[t] = d
-        for (i, j), v in img.items():
+            diag[d] = sum(1 << index[i] for i, _ in im)
+        seen = 0
+        for d, mask in diag.items():
+            if mask & seen:
+                # Word the overlap as a scan of the units in order meets it.
+                t = next(t for t in frozenset(i for i, _ in img[(d, d)]) if seen >> index[t] & 1)
+                first = next(e for e, m in diag.items() if m >> index[t] & 1)
+                raise ValueError(f"diagonal images of {first} and {d} both contain {t}")
+            seen |= mask
+        for ((i, j), v), (ranges, sources) in zip(img.items(), masks):
             if i == j:
                 continue
-            ranges = [a for a, _ in v]
-            sources = [b for _, b in v]
-            if len(set(ranges)) != len(v) or set(ranges) != set(diag[i]):
+            if ranges != diag[i] or ranges.bit_count() != len(v):
                 raise ValueError(
                     f"ranges of the image of {(i, j)} must enumerate the "
                     f"diagonal image of {i} exactly once each"
                 )
-            if len(set(sources)) != len(v) or set(sources) != set(diag[j]):
+            if sources != diag[j] or sources.bit_count() != len(v):
                 raise ValueError(
                     f"sources of the image of {(i, j)} must enumerate the "
                     f"diagonal image of {j} exactly once each"
@@ -115,17 +140,20 @@ class RegularEmbedding:
         self,
         source: DigraphAlgebra,
         target: DigraphAlgebra,
-        image: dict[Pair, frozenset[Pair]],
+        image: dict[Pair, frozenset[Pair]] | None,
+        copies: dict[Unit, list[Unit]] | None = None,
     ) -> "RegularEmbedding":
         """Store the fields as given and return self, checking nothing.
 
-        The constructor ends here after its checks;
-        translation_embedding calls it on a fresh instance once its row
-        conditions guarantee every law.
+        The constructor ends here after its checks, with image.
+        translation_embedding calls it on a fresh instance with copies
+        once its row conditions guarantee every law, and so does a
+        restriction that keeps every law (tower._forest_presentation).
         """
         self._source = source
         self._target = target
         self._image = image
+        self._copies = copies
         return self
 
     @property
@@ -138,10 +166,20 @@ class RegularEmbedding:
 
     @property
     def image(self) -> dict[Pair, frozenset[Pair]]:
-        return dict(self._image)
+        """Every pair of the source with its image set, as a new dict."""
+        if self._copies is None:
+            return dict(self._image)
+        c = self._copies
+        return {(u, v): frozenset(zip(c[u], c[v])) for u, v in self._source.pairs()}
 
     def of(self, pair: Pair) -> frozenset[Pair]:
-        return self._image[pair]
+        """The image set of a pair; KeyError outside the source relation."""
+        if self._copies is None:
+            return self._image[pair]
+        if not self._source.has_pair(*pair):
+            raise KeyError(pair)
+        u, v = pair
+        return frozenset(zip(self._copies[u], self._copies[v]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegularEmbedding):
@@ -149,7 +187,7 @@ class RegularEmbedding:
         return (
             self._source == other._source
             and self._target == other._target
-            and self._image == other._image
+            and self.image == other.image
         )
 
     def __repr__(self) -> str:
@@ -189,6 +227,10 @@ def translation_embedding(
     row i with copy c of row j, so its ranges and sources enumerate the
     diagonal images of i and j once each; and the images of (i, j) and
     (j, k) compose copy by copy to the image of (i, k).
+
+    The embedding keeps the copies of each source unit, not the image
+    sets: of builds the image of one pair when asked, so a decision that
+    reads only the covers of a level builds O(N·m) pairs, not O(|R|·m).
     """
     if len(source.blocks) != 1:
         raise MultiBlockUnsupported("row translations need a single-block source")
@@ -220,9 +262,8 @@ def translation_embedding(
         if q is not None:
             p = ((0, owner[q[0][1]]), (0, owner[q[1][1]]))
             raise ValueError(f"image pair {q} of {p} is not in the target relation")
-    copies = {i: [(0, r) for r in rs] for i, rs in at.items()}
-    image = {(u, v): frozenset(zip(copies[u[1]], copies[v[1]])) for u, v in source.pairs()}
-    return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, image)
+    copies = {(0, i): [(0, r) for r in rs] for i, rs in at.items()}
+    return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, None, copies)
 
 
 def standard_embedding(n: int, m: int) -> RegularEmbedding:

@@ -7,7 +7,9 @@ test_kernel.py compares the bitmask kernel against on small relations.
 grading_ok checks additivity and coherence on every composable pair;
 solve_grading returns grades that must pass it.  embedding_ok checks
 composition on every composable pair, where RegularEmbedding checks only
-those whose first factor is a covering pair.
+those whose first factor is a covering pair.  embedding_error is the
+constructor's own checking loop as it ran on tuple-pair sets, and gives
+the message RegularEmbedding must raise, word for word.
 
 The graph-level closure, covering edges and out-forest completion test
 once duplicated the kernel on DirectedGraph values; they stay here as
@@ -43,7 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from treealg.algebra import DigraphAlgebra
+from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.ampliation import ampliate
 from treealg.correspondence import (
     CKTReport,
@@ -142,6 +144,13 @@ def chain_grades(rel, units) -> dict[Pair, int]:
     return grade
 
 
+def grade_table(a: DigraphAlgebra) -> dict[Pair, int]:
+    """The grade of every pair of a level that has a grading, read
+    through Grading.of, as the dict the checks here take."""
+    g = solve_grading(a)
+    return {p: g.of(p) for p in a.pairs()}
+
+
 def grading_ok(rel, units, grade) -> bool:
     """The laws a coherent additive grading satisfies."""
     if set(grade) != set(rel):
@@ -186,6 +195,65 @@ def embedding_ok(rel, target_rel, image) -> bool:
                 if {(left[b], c) for b, c in img[(k, l)]} != img[(i, l)]:
                     return False
     return True
+
+
+def embedding_error(source: DigraphAlgebra, target: DigraphAlgebra, image) -> str | None:
+    """The message RegularEmbedding raises on a pair-image map, or None
+    if it accepts the map: the checking loop of its constructor before
+    the laws moved onto unit indices and row bitmasks, check by check in
+    the same order, over the same tuple-pair sets."""
+    img = {p: frozenset(v) for p, v in image.items()}
+    extra = sum(not source.has_pair(i, j) for i, j in img)
+    missing = len(source) - (len(img) - extra)
+    if missing or extra:
+        return (
+            f"image must cover the source relation exactly "
+            f"(missing {missing}, extra {extra})"
+        )
+    for p, v in img.items():
+        if not v:
+            return f"pair {p} has an empty image"
+        for q in v:
+            if not target.has_pair(*q):
+                return f"image pair {q} of {p} is not in the target relation"
+    diag: dict[Unit, frozenset[Unit]] = {}
+    for d in source.units():
+        im = img[(d, d)]
+        if any(i != j for i, j in im):
+            return f"diagonal unit {d} maps to off-diagonal pairs"
+        diag[d] = frozenset(i for i, _ in im)
+    seen: dict[Unit, Unit] = {}
+    for d, s in diag.items():
+        for t in s:
+            if t in seen:
+                return f"diagonal images of {seen[t]} and {d} both contain {t}"
+            seen[t] = d
+    for (i, j), v in img.items():
+        if i == j:
+            continue
+        ranges = [a for a, _ in v]
+        sources = [b for _, b in v]
+        if len(set(ranges)) != len(v) or set(ranges) != set(diag[i]):
+            return (
+                f"ranges of the image of {(i, j)} must enumerate the "
+                f"diagonal image of {i} exactly once each"
+            )
+        if len(set(sources)) != len(v) or set(sources) != set(diag[j]):
+            return (
+                f"sources of the image of {(i, j)} must enumerate the "
+                f"diagonal image of {j} exactly once each"
+            )
+    for j, ranges, sources in source.composable_covers():
+        for i in ranges:
+            left = {b: a for a, b in img[(i, j)]}
+            for k in sources:
+                composed = frozenset((left[b], c) for b, c in img[(j, k)])
+                if composed != img[(i, k)]:
+                    return (
+                        f"images of ({i},{j}) and ({j},{k}) compose to "
+                        f"{sorted(composed)} but ({i},{k}) maps to {sorted(img[(i, k)])}"
+                    )
+    return None
 
 
 def transitive_completion(g: DirectedGraph) -> DirectedGraph:

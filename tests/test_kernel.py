@@ -156,8 +156,56 @@ def test_covers_tree_condition_and_grades_match_reference(gen):
     if triple is None:
         assert tree is True
         assert isinstance(solved, Grading)
-        assert solved.grade == ref.chain_grades(rel, units)
-        assert ref.grading_ok(rel, units, solved.grade)
+        grade = {p: solved.of(p) for p in rel}
+        assert grade == ref.chain_grades(rel, units)
+        assert ref.grading_ok(rel, units, grade)
+    else:
+        assert tree == NonTreeTriple(*triple)
+        assert solved == tree
+
+
+@st.composite
+def closed_form_levels(draw):
+    """A level whose rows are built in closed form, as rule steps build
+    them, without the order check: a full triangular order, the
+    ampliated order of a drawn order, or the image algebra of m copies of
+    a single-block order placed along standard, refinement or shuffled
+    rows."""
+    kind = draw(st.sampled_from(["upper_triangular", "ampliated", "placed"]))
+    if kind == "upper_triangular":
+        return DigraphAlgebra.upper_triangular(draw(st.integers(1, 12)))
+    blocks, pairs = draw(st.one_of(generators(), trees()))
+    if kind == "placed":
+        blocks, pairs = blocks[:1], [(i, j) for i, j in pairs if i[0] == j[0] == 0]
+    try:
+        a = DigraphAlgebra.from_generators(blocks, pairs)
+    except ValueError:
+        a = DigraphAlgebra(blocks)
+    if kind == "ampliated":
+        return a.ampliated(draw(st.integers(1, 3)))
+    n, m = blocks[0], draw(st.integers(1, 3))
+    rows = draw(st.sampled_from(["standard", "refinement", "shuffled"]))
+    if rows == "standard":
+        at = standard_rows(n, m)
+    elif rows == "refinement":
+        at = refinement_rows(m)
+    else:
+        perm = draw(st.permutations(range(1, n * m + 1)))
+        at = lambda i: list(perm[(i - 1) * m : i * m])  # noqa: E731
+    return translation_embedding(a, at, None).target
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_form_levels())
+def test_closed_form_levels_match_reference(a):
+    rel, units = a.relation, ref.units_of(a.blocks)
+    assert covering_pairs(a) == ref.covering_pairs(rel, units)
+    triple = ref.non_tree_triple(rel)
+    tree = is_tree_semigroupoid(a)
+    solved = solve_grading(a)
+    if triple is None:
+        assert tree is True
+        assert {p: solved.of(p) for p in rel} == ref.chain_grades(rel, units)
     else:
         assert tree == NonTreeTriple(*triple)
         assert solved == tree
@@ -190,35 +238,91 @@ def _accepts(source, target, image) -> bool:
     return True
 
 
-@settings(max_examples=500, deadline=None)
-@given(translation_images(), st.data())
-def test_embedding_validation_matches_reference(emb, data):
-    source, target, image = emb
-    image = {p: set(v) for p, v in image.items()}
-    # Half of the mutations hit a pair that is not a cover, if there is
-    # one, so that the break lies away from the covering pairs.
-    far = sorted(source.relation - covering_pairs(source) - {(u, u) for u in source.units()})
+def _mutate(data, source, target, image, kinds=("swap", "retarget", "drop")) -> None:
+    """Apply one drawn mutation to image in place.  Half of the mutations
+    hit a pair that is not a cover, if there is one, so that the break
+    lies away from the covering pairs; "overlap" adds a unit of another
+    diagonal image to the image of a diagonal unit."""
+    far = sorted(
+        p for p in source.relation - covering_pairs(source) if p[0] != p[1] and p in image
+    )
     pair = data.draw(st.sampled_from(far if far and data.draw(st.booleans()) else sorted(image)))
     copies = sorted(image[pair])
-    mutation = data.draw(st.sampled_from(["swap", "retarget", "drop"]))
+    mutation = data.draw(st.sampled_from(kinds))
     if mutation == "swap" and len(copies) >= 2:
         # Swap the sources of two copies in the image of one pair.
         (a, b), (c, d) = data.draw(st.permutations(copies))[:2]
         image[pair] -= {(a, b), (c, d)}
         image[pair] |= {(a, d), (c, b)}
-    elif mutation == "retarget":
+    elif mutation == "retarget" and copies:
         a, b = data.draw(st.sampled_from(copies))
         t = data.draw(st.sampled_from(target.units()))
         new = data.draw(st.sampled_from([(t, b), (a, t), (t, t)]))
         image[pair] = (image[pair] - {(a, b)}) | {new}
     elif mutation == "drop":
-        if data.draw(st.booleans()):
+        if data.draw(st.booleans()) or not copies:
             del image[pair]
         else:
             image[pair].discard(data.draw(st.sampled_from(copies)))
+    elif mutation == "overlap":
+        d = data.draw(st.sampled_from(source.units()))
+        others = sorted(
+            q for u in source.units() if u != d for q in image.get((u, u), ()) if q[0] == q[1]
+        )
+        if (d, d) in image and others:
+            image[(d, d)].add(data.draw(st.sampled_from(others)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(translation_images(), st.data())
+def test_embedding_validation_matches_reference(emb, data):
+    source, target, image = emb
+    image = {p: set(v) for p, v in image.items()}
+    _mutate(data, source, target, image)
     assert _accepts(source, target, image) == ref.embedding_ok(
         source.relation, target.relation, image
     )
+
+
+@settings(max_examples=500, deadline=None)
+@given(translation_images(), st.integers(1, 3), st.data())
+def test_embedding_messages_match_the_reference_loop(emb, count, data):
+    # One to three stacked mutations, diagonal overlaps among them and
+    # swaps, which break only composition, drawn twice as often: the
+    # constructor raises exactly the message of the reference loop, and
+    # accepts exactly when that loop finds nothing.
+    source, target, image = emb
+    image = {p: set(v) for p, v in image.items()}
+    for _ in range(count):
+        if image:
+            _mutate(data, source, target, image, ("swap", "swap", "retarget", "drop", "overlap"))
+    want = ref.embedding_error(source, target, image)
+    if want is None:
+        RegularEmbedding(source, target, image)
+    else:
+        with pytest.raises(ValueError) as info:
+            RegularEmbedding(source, target, image)
+        assert str(info.value) == want
+
+
+@pytest.mark.parametrize("n, l", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_every_swap_of_a_refinement_image_gets_the_reference_message(n, l):
+    # Swapping the sources of two copies keeps every image pair in the
+    # target and the ranges and sources enumerated, so most of these
+    # break composition alone.
+    e = refinement_embedding(n, l)
+    for pair in e.source.irreflexive_pairs():
+        copies = sorted(e.of(pair))
+        for x in range(len(copies)):
+            for y in range(x + 1, len(copies)):
+                (a, b), (c, d) = copies[x], copies[y]
+                image = {p: set(v) for p, v in e.image.items()}
+                image[pair] = (image[pair] - {(a, b), (c, d)}) | {(a, d), (c, b)}
+                want = ref.embedding_error(e.source, e.target, image)
+                assert want is not None
+                with pytest.raises(ValueError) as info:
+                    RegularEmbedding(e.source, e.target, image)
+                assert str(info.value) == want
 
 
 def test_composition_is_checked_beyond_the_first_source_of_each_cover():
@@ -264,7 +368,7 @@ def _assert_tower_rebuilds(levels, maps) -> None:
         _assert_algebra_rebuilds(a)
         solved = solve_grading(a)
         if solved:
-            assert ref.grading_ok(a.relation, a.units(), solved.grade)
+            assert ref.grading_ok(a.relation, a.units(), ref.grade_table(a))
 
 
 @settings(max_examples=150, deadline=None)

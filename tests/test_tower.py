@@ -113,7 +113,7 @@ def test_refinement_tower_no_with_grade_growth():
 def eager_chains(t: Tower, level: int, pair, depth: int):
     """The reference kernel's summand chains of one pair down to depth."""
     levels, maps = materialize(t, depth)
-    grades = [solve_grading(a).grade for a in levels]
+    grades = [ref.grade_table(a) for a in levels]
     return ref.pair_chain_grades(maps, grades, level, pair)
 
 
@@ -327,7 +327,7 @@ def check_against_the_eager_reference(t: Tower, depth: int) -> bool:
     solved = [solve_grading(a) for a in levels]
     if not all(solved):
         return False
-    grades = [s.grade for s in solved]
+    grades = [ref.grade_table(a) for a in levels]
     chains = ref.all_chain_grades(levels, maps, grades)
     dec = decide_tensor(t, depth)
     cert = dec.certificate
@@ -369,13 +369,14 @@ def test_chain_walk_matches_the_eager_reference():
                 continue
             checked += 1
             levels, maps = materialize(t, depth)
-            grades = [solve_grading(a).grade for a in levels]
+            grades = [ref.grade_table(a) for a in levels]
             eager: dict = {}
             for cg in ref.all_chain_grades(levels, maps, grades):
                 eager.setdefault((cg.start_level, cg.pairs[0]), []).append(cg)
+            solved = [solve_grading(a) for a in levels]
             for k in range(1, len(levels)):
                 for p in levels[k - 1].irreflexive_pairs():
-                    walked = list(treealg.tower._chain_grades(maps, grades, k, p))
+                    walked = list(treealg.tower._chain_grades(maps, solved, k, p))
                     assert walked == eager.get((k, p), [])
     assert checked > 50
 
