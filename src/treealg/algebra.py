@@ -23,8 +23,7 @@ With |R| pairs in the relation:
 * constructor: transitivity as "row j is a subset of row i" for every
   pair (i, j), then antisymmetry as "no two rows are equal": |R| row
   operations;
-* from_generators: Warshall's closure on the rows, N^2 row operations,
-  then antisymmetry alone, as the closure is transitive;
+* from_generators: Warshall's closure on the rows, N^2 row operations;
 * upper_triangular, ampliated and placed: closed-form rows, each
   builder stating why they form an order, so nothing is checked: O(|R|);
 * covering_pairs: the transitive reduction, strict minus strict∘strict
@@ -133,8 +132,7 @@ class DigraphAlgebra:
 
         Warshall's closure: after step k, every row holding unit k also
         holds row k.  A step whose row holds only unit k changes nothing
-        and is skipped.  The closed rows are transitive, so of the order
-        laws only antisymmetry is checked.
+        and is skipped.
         """
         bl, index, rows = cls._rows_of(blocks, units)
         for k in range(len(rows)):
@@ -144,7 +142,7 @@ class DigraphAlgebra:
             for i, row in enumerate(rows):
                 if row & bit:
                     rows[i] = row | through
-        return cls.__new__(cls)._set(bl, index, rows, _order_strict(tuple(index), rows, True))
+        return cls.__new__(cls)._set(bl, index, rows, _order_strict(tuple(index), rows))
 
     @classmethod
     def upper_triangular(cls, n: int) -> "DigraphAlgebra":
@@ -301,14 +299,10 @@ class DigraphAlgebra:
         return f"DigraphAlgebra(blocks={list(self._blocks)}, {off} off-diagonal units)"
 
 
-def _order_strict(
-    units: tuple[Unit, ...], rows: list[int], transitive: bool = False
-) -> tuple[list[int], ...]:
-    """The strict source lists of rows checked to form an order; rows
-    transitive by construction (Warshall's) are checked for antisymmetry
-    alone."""
+def _order_strict(units: tuple[Unit, ...], rows: list[int]) -> tuple[list[int], ...]:
+    """The strict source lists of rows checked to form an order."""
     strict = tuple(_bits(row & ~(1 << i)) for i, row in enumerate(rows))
-    for i, row in enumerate(() if transitive else rows):
+    for i, row in enumerate(rows):
         composites = row
         for j in strict[i]:
             composites |= rows[j]
@@ -417,12 +411,10 @@ class Grading:
 
     def of(self, pair: Pair) -> int:
         """The grade of a pair; KeyError outside the relation."""
-        i, j = pair
-        index, rows = self.algebra._index, self.algebra._rows
-        k, m = index.get(i), index.get(j)
-        if k is None or m is None or not rows[k] >> m & 1:
+        a = self.algebra
+        if not a.has_pair(*pair):
             raise KeyError(pair)
-        return self.depth[k] - self.depth[m]
+        return self.depth[a._index[pair[0]]] - self.depth[a._index[pair[1]]]
 
     def __bool__(self) -> bool:
         return True

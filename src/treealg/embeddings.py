@@ -45,8 +45,11 @@ class RegularEmbedding:
     diagonal images become disjoint masks of target indices; the ranges
     of an image enumerate the diagonal image of its range unit once each
     exactly when their mask is that image and its popcount is the image
-    size, and likewise the sources.  The messages name the first failure
-    in the order the checks are listed in the module docstring.
+    size, and likewise the sources.  The checks run in a fixed order,
+    each naming its first failure: the keys against the source relation,
+    then pair by pair an empty image or an image pair outside the target,
+    then diagonal images off the diagonal, overlapping diagonal images,
+    ranges and sources that do not enumerate them, and composition.
 
     Composition, img(i,k) = img(i,j) ∘ img(j,k), is checked only where
     (i, j) is a covering pair, and that suffices.  Induct on the length
