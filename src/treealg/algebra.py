@@ -411,10 +411,12 @@ class Grading:
 
     def of(self, pair: Pair) -> int:
         """The grade of a pair; KeyError outside the relation."""
-        a = self.algebra
-        if not a.has_pair(*pair):
+        i, j = pair
+        index, rows = self.algebra._index, self.algebra._rows
+        k, m = index.get(i), index.get(j)
+        if k is None or m is None or not rows[k] >> m & 1:
             raise KeyError(pair)
-        return self.depth[a._index[pair[0]]] - self.depth[a._index[pair[1]]]
+        return self.depth[k] - self.depth[m]
 
     def __bool__(self) -> bool:
         return True

@@ -265,6 +265,8 @@ def _complete_diagonal(
     source: DigraphAlgebra, image: dict[Pair, frozenset[Pair]]
 ) -> dict[Pair, frozenset[Pair]]:
     """Fill implied reflexive entries from the off-diagonal ones."""
+    if all((i, i) in image for i in source.units()):
+        return image
     seen: dict[Unit, set[Pair]] = {}
     for (a, b), tgts in image.items():
         seen.setdefault(a, set()).update((p, p) for p, _ in tgts)
