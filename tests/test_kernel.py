@@ -4,8 +4,10 @@ Random small relations on one to three blocks go through both the
 kernel in treealg.algebra and the set-based loops in reference_kernel,
 which must agree on acceptance, closure, covering pairs, grades and the
 first non-tree triple; every solved grading must pass the reference.
-Mutated translation embeddings must be accepted by RegularEmbedding
-exactly when the all-pairs reference accepts them.
+So must the levels that rule steps build in closed form, which skip
+the order check.  Mutated translation embeddings must be accepted by
+RegularEmbedding exactly when the all-pairs reference accepts them, and
+rejected with exactly the message of the constructor's set-based loop.
 
 The library builds ampliations, reductions, forest presentations,
 translation embeddings, full triangular, image and ampliated orders
