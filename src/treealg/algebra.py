@@ -345,16 +345,17 @@ def _parents(a: DigraphAlgebra) -> list[int] | None:
     """The one cover (x, c) of every unit x, as c, or -1 where x has no
     strict source; None where the tree condition fails.
 
-    The strict sources of every unit form a chain exactly when those of
-    each unit x, if any, are the row of some unit c.  If they form a
-    chain, let c be the one with the largest row: any other strict
+    The strict sources of every unit form a chain exactly when, for each
+    unit x that has one, they are the row of some unit c.  If they form
+    a chain, let c be the one with the largest row: any other strict
     source s is comparable with c, and (s, c) would put row c strictly
-    inside row s, so every such s lies in row c; and row c lies in row x
-    without x, by transitivity and antisymmetry.  Conversely, by
-    induction on the row size, the strict sources of x are c and those
-    of c, which form a chain below c.  Any other strict source of x then
-    lies above c, so (x, c) is the one covering pair of x.  One dict from
-    row to unit decides it: N lookups.
+    inside row s, so (c, s) holds and s lies in row c; and row c lies in
+    row x without x, by transitivity and antisymmetry.  Conversely, by
+    induction on the row size, the strict sources of x are c and the
+    strict sources of c, a chain inside row c, so together a chain.
+    Every strict source of x but c then lies in row c, so (x, c) is the
+    one covering pair of x.  One dict from row to unit decides it: N
+    lookups.
     """
     unit_of = {row: c for c, row in enumerate(a._rows)}
     parents = []

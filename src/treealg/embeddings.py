@@ -172,8 +172,7 @@ class RegularEmbedding:
         """Every pair of the source with its image set, as a new dict."""
         if self._copies is None:
             return dict(self._image)
-        c = self._copies
-        return {(u, v): frozenset(zip(c[u], c[v])) for u, v in self._source.pairs()}
+        return {p: self.of(p) for p in self._source.pairs()}
 
     def of(self, pair: Pair) -> frozenset[Pair]:
         """The image set of a pair; KeyError outside the source relation."""
