@@ -8,12 +8,16 @@ unreadable or ill-formed input, and 70 an internal error.  Identical
 inputs give identical output; nothing here consults clocks.
 
 The parser is built once, when the module is imported, from literals
-alone, and it is the only module state; the import also parses one
-literal command line per command, so that argparse has compiled its
-patterns before the first call.  Each call parses into a fresh
-namespace whose `run` is the command's handler; handlers read their
-inputs and options from it by name.  Input files are read as bytes and
-decoded as UTF-8 JSON.
+alone; the import also reads a table of each command's positionals,
+options and defaults off it, and parses one literal command line per
+command, so that argparse has compiled its patterns before the first
+call.  These are the only module state.  A call whose arguments have
+the form every real call has (see _direct) is parsed from the table
+without argparse; any other call, and so every usage error and help
+text, goes to argparse.  Each call parses into a fresh namespace whose
+`run` is the command's handler; handlers read their inputs and options
+from it by name.  Input files are read as bytes and decoded as UTF-8
+JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from . import formats
 from .ampliation import ampliate
@@ -397,11 +402,77 @@ for _argv in _WARM_ARGV:
 del _argv
 
 
+def _direct_table(parser: argparse.ArgumentParser) -> dict:
+    """Command -> (positional dests, option string -> (dest, type,
+    choices), the namespace before arguments, required dests), read off
+    the sub-parsers of parser.  Defaults are copied as they are: argparse
+    would pass a string default through its option's type, and no
+    default here is a string."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for command, p in sub.choices.items():
+        stores = [a for a in p._actions if type(a) is argparse._StoreAction]
+        required = {a.dest for a in stores if a.required}
+        start = {a.dest: a.default for a in p._actions
+                 if argparse.SUPPRESS not in (a.dest, a.default) and a.dest not in required}
+        start.update(p._defaults, command=command)
+        options = {s: (a.dest, a.type, a.choices) for a in stores for s in a.option_strings}
+        table[command] = ([a.dest for a in stores if not a.option_strings], options, start, required)
+    return table
+
+
+_DIRECT = _direct_table(_PARSER)
+
+
+def _direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace _PARSER.parse_args(argv) builds, for an argv of the
+    one form every real call has: a command, that command's positionals,
+    then pairs of an exact option string and a value, where no
+    positional or value starts with "-".  Each value goes through its
+    option's type and choices, and every required option must be given.
+
+    Any other argv gives None and is left to argparse: abbreviations,
+    "--depth=3", "-l5", "--", "-", help, options before positionals, and
+    every bad, missing or extra argument.  So argparse words every usage
+    error and help text, and a well-formed call runs none of its code.
+    """
+    entry = _DIRECT.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    positionals, options, start, required = entry
+    n = len(positionals) + 1
+    if len(argv) < n or (len(argv) - n) % 2:
+        return None
+    values = dict(start)
+    for dest, text in zip(positionals, argv[1:n]):
+        if text.startswith("-"):
+            return None
+        values[dest] = text
+    for flag, text in zip(argv[n::2], argv[n + 1::2]):
+        if flag not in options or text.startswith("-"):
+            return None
+        dest, convert, choices = options[flag]
+        try:
+            value = text if convert is None else convert(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        ns = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _direct(argv)
+    if ns is None:
+        try:
+            ns = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return ns.run(ns)
     except (TreealgError, OSError) as exc:

@@ -117,11 +117,25 @@ def module_inner_product(
 
 
 def module_norm(x: GraphCorrespondenceVector) -> float:
-    """Largest per-vertex square root of the self inner product."""
-    ip = module_inner_product(x, x)
-    if not ip:
+    """Largest per-vertex square root of the self inner product.
+
+    Amplitudes are scaled by 2^-k, 2^k the power of two of their largest
+    real or imaginary part, before they are squared, and the root by 2^k
+    after, so no square overflows or underflows; scaling by a power of
+    two is exact.  Each vertex's squares are summed with math.fsum, whose
+    result does not depend on the order of the edges, which follows
+    string hashing.
+    """
+    amps = [x.amplitude(e) for e in x.graph.edges]
+    top = max((max(abs(a.real), abs(a.imag)) for a in amps), default=0.0)
+    if not top:
         return 0.0
-    return max(math.sqrt(max(v.real, 0.0)) for v in ip.values())
+    k = math.frexp(top)[1]
+    squares = {v: [] for v in x.graph.vertices}
+    for e, a in zip(x.graph.edges, amps):
+        a = complex(math.ldexp(a.real, -k), math.ldexp(a.imag, -k))
+        squares[edge_source(e)].append((a.conjugate() * a).real)
+    return math.ldexp(math.sqrt(max(map(math.fsum, squares.values()))), k)
 
 
 Path = tuple[str, tuple[Edge, ...]]

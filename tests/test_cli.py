@@ -28,6 +28,7 @@ from treealg.formats import graph_to_json, spec_to_json, tower_to_json
 from treealg.tower import Tower
 
 from conftest import random_out_tree
+from test_golden_cli import cases
 
 TESTS = Path(__file__).resolve().parent
 LAMBDA_DOC = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["1", "3"]]}
@@ -441,6 +442,72 @@ def test_parsing_compiles_no_pattern_after_import():
 def test_import_parses_one_line_per_command():
     commands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
     assert sorted(argv[0] for argv in cli._WARM_ARGV) == sorted(commands.choices)
+
+
+def test_norm_of_huge_amplitudes_is_json(capsys, tmp_path):
+    vec = write(tmp_path, "v.json", {"graph": LAMBDA_DOC, "amplitudes": [["1", "2", 1e200, 1e200]]})
+    code, out, _ = run(capsys, "norm", vec, "--format", "json")
+    assert code == 0 and out == '{\n  "norm": 1.414213562373095e+200\n}\n'
+
+
+_SUB = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+COMMANDS = sorted(_SUB.choices)
+OWN_OPTIONS = {c: sorted(s for a in p._actions for s in a.option_strings) for c, p in _SUB.choices.items()}
+OPTIONS = sorted({s for own in OWN_OPTIONS.values() for s in own})
+PREFIXES = sorted({o[:k] for o in OPTIONS if o.startswith("--") for k in range(3, len(o))})
+VALUES = ["0", "1", "3", "-1", "x", " 4", "", "-", "json", "text", "dot", "a.json", "b.json"]
+TOKENS = COMMANDS + OPTIONS + PREFIXES + VALUES + ["--depth=3", "-l5", "--", "-", "-h", "--help"]
+POSITIONALS = {c: sum(not a.option_strings for a in p._actions) for c, p in _SUB.choices.items()}
+FITTING_PAIRS = {
+    c: [(s, v) for a in p._actions for s in a.option_strings for v in [*(a.choices or ["1", "o.json"]), "-x"]]
+    for c, p in _SUB.choices.items()
+}
+
+
+@st.composite
+def command_lines(draw):
+    """Any string of tokens, or a command with positionals and option
+    pairs drawn near the form of a real call, at times a pair in front."""
+    some = st.sampled_from(TOKENS)
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(some, max_size=8))
+    command = draw(st.sampled_from(COMMANDS))
+    fitting = st.sampled_from(FITTING_PAIRS[command])
+    own = st.sampled_from(OWN_OPTIONS[command])
+    pair = st.one_of(fitting, fitting, fitting, st.tuples(own | some, st.sampled_from(VALUES) | some))
+    front = draw(st.lists(pair, max_size=1)) if draw(st.integers(0, 3)) == 0 else []
+    count = draw(st.sampled_from([POSITIONALS[command]] * 3 + [0, 1, 2, 3]))
+    path = st.sampled_from(["a.json", "b.json"])
+    positionals = draw(st.lists(st.one_of(path, path, path, some), min_size=count, max_size=count))
+    back = draw(st.lists(pair, max_size=4))
+    return [command, *(t for p in front for t in p), *positionals, *(t for p in back for t in p)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command_lines())
+def test_direct_parse_builds_the_namespace_argparse_builds(argv):
+    ns = cli._direct(argv)
+    if ns is not None:
+        assert vars(cli._PARSER.parse_args(argv)) == vars(ns)
+
+
+def test_direct_parse_serves_every_real_call_and_no_other():
+    # Real calls are the golden cases argparse does not word; a profile
+    # hook sees every Python call, so none may land in argparse.
+    hits = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == argparse.__file__:
+            hits.append(frame.f_code.co_name)
+
+    for name, argv, from_argparse in cases():
+        sys.setprofile(profile)
+        try:
+            ns = cli._direct(argv)
+        finally:
+            sys.setprofile(None)
+        assert (ns is None) == from_argparse, name
+    assert hits == []
 
 
 def test_help_exits_zero(capsys):

@@ -93,6 +93,41 @@ def test_norm_squares_to_max_inner_product():
         assert abs(module_norm(x) ** 2 - best) < 1e-9
 
 
+def test_norm_neither_underflows_nor_overflows():
+    g = lambda_graph()
+    assert module_norm(GraphCorrespondenceVector(g, {("r", "a"): 1e-200})) == 1e-200
+    huge = GraphCorrespondenceVector(g, {("r", "a"): 1e200 + 1e200j})
+    assert module_norm(huge) == 1.414213562373095e200
+
+
+FAN_IN = DirectedGraph(["a", "b", "c", "s"], [("a", "s"), ("b", "s"), ("c", "s"), ("s", "a")])
+# Parts 2^-80 to 2^53 in size, so every part times 2^k for |k| <= 900 is a
+# normal float.
+PARTS = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.integers(-80, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(PARTS, PARTS), min_size=4, max_size=4), st.integers(-900, 900))
+def test_norm_scales_exactly_by_powers_of_two(parts, k):
+    edges = sorted(FAN_IN.edges)
+    x = GraphCorrespondenceVector(FAN_IN, {e: complex(*p) for e, p in zip(edges, parts)})
+    scaled = {e: complex(math.ldexp(re, k), math.ldexp(im, k)) for e, (re, im) in zip(edges, parts)}
+    assert module_norm(GraphCorrespondenceVector(FAN_IN, scaled)) == math.ldexp(module_norm(x), k)
+
+
+def test_norm_does_not_depend_on_vertex_names():
+    # Edges come out of a graph in the order string hashing gives their
+    # names, and a float sum taken in that order can differ in its last
+    # bit; renaming the vertices reorders the edges.
+    rng = random.Random(3)
+    amplitudes = [complex(rng.uniform(-9, 9) * 10 ** rng.randint(-3, 3), rng.uniform(-9, 9)) for _ in range(30)]
+    norms = set()
+    for names in ([f"{prefix}{i}" for i in range(30)] for prefix in "abcdefghijklmnopqrst"):
+        g = DirectedGraph(names + ["s"], [(v, "s") for v in names])
+        norms.add(module_norm(GraphCorrespondenceVector(g, {(v, "s"): a for v, a in zip(names, amplitudes)})))
+    assert len(norms) == 1
+
+
 def test_mismatched_graphs_raise():
     x = GraphCorrespondenceVector(lambda_graph())
     y = GraphCorrespondenceVector(chain_graph(3))
