@@ -107,11 +107,13 @@ class GraphCorrespondenceVector:
 def module_inner_product(
     x: GraphCorrespondenceVector, y: GraphCorrespondenceVector
 ) -> dict[str, complex]:
-    """Per-vertex sums of conjugate(x)·y over edges with that source."""
+    """Per-vertex sums of conjugate(x)·y over edges with that source,
+    in declaration order."""
     if x.graph != y.graph:
         raise GraphMismatch("inner product needs a common graph")
-    out = {v: 0j for v in x.graph.vertices}
-    for e in x.graph.edges:
+    g = x.graph
+    out = {v: 0j for v in g.vertices}
+    for e in ((s, t) for s in g.vertices for t in g.successors(s)):
         out[edge_source(e)] += x.amplitude(e).conjugate() * y.amplitude(e)
     return out
 
@@ -367,7 +369,7 @@ def check_neat_inequality(
         val = d.get(v, 0.0)
         if not math.isfinite(val) or val < -tol or val > 1 + tol:
             raise PreconditionViolated(f"d({v!r}) = {val} is not in [0, 1]")
-    for e in g.edges:
+    for e in ((s, t) for s in g.vertices for t in g.successors(s)):
         dv = d.get(edge_source(e), 0.0)
         if abs(x.amplitude(e)) * abs(1 - dv) > tol:
             raise PreconditionViolated(f"x is not fixed by d at edge {e}")

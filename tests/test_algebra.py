@@ -103,6 +103,20 @@ def test_from_generators_closes_transitively():
     assert a.has_pair(u(1), u(3))
 
 
+@pytest.mark.parametrize(
+    "gens, first",
+    [(((1, 2), (2, 3), (3, 1)), (1, 2)), (((2, 4), (4, 3), (3, 2), (1, 2)), (2, 3))],
+)
+def test_from_generators_names_the_first_two_cycle(gens, first):
+    # The closure skips the transitivity check, not the message: the first
+    # pair (i, j) in sorted order whose (j, i) is also present.
+    i, j = first
+    want = f"pairs ({u(i)},{u(j)}) and ({u(j)},{u(i)}) break antisymmetry"
+    with pytest.raises(ValueError) as exc:
+        DigraphAlgebra.from_generators([4], pairs(*gens))
+    assert str(exc.value) == want
+
+
 def test_upper_triangular_relation_size():
     a = DigraphAlgebra.upper_triangular(3)
     assert len(a.relation) == 6

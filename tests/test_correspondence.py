@@ -1,9 +1,13 @@
 """Module norms, CKT families, and the ultrametric norm bound."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +402,33 @@ def test_neat_inequality_randomized():
         x, y, d = random_neat_instance(rng, g)
         assert check_neat_inequality(x, y, d).holds
         done += 1
+
+
+FAN_IN_RUN = """
+from treealg.correspondence import GraphCorrespondenceVector as V, check_neat_inequality, module_inner_product
+from treealg.errors import PreconditionViolated
+from treealg.graphs import DirectedGraph
+ts = [f"t{i}" for i in range(1, 31)]
+g = DirectedGraph(["s", *ts], [(t, "s") for t in ts])
+x = V(g, {(t, "s"): 1 / i + 1j * i**0.5 for i, t in enumerate(ts, 1)})
+print(repr(module_inner_product(x, x)["s"]))
+try:
+    check_neat_inequality(x, V(g), {})
+except PreconditionViolated as exc:
+    print(exc)
+"""
+
+
+def test_sums_and_first_failing_edge_do_not_follow_string_hashing():
+    # 30 edges into one source vertex: added in hash order, the sum's last
+    # bits and the first edge named changed with PYTHONHASHSEED.
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    outs = set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONHASHSEED=str(seed))
+        done = subprocess.run(
+            [sys.executable, "-c", FAN_IN_RUN], env=env, capture_output=True, text=True, check=True
+        )
+        outs.add(done.stdout)
+    assert len(outs) == 1
+    assert outs.pop().splitlines()[1] == "x is not fixed by d at edge ('t1', 's')"

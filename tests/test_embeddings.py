@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from treealg.algebra import DigraphAlgebra, solve_grading
@@ -285,3 +287,17 @@ def test_semigroupoid_graph_pushforward_bijection():
             copies[k][(a, b)] = (i, j)
     for k, mapping in copies.items():
         assert len(mapping) == len(e.source.irreflexive_pairs())
+
+
+def test_a_standard_step_holds_no_object_per_pair():
+    # Levels are rows only: the 256 -> 512 step keeps O(N) ints of N bits
+    # (about 0.4 MB at peak), where one Python object per pair of its
+    # 131,328 target pairs takes several MB.
+    standard_embedding(4, 2)
+    tracemalloc.start()
+    try:
+        standard_embedding(256, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000

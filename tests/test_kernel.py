@@ -13,7 +13,7 @@ The library builds ampliations, reductions, forest presentations,
 translation embeddings, full triangular, image and ampliated orders
 without the checks of the public constructors.  Rebuilt through
 DirectedGraph, OutForest, RegularEmbedding and DigraphAlgebra, each must
-come out equal, with the same adjacency, roots and strict source lists,
+come out equal, with the same adjacency, roots and irreflexive pairs,
 and every grading solve_grading returns must pass the reference.  Every
 tree-refinement step a tower generates must equal the step built through
 the ampliated tree, reference_kernel.refinement_between.
@@ -108,6 +108,24 @@ def test_closure_matches_reference(gen):
     want = _outcome(lambda: ref.relation(blocks, ref.closure(pairs)))
     got = _outcome(lambda: DigraphAlgebra.from_generators(blocks, pairs).relation)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators())
+def test_closure_fails_with_the_constructors_message(gen):
+    # Warshall's rows are transitive, so from_generators checks only
+    # antisymmetry; the constructor, checking everything on the closed
+    # pairs, must name the same two-cycle.
+    blocks, pairs = gen
+
+    def message(build):
+        try:
+            return build()
+        except ValueError as exc:
+            return str(exc)
+
+    closed = message(lambda: DigraphAlgebra(blocks, ref.closure(pairs)))
+    assert message(lambda: DigraphAlgebra.from_generators(blocks, pairs)) == closed
 
 
 @st.composite
@@ -353,8 +371,8 @@ def _assert_rebuilds(f: OutForest) -> None:
 
 
 def _assert_algebra_rebuilds(a: DigraphAlgebra) -> None:
-    """The checked constructor gives a back, with the same strict
-    source lists in the same order."""
+    """The checked constructor gives a back, with the same irreflexive
+    pairs in the same order."""
     again = DigraphAlgebra(a.blocks, a.irreflexive_pairs())
     assert again == a
     assert again.irreflexive_pairs() == a.irreflexive_pairs()
@@ -420,8 +438,8 @@ def test_upper_triangular_rebuilds_alike():
 @st.composite
 def shuffled_translations(draw):
     """m copies of a single-block order on at most five units, placed
-    along rows in random order, so that the image of an ascending
-    strict source list need not ascend."""
+    along rows in random order, so that the copies of a unit's strict
+    sources need not keep their order."""
     n = draw(st.integers(1, 5))
     units = ref.units_of([n])
     strict = [(i, j) for i in units for j in units if i != j]
