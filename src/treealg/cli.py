@@ -25,10 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from types import SimpleNamespace
+from typing import Iterable
 
 from . import formats
-from .ampliation import ampliate
+from .ampliation import ampliation_chains, check_ampliation
 from .classify import (
     Distinct,
     Equivalent,
@@ -158,12 +160,14 @@ def _read(decode, path: str):
     return decode(doc, path)
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
+def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
+    """Write text, one string or its pieces in order, to --out or stdout."""
+    pieces = (text,) if type(text) is str else text
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -220,17 +224,8 @@ def _emit_json(ns: argparse.Namespace, doc) -> None:
     _emit(ns, _json_text(doc) + "\n")
 
 
-def _emit_graph(ns: argparse.Namespace, g) -> None:
-    if ns.fmt == "dot":
-        _emit(ns, formats.graph_to_dot(g))
-    elif ns.fmt == "text":
-        graph = g.graph if isinstance(g, OutForest) else g
-        lines = [f"vertices: {', '.join(graph.vertices)}"]
-        for s, t in sorted(graph.edges):
-            lines.append(f"  {s} -> {t}")
-        _emit(ns, "\n".join(lines) + "\n")
-    else:
-        _emit_json(ns, formats.graph_to_json(g))
+def _emit_graph(ns: argparse.Namespace, g: OutForest) -> None:
+    _emit(ns, formats.graph_text(g, ns.fmt or "json"))
 
 
 def _decision_text(d: Decision) -> str:
@@ -279,7 +274,17 @@ def cmd_check_tensor(ns: argparse.Namespace) -> int:
 
 def cmd_ampliate(ns: argparse.Namespace) -> int:
     tree = _read(formats.forest_from_json, ns.graph)
-    _emit_graph(ns, ampliate(tree, ns.multiplicity, ns.steps))
+    l, steps = ns.multiplicity, ns.steps
+    check_ampliation(tree, l, steps)
+    if steps == 0:
+        _emit_graph(ns, tree)
+        return 0
+    # Written chain by chain from the closed form: all vertices, then all
+    # edges, in pieces, with no forest and no whole text held.
+    quote, write = formats.GRAPH_FORMATS[ns.fmt or "json"]
+    vertices = chain.from_iterable(names for names, _ in ampliation_chains(tree, l, steps, quote))
+    edges = chain.from_iterable(edges for _, edges in ampliation_chains(tree, l, steps, quote))
+    _emit(ns, write(vertices, {}, edges))
     return 0
 
 

@@ -1,4 +1,5 @@
-"""JSON codecs for the interchange formats, plus DOT emission.
+"""JSON codecs for the interchange formats, plus graph text in JSON, DOT
+and plain text.
 
 One JSON dialect covers graphs, algebras, embeddings, towers, rules,
 refinement specs and correspondence vectors.  Parsers raise FormatError
@@ -11,7 +12,9 @@ output only.
 from __future__ import annotations
 
 import math
-from typing import Any
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Iterable, Iterator
 
 from .algebra import DigraphAlgebra, Pair, Unit
 from .ampliation import TreeRefinementSpec
@@ -19,7 +22,7 @@ from .classify import ClassificationResult, Distinct, Equivalent, Undetermined
 from .correspondence import CKTReport, GraphCorrespondenceVector
 from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
 from .errors import FormatError
-from .graphs import DirectedGraph, OutForest
+from .graphs import DirectedGraph, Edge, OutForest
 from .tower import (
     ChainGrades,
     Decision,
@@ -510,22 +513,107 @@ def ckt_report_to_json(rep: CKTReport) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# DOT
+# graph text: JSON, DOT and text
+
+_PIECE = 256
+# Vertices or edges per piece of graph text.
+
+
+def _pieces(items: Iterable) -> Iterator[list]:
+    """items in lists of at most _PIECE."""
+    it = iter(items)
+    return iter(lambda: list(islice(it, _PIECE)), [])
+
+
+def _json_items(pieces: Iterable[list[str]]) -> Iterator[str]:
+    """A JSON array of written items at the indent of a graph's fields."""
+    lead = "[\n    "
+    for piece in pieces:
+        yield lead + ",\n    ".join(piece)
+        lead = ",\n    "
+    yield "[]" if lead == "[\n    " else "\n  ]"
+
+
+def _json_graph(
+    vertices: Iterable[str], weights: dict[str, int], edges: Iterable[Edge]
+) -> Iterator[str]:
+    # The layout of json.dumps(graph_to_json(g), indent=2), and a newline.
+    if weights:
+        vertices = (
+            f'{{\n      "id": {v},\n      "weight": {weights[v]}\n    }}' if v in weights else v
+            for v in vertices
+        )
+    yield '{\n  "vertices": '
+    yield from _json_items(_pieces(vertices))
+    yield ',\n  "edges": '
+    yield from _json_items(
+        [f"[\n      {s},\n      {t}\n    ]" for s, t in piece] for piece in _pieces(edges)
+    )
+    yield "\n}\n"
 
 
 def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: DirectedGraph | OutForest, name: str = "G") -> str:
+def _dot_graph(
+    vertices: Iterable[str], weights: dict[str, int], edges: Iterable[Edge]
+) -> Iterator[str]:
+    yield "digraph G {\n"
+    for piece in _pieces(vertices):
+        # A weighted vertex is labelled "v (w)"; v is written quoted.
+        yield "".join([
+            f'  {v} [label={v[:-1]} ({weights[v]})"];\n' if v in weights else f"  {v};\n"
+            for v in piece
+        ])
+    for piece in _pieces(edges):
+        yield "".join([f"  {s} -> {t};\n" for s, t in piece])
+    yield "}\n"
+
+
+def _text_graph(
+    vertices: Iterable[str], weights: dict[str, int], edges: Iterable[Edge]
+) -> Iterator[str]:
+    # One line of the vertices, a weighted one as "v (w)", then one line
+    # per edge, sorted by name.
+    lead = "vertices: "
+    for piece in _pieces(vertices):
+        yield lead + ", ".join([f"{v} ({weights[v]})" if v in weights else v for v in piece])
+        lead = ", "
+    yield "vertices: \n" if lead == "vertices: " else "\n"
+    for piece in _pieces(sorted(edges)):
+        yield "".join([f"  {s} -> {t}\n" for s, t in piece])
+
+
+# Format -> (quote, write).  quote writes one name as the format does.
+# write(vertices, weights, edges) gives the text of a graph in pieces of
+# at most _PIECE vertices or edges: vertices are written names in order,
+# weights maps a written name to its weight where that is not 0, and
+# edges are pairs of written names, sorted by the positions of their
+# sources and then of their targets.
+GRAPH_FORMATS: dict[str, tuple[Callable[[str], str], Callable[..., Iterator[str]]]] = {
+    "json": (encode_basestring_ascii, _json_graph),
+    "dot": (_dot_quote, _dot_graph),
+    "text": (str, _text_graph),
+}
+
+
+def _written(g: DirectedGraph | OutForest, quote: Callable[[str], str]):
+    """The vertices, weights and edges of g for a writer of GRAPH_FORMATS,
+    each name quoted once."""
     graph = g.graph if isinstance(g, OutForest) else g
-    lines = [f"digraph {_dot_quote(name)[1:-1]} {{"]
-    for v in graph.vertices:
-        w = graph.weight(v)
-        label = f" [label={_dot_quote(f'{v} ({w})')}]" if w else ""
-        lines.append(f"  {_dot_quote(v)}{label};")
-    for s in graph.vertices:
-        for t in graph.successors(s):
-            lines.append(f"  {_dot_quote(s)} -> {_dot_quote(t)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    q = {v: quote(v) for v in graph.vertices}
+    weights = {q[v]: w for v, w in graph.weights.items() if w}
+    # Successors are stored in vertex order.
+    edges = ((q[s], q[t]) for s in graph.vertices for t in graph.successors(s))
+    return q.values(), weights, edges
+
+
+def graph_text(g: DirectedGraph | OutForest, fmt: str) -> str:
+    """g written in fmt, one of GRAPH_FORMATS."""
+    quote, write = GRAPH_FORMATS[fmt]
+    return "".join(write(*_written(g, quote)))
+
+
+def graph_to_dot(g: DirectedGraph | OutForest) -> str:
+    return graph_text(g, "dot")

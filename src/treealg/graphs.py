@@ -271,8 +271,9 @@ def unchecked_forest(
     For a forest that is one by construction.  The caller guarantees
     what the checks would: distinct vertices, every parent a vertex
     other than its child, no cycle, and a nonnegative weight for every
-    vertex when weights is given.  parent must list children in vertex
-    order, so that every adjacency list comes out in declaration order.
+    vertex when weights is given.  parent must list the children of each
+    vertex in vertex order, so that every adjacency list comes out in
+    declaration order.
     The roots are the vertices without a parent.
     """
     vs = tuple(vertices)

@@ -16,11 +16,20 @@ once duplicated the kernel on DirectedGraph values; they stay here as
 the oracle of test_graphs.py and of the grading solver.
 
 iterated_ampliation builds the trees the classification search built
-for every candidate before it read their reductions off in closed form;
-it is the oracle of classify.ampliated_reduction in test_classify.py.
+for every candidate before it read their reductions off in closed form,
+one single_ampliation per factor; it is the oracle of
+classify.ampliated_reduction in test_classify.py and of ampliate's
+closed form in test_ampliation.py.
 refinement_between builds one tree-refinement step through the tree,
 as towers did before they read the next order off the rows; it is the
 oracle of the generated steps in test_kernel.py.
+
+single_ampliation is one ampliation step as the definition gives it,
+built through the checked constructors.  ampliate_output is the text
+`treealg ampliate` wrote when it built the whole ampliation and then
+the whole text: JSON through the graph document, DOT and text line by
+line (text with weights, as DOT labels them).  They are the oracle of
+the chain-by-chain writers in test_ampliate_output.py.
 
 all_chain_grades lists every summand chain of a tower before any is
 looked at, as decide_tensor did before it walked chains lazily; it is
@@ -47,6 +56,7 @@ import numpy as np
 
 from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.ampliation import ampliate
+from treealg.cli import _json_text
 from treealg.correspondence import (
     CKTReport,
     Edge,
@@ -59,6 +69,7 @@ from treealg.correspondence import (
 )
 from treealg.embeddings import RegularEmbedding, refinement_rows, translation_embedding
 from treealg.errors import CyclicGraph, GraphMismatch
+from treealg.formats import graph_to_json
 from treealg.graphs import DirectedGraph, OutForest, find_cycle
 from treealg.tower import ChainGrades
 
@@ -313,12 +324,52 @@ def is_transitive_completion_of_out_forest(
     return True, forest
 
 
+def single_ampliation(tree: OutForest, l: int) -> OutForest:
+    """Every vertex i becomes the chain (i,1) -> ... -> (i,l), and every
+    tree edge j -> i the edge (j,l) -> (i,1)."""
+    vertices = [f"({v},{s})" for v in tree.vertices for s in range(1, l + 1)]
+    edges = [(f"({v},{s})", f"({v},{s + 1})") for v in tree.vertices for s in range(1, l)]
+    edges += [(f"({j},{l})", f"({i},1)") for j, i in tree.edges]
+    return OutForest(DirectedGraph(vertices, edges))
+
+
 def iterated_ampliation(base: OutForest, factors) -> OutForest:
-    """base ampliated by each factor in turn."""
+    """base ampliated by each factor in turn, one single_ampliation each."""
     g = base
     for f in factors:
-        g = ampliate(g, f)
+        g = single_ampliation(g, f)
     return g
+
+
+def _graph_lines(g: DirectedGraph | OutForest, fmt: str) -> str:
+    graph = g.graph if isinstance(g, OutForest) else g
+    if fmt == "json":
+        return _json_text(graph_to_json(graph)) + "\n"
+    if fmt == "text":
+        named = [f"{v} ({graph.weight(v)})" if graph.weight(v) else v for v in graph.vertices]
+        lines = [f"vertices: {', '.join(named)}"]
+        lines += [f"  {s} -> {t}" for s, t in sorted(graph.edges)]
+        return "\n".join(lines) + "\n"
+
+    def quote(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph G {"]
+    for v in graph.vertices:
+        w = graph.weight(v)
+        label = f" [label={quote(f'{v} ({w})')}]" if w else ""
+        lines.append(f"  {quote(v)}{label};")
+    for s in graph.vertices:
+        for t in graph.successors(s):
+            lines.append(f"  {quote(s)} -> {quote(t)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def ampliate_output(tree: OutForest, l: int, steps: int, fmt: str) -> str:
+    """What `treealg ampliate` writes for tree, -l l, --steps steps and
+    --format fmt, from steps single ampliations."""
+    return _graph_lines(iterated_ampliation(tree, [l] * steps), fmt)
 
 
 def refinement_between(

@@ -207,6 +207,19 @@ def test_reduce_contracts_chain(capsys, tmp_path):
     assert {"id": "4", "weight": 2} in doc["vertices"]
 
 
+def test_reduce_text_shows_weights_as_dot_labels_them(capsys, tmp_path):
+    tree = write(
+        tmp_path,
+        "tree.json",
+        {"vertices": ["a", "b", "c", "d", "e"],
+         "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["c", "e"]]},
+    )
+    code, out, _ = run(capsys, "reduce", tree, "--format", "text")
+    assert code == 0
+    assert out == "vertices: a, c (1), d, e\n  a -> c\n  c -> d\n  c -> e\n"
+    assert '  "c" [label="c (1)"];\n' in run(capsys, "reduce", tree, "--format", "dot")[1]
+
+
 def test_iso_exit_codes(capsys, lam, tmp_path):
     relabeled = write(
         tmp_path,
