@@ -126,14 +126,20 @@ class DigraphAlgebra:
 
     @classmethod
     def from_generators(cls, blocks: Iterable[int], units: Iterable[Pair]) -> "DigraphAlgebra":
-        """Close the given pairs transitively, then build the algebra.
+        """Close the given pairs transitively, then build the algebra."""
+        return cls._closed(*cls._rows_of(blocks, units))
+
+    @classmethod
+    def _closed(cls, bl: tuple[int, ...], index: dict[Unit, int], rows: list) -> "DigraphAlgebra":
+        """The algebra of the transitive closure of reflexive rows over
+        validated blocks, such as _rows_of returns.  The decoder of
+        algebra files sets the rows' bits itself and ends here too.
 
         Warshall's closure: after step k, every row holding unit k also
         holds row k.  A step whose row holds only unit k changes nothing
         and is skipped.  Closed rows are transitive: only antisymmetry
         is checked.
         """
-        bl, index, rows = cls._rows_of(blocks, units)
         for k in range(len(rows)):
             bit, through = 1 << k, rows[k]
             if through == bit:

@@ -11,11 +11,13 @@ must have to come from a star-extendable algebra homomorphism:
   (i, j) is a covering pair (see RegularEmbedding).
 
 The RegularEmbedding constructor checks these laws on any map it is
-given, such as one read from a file, and keeps its image sets.
-Embeddings that place copies of a single-block level along a row formula
-are built by one helper, translation_embedding, which establishes the
-laws from three cheap conditions on its rows instead, skips the
-constructor and keeps only the copies of each unit.  The two
+given and keeps its image sets.  Embeddings that place copies of a
+single-block level along a row formula are built by one helper,
+translation_embedding, which establishes the laws from three cheap
+conditions on its rows instead, skips the constructor and keeps only
+the copies of each unit.  An explicit map read from a file goes the
+second way when its entries pair up copies, as every map written from
+a translation embedding does, and the first way otherwise.  The two
 classical row formulas: with block size n and multiplicity m, the
 standard embedding sends e_ij to the sum of e_{i+kn, j+kn} over k < m;
 with step l the refinement embedding sends e_ij to the sum of
@@ -35,10 +37,11 @@ class RegularEmbedding:
     """A validated pair-image map between two digraph algebras.
 
     An image is held in one of two forms.  A map given to the
-    constructor, such as one read from a file, keeps its dict of image
-    sets.  A translation embedding keeps one list of target units per
-    source unit, its copies, and of((u, v)) pairs them up copy by copy
-    when asked; image builds the whole dict from either.
+    constructor keeps its dict of image sets; of a map read from a file,
+    only one whose entries do not pair up copies comes this way.  A
+    translation embedding keeps one list of target units per source
+    unit, its copies, and of((u, v)) pairs them up copy by copy when
+    asked; image builds the whole dict from either.
 
     The constructor works on unit indices.  A key or an image pair is
     looked up in the unit index of its algebra and its row bit read; the
@@ -150,8 +153,8 @@ class RegularEmbedding:
 
         The constructor ends here after its checks, with image.
         translation_embedding calls it on a fresh instance with copies
-        once its row conditions guarantee every law, and so does a
-        restriction that keeps every law (tower._forest_presentation).
+        once its row conditions guarantee every law, and restricted
+        calls it with the form it restricts.
         """
         self._source = source
         self._target = target
@@ -182,6 +185,15 @@ class RegularEmbedding:
             raise KeyError(pair)
         u, v = pair
         return frozenset(zip(self._copies[u], self._copies[v]))
+
+    def restricted(self, source: DigraphAlgebra, target: DigraphAlgebra) -> "RegularEmbedding":
+        """This map on source, a subalgebra of the source on the same
+        units, into target, one of the target that holds every image of
+        a pair of source.  Such a restriction keeps every law, so nothing
+        is checked (tower._forest_presentation).  Copies stay the same
+        copies; image sets are read off for the pairs of source."""
+        image = None if self._copies is not None else {q: self._image[q] for q in source.pairs()}
+        return RegularEmbedding.__new__(RegularEmbedding)._set(source, target, image, self._copies)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegularEmbedding):

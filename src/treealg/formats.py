@@ -7,6 +7,13 @@ with a path prefix locating the offending field; encoders emit canonical
 (sorted, deterministic) structures so identical values give identical
 documents.  Reports (decisions, classifications, relation checks) are
 output only.
+
+A tower file is read straight into the forms the kernel works on.  Each
+level's units become bits of its rows in one pass, with no pair tuples,
+before the rows are closed.  An explicit map whose entries pair up the
+copies of its units copy by copy becomes a translation embedding that
+keeps only those copies; any other explicit map goes to the checked
+RegularEmbedding constructor as a dict of image sets.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .ampliation import TreeRefinementSpec
 from .classify import ClassificationResult, Distinct, Equivalent, Undetermined
 from .correspondence import CKTReport, GraphCorrespondenceVector
 from .embeddings import RegularEmbedding, refinement_embedding, standard_embedding
+from .embeddings import translation_embedding
 from .errors import FormatError
 from .graphs import DirectedGraph, Edge, OutForest
 from .tower import (
@@ -162,20 +170,16 @@ def _pair_from_json(obj: Json, path: str) -> Pair:
     return (_unit_from_json(pair[0], f"{path}[0]"), _unit_from_json(pair[1], f"{path}[1]"))
 
 
-def _matrix_units(items: list, path: str) -> list[Pair]:
-    """The matrix units of a list, item k at f"{path}[{k}]": an item that is
-    no [[int, int], [int, int]] list of lists goes to _pair_from_json."""
-    out = []
-    for k, p in enumerate(items):
-        if type(p) is list and len(p) == 2:
-            u, v = p
-            if type(u) is type(v) is list and len(u) == len(v) == 2:
-                (a, b), (c, e) = u, v
-                if type(a) is type(b) is type(c) is type(e) is int:
-                    out.append(((a, b), (c, e)))
-                    continue
-        out.append(_pair_from_json(p, f"{path}[{k}]"))
-    return out
+def _coords(p: Json) -> tuple[int, int, int, int] | None:
+    """The coordinates a, b, c, e of a matrix unit [[a, b], [c, e]] of
+    ints, or None where p has any other shape."""
+    if type(p) is list and len(p) == 2:
+        u, v = p
+        if type(u) is type(v) is list and len(u) == len(v) == 2:
+            (a, b), (c, e) = u, v
+            if type(a) is type(b) is type(c) is type(e) is int:
+                return a, b, c, e
+    return None
 
 
 def algebra_to_json(a: DigraphAlgebra) -> dict:
@@ -184,14 +188,44 @@ def algebra_to_json(a: DigraphAlgebra) -> dict:
 
 
 def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
+    """Decode an algebra document in one pass over its units.
+
+    Each unit [[b, i], [b, j]] sets bit j of row i of block b; the rows
+    are then closed as from_generators closes them.  A unit of another
+    shape raises at once.  Invalid block sizes, or the first unit out of
+    range or pair across blocks, raise once the pass ends, so that a
+    shape error anywhere is reported first.
+    """
     doc = _as_dict(obj, path)
     blocks = [
         _as_int(b, f"{path}.blocks[{k}]")
         for k, b in enumerate(_as_list(_get(doc, "blocks", path), f"{path}.blocks"))
     ]
-    units = _matrix_units(_as_list(doc.get("units", []), f"{path}.units"), f"{path}.units")
     try:
-        return DigraphAlgebra.from_generators(blocks, units)
+        bl, index, rows = DigraphAlgebra._rows_of(blocks, ())
+    except ValueError:
+        bl, index, rows = (), {}, []
+    # Unit (b, r) has index start[b] + r.
+    start, bad = [sum(bl[:b]) - 1 for b in range(len(bl))], []
+    for k, p in enumerate(_as_list(doc.get("units", []), f"{path}.units")):
+        # The test of _coords, inline on the hottest loop of the decoder.
+        ok = False
+        if type(p) is list and len(p) == 2:
+            u, v = p
+            if type(u) is type(v) is list and len(u) == len(v) == 2:
+                (a, b), (c, e) = u, v
+                ok = type(a) is type(b) is type(c) is type(e) is int
+        if not ok:
+            (a, b), (c, e) = _pair_from_json(p, f"{path}.units[{k}]")
+        if a == c and 0 <= a < len(bl) and 0 < b <= bl[a] and 0 < e <= bl[a]:
+            rows[start[a] + b] |= 1 << start[a] + e
+        elif not bad:
+            bad.append(((a, b), (c, e)))
+    try:
+        if bad or not bl:
+            # Raises for the blocks or the pair as the algebra constructors do.
+            DigraphAlgebra._rows_of(blocks, bad)
+        return DigraphAlgebra._closed(bl, index, rows)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -219,7 +253,9 @@ def embedding_from_json(
     The explicit form needs the enclosing source and target algebras;
     tower files supply them from the surrounding levels.  A standard or
     refinement map is checked against the sizes of those it is given
-    before it is built.
+    before it is built.  An explicit map that pairs up copies (_copywise)
+    becomes a translation embedding and keeps only its copies; any other
+    goes to the RegularEmbedding constructor as a dict of image sets.
     """
     doc = _as_dict(obj, path)
     kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
@@ -238,6 +274,11 @@ def embedding_from_json(
                 f"{path}: explicit embeddings need surrounding source and target algebras"
             )
         raw = _as_list(_get(doc, "image", path), f"{path}.image")
+        if (at := _copywise(raw, source, target)) is not None:
+            try:
+                return translation_embedding(source, at.__getitem__, target)
+            except ValueError:
+                pass
         entries = [_entry_from_json(e, f"{path}.image[{k}]") for k, e in enumerate(raw)]
         image: dict[Pair, frozenset[Pair]] = {}
         for k, (src, *tgts) in enumerate(entries):
@@ -254,14 +295,63 @@ def embedding_from_json(
     raise FormatError(f"{path}.kind: unknown embedding kind {kind!r}")
 
 
+def _copywise(
+    raw: list, source: DigraphAlgebra, target: DigraphAlgebra
+) -> dict[int, list[int]] | None:
+    """The rows of the copies of each source unit, when the explicit image
+    raw pairs them up copy by copy; else None.
+
+    Both algebras have one block, and every entry of raw is well formed.
+    The copies of a unit are its diagonal entry's target rows, sorted.
+    The entries list each source pair exactly once, and the image of
+    (i, j) lists, in any order, the pairs of copy c of i with copy c of
+    j, once each.  translation_embedding then checks the rest.
+    """
+    if len(source.blocks) != 1 or len(target.blocks) != 1:
+        return None
+    n = source.blocks[0]
+    seen, diagonal = [0] * n, [[]] * n
+    for entry in raw:
+        ok = type(entry) is list and len(entry) == 2 and type(entry[1]) is list
+        q = _coords(entry[0]) if ok else None
+        if q is None or q[0] or q[2] or not (0 < q[1] <= n and 0 < q[3] <= n):
+            return None
+        i, j = q[1] - 1, q[3] - 1
+        if seen[i] >> j & 1:
+            return None
+        seen[i] |= 1 << j
+        if i == j:
+            diagonal[i] = [_coords(t) for t in entry[1]]
+    if tuple(seen) != source._rows or any(None in d for d in diagonal):
+        return None
+    m = len(diagonal[0])
+    at = {i + 1: sorted(q[1] for q in d) for i, d in enumerate(diagonal)}
+    # code[r] = i·m + c where target row r is copy c of source row i + 1.
+    code = {r: i * m + c for i, rows in enumerate(at.values()) for c, r in enumerate(rows)}
+    for ((_, i), (_, j)), targets in raw:
+        if len(targets) != m:
+            return None
+        got = 0
+        for q in map(_coords, targets):
+            if q is None or q[0] or q[2]:
+                return None
+            c = code.get(q[1], -1) - (i - 1) * m
+            if not 0 <= c < m or code.get(q[3], -1) - (j - 1) * m != c:
+                return None
+            got |= 1 << c
+        if got != (1 << m) - 1:
+            return None
+    return at
+
+
 def _entry_from_json(obj: Json, path: str) -> list[Pair]:
     """An entry [source, [targets...]] as the list [source, targets...]."""
     entry = _as_list(obj, path)
     if len(entry) != 2:
         raise FormatError(f"{path}: an entry is [source-pair, [target-pairs]]")
-    # The source pair is item 0 of the entry, at f"{path}[0]".
-    src = _matrix_units(entry[:1], path)
-    return src + _matrix_units(_as_list(entry[1], f"{path}[1]"), f"{path}[1]")
+    src = _pair_from_json(entry[0], f"{path}[0]")
+    targets = _as_list(entry[1], f"{path}[1]")
+    return [src] + [_pair_from_json(q, f"{path}[1][{k}]") for k, q in enumerate(targets)]
 
 
 def _complete_diagonal(

@@ -336,7 +336,7 @@ def _forest_presentation(
     strict pairs, antisymmetry leaves no cycle.  Sorted pairs list the
     children in unit order, which is the declaration order.
 
-    The restricted maps are built by RegularEmbedding._set.  Every pair
+    The restricted maps are built by RegularEmbedding.restricted.  Every pair
     of the subalgebra at level k is a product of its generators, stab-1
     covers, whose images lie in stab1[k + 1]; the tower map is
     multiplicative, so every image summand is a product of pairs of the
@@ -365,8 +365,7 @@ def _forest_presentation(
         if k < d - 1 and full[k] and full[k + 1]:
             emb = maps[k]
         elif k < d - 1:
-            img = {q: maps[k].of(q) for q in algs[k].pairs()}
-            emb = RegularEmbedding.__new__(RegularEmbedding)._set(algs[k], algs[k + 1], img)
+            emb = maps[k].restricted(algs[k], algs[k + 1])
         entries.append(PresentationLevel(k + 1, forest, algs[k], emb))
     return ForestPresentation(tuple(entries))
 
@@ -445,9 +444,10 @@ def decide_tensor(t: Tower, depth: int = 4) -> Decision:
     # Some chain is not iff some image summand q past level 1 has an image
     # summand of another grade than q (module docstring).
     if any(
-        solved[k + 1].of(r) != solved[k].of(q)
+        solved[k + 1].of(r) != g
         for k in range(1, d - 1)
         for q in {q for p in levels[k - 1].irreflexive_pairs() for q in maps[k - 1].of(p)}
+        for g in (solved[k].of(q),)
         for r in maps[k].of(q)
     ):
         unsettled = tuple(cg for cg in chains if len(set(cg.grades[1:])) > 1)

@@ -1,4 +1,7 @@
-"""Named example graphs and towers used across tests and the docs.
+"""Named example graphs and towers for the tests and the CI timing steps.
+
+No module of the package imports them; put tests/ on the path to use
+them, as the test suite does.
 
 The triple-copy tower is the interesting one: every level is a full
 upper-triangular algebra and every map places three copies of the
@@ -10,16 +13,16 @@ decides yes on stabilized evidence alone.
 
 from __future__ import annotations
 
-from .algebra import DigraphAlgebra
-from .embeddings import (
+from treealg.algebra import DigraphAlgebra
+from treealg.embeddings import (
     RegularEmbedding,
     refinement_embedding,
     standard_embedding,
     standard_rows,
     translation_embedding,
 )
-from .graphs import DirectedGraph, OutForest
-from .tower import RefinementRule, StandardRule, Tower
+from treealg.graphs import DirectedGraph, OutForest
+from treealg.tower import RefinementRule, StandardRule, Tower
 
 
 def lambda_graph() -> DirectedGraph:

@@ -39,6 +39,13 @@ reads grades off them.  forest_presentation
 builds every algebra and embedding of a Yes certificate afresh, as
 decide_tensor did before it reused the tower's own where they agree.
 
+tower_from_json and its helpers are the tower decoder of treealg.formats
+as it read every unit pair into a tuple, ran every shape check before
+any range check, and handed every explicit map to the checked
+RegularEmbedding constructor as a dict of image sets; it is the oracle
+of the one-pass decoder in test_formats.py, levels, maps, bytes and
+messages alike.
+
 The dense CKT family at the end is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
 edge map is an explicit dim x dim int64 matrix and every relation is a
@@ -67,11 +74,27 @@ from treealg.correspondence import (
     edge_range,
     edge_source,
 )
-from treealg.embeddings import RegularEmbedding, refinement_rows, translation_embedding
-from treealg.errors import CyclicGraph, GraphMismatch
-from treealg.formats import graph_to_json
+from treealg.embeddings import (
+    RegularEmbedding,
+    refinement_embedding,
+    refinement_rows,
+    standard_embedding,
+    translation_embedding,
+)
+from treealg.errors import CyclicGraph, FormatError, GraphMismatch
+from treealg.formats import (
+    Json,
+    _as_dict,
+    _as_int,
+    _as_list,
+    _as_str,
+    _get,
+    _positive,
+    graph_to_json,
+    rule_from_json,
+)
 from treealg.graphs import DirectedGraph, OutForest, find_cycle
-from treealg.tower import ChainGrades
+from treealg.tower import ChainGrades, Tower
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -450,6 +473,147 @@ def forest_presentation(
             emb = RegularEmbedding(algs[k], algs[k + 1], {q: maps[k].of(q) for q in algs[k].relation})
         out.append((sorted(stab1[k]), algs[k], emb))
     return out
+
+
+def _unit_from_json(obj: Json, path: str) -> Unit:
+    pair = _as_list(obj, path)
+    if len(pair) != 2:
+        raise FormatError(f"{path}: a unit is a [block, row] pair")
+    return (_as_int(pair[0], f"{path}[0]"), _as_int(pair[1], f"{path}[1]"))
+
+
+def _pair_from_json(obj: Json, path: str) -> Pair:
+    pair = _as_list(obj, path)
+    if len(pair) != 2:
+        raise FormatError(f"{path}: a matrix unit is a [[block,row],[block,col]] pair")
+    return (_unit_from_json(pair[0], f"{path}[0]"), _unit_from_json(pair[1], f"{path}[1]"))
+
+
+def _matrix_units(items: list, path: str) -> list[Pair]:
+    """The matrix units of a list, item k at f"{path}[{k}]": an item that is
+    no [[int, int], [int, int]] list of lists goes to _pair_from_json."""
+    out = []
+    for k, p in enumerate(items):
+        if type(p) is list and len(p) == 2:
+            u, v = p
+            if type(u) is type(v) is list and len(u) == len(v) == 2:
+                (a, b), (c, e) = u, v
+                if type(a) is type(b) is type(c) is type(e) is int:
+                    out.append(((a, b), (c, e)))
+                    continue
+        out.append(_pair_from_json(p, f"{path}[{k}]"))
+    return out
+
+
+def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
+    doc = _as_dict(obj, path)
+    blocks = [
+        _as_int(b, f"{path}.blocks[{k}]")
+        for k, b in enumerate(_as_list(_get(doc, "blocks", path), f"{path}.blocks"))
+    ]
+    units = _matrix_units(_as_list(doc.get("units", []), f"{path}.units"), f"{path}.units")
+    try:
+        return DigraphAlgebra.from_generators(blocks, units)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def embedding_from_json(
+    obj: Json,
+    path: str = "embedding",
+    source: DigraphAlgebra | None = None,
+    target: DigraphAlgebra | None = None,
+) -> RegularEmbedding:
+    """Decode an embedding document.
+
+    The explicit form needs the enclosing source and target algebras;
+    tower files supply them from the surrounding levels.  A standard or
+    refinement map is checked against the sizes of those it is given
+    before it is built.
+    """
+    doc = _as_dict(obj, path)
+    kind = _as_str(_get(doc, "kind", path), f"{path}.kind")
+    if kind in ("standard", "refinement"):
+        n, m = _positive(doc, "n", path), _positive(doc, "m" if kind == "standard" else "l", path)
+        for name, level, size in (("source", source, n), ("target", target, n * m)):
+            if level is not None and level.blocks != (size,):
+                raise FormatError(
+                    f"{path}: this {kind} map needs a {name} level with blocks [{size}], "
+                    f"found {list(level.blocks)}"
+                )
+        return (standard_embedding if kind == "standard" else refinement_embedding)(n, m)
+    if kind == "explicit":
+        if source is None or target is None:
+            raise FormatError(
+                f"{path}: explicit embeddings need surrounding source and target algebras"
+            )
+        raw = _as_list(_get(doc, "image", path), f"{path}.image")
+        entries = [_entry_from_json(e, f"{path}.image[{k}]") for k, e in enumerate(raw)]
+        image: dict[Pair, frozenset[Pair]] = {}
+        for k, (src, *tgts) in enumerate(entries):
+            if src in image:
+                raise FormatError(f"{path}.image[{k}]: source pair {src} has an earlier entry")
+            image[src] = frozenset(tgts)
+            if len(image[src]) < len(tgts):
+                q = next(q for q in tgts if tgts.count(q) > 1)
+                raise FormatError(f"{path}.image[{k}]: target pair {q} is listed twice")
+        try:
+            return RegularEmbedding(source, target, _complete_diagonal(source, image))
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+    raise FormatError(f"{path}.kind: unknown embedding kind {kind!r}")
+
+
+def _entry_from_json(obj: Json, path: str) -> list[Pair]:
+    """An entry [source, [targets...]] as the list [source, targets...]."""
+    entry = _as_list(obj, path)
+    if len(entry) != 2:
+        raise FormatError(f"{path}: an entry is [source-pair, [target-pairs]]")
+    # The source pair is item 0 of the entry, at f"{path}[0]".
+    src = _matrix_units(entry[:1], path)
+    return src + _matrix_units(_as_list(entry[1], f"{path}[1]"), f"{path}[1]")
+
+
+def _complete_diagonal(
+    source: DigraphAlgebra, image: dict[Pair, frozenset[Pair]]
+) -> dict[Pair, frozenset[Pair]]:
+    """Fill implied reflexive entries from the off-diagonal ones."""
+    if all((i, i) in image for i in source.units()):
+        return image
+    seen: dict[Unit, set[Pair]] = {}
+    for (a, b), tgts in image.items():
+        seen.setdefault(a, set()).update((p, p) for p, _ in tgts)
+        seen.setdefault(b, set()).update((q, q) for _, q in tgts)
+    out = dict(image)
+    for i in source.units():
+        if (i, i) not in out and seen.get(i):
+            out[(i, i)] = frozenset(seen[i])
+    return out
+
+
+def tower_from_json(obj: Json, path: str = "tower") -> Tower:
+    doc = _as_dict(obj, path)
+    levels = [
+        algebra_from_json(item, f"{path}.levels[{k}]")
+        for k, item in enumerate(_as_list(_get(doc, "levels", path), f"{path}.levels"))
+    ]
+    raw_maps = _as_list(doc.get("maps", []), f"{path}.maps")
+    if len(raw_maps) != max(len(levels) - 1, 0):
+        raise FormatError(
+            f"{path}.maps: {len(levels)} levels need {max(len(levels) - 1, 0)} maps, "
+            f"found {len(raw_maps)}"
+        )
+    maps = [
+        embedding_from_json(
+            item, f"{path}.maps[{k}]", source=levels[k], target=levels[k + 1]
+        )
+        for k, item in enumerate(raw_maps)
+    ]
+    rule = rule_from_json(doc.get("rule"), f"{path}.rule")
+    try:
+        return Tower(levels, maps, rule)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:

@@ -12,14 +12,6 @@ import time
 
 from treealg.algebra import DigraphAlgebra, covering_pairs, solve_grading
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
-from treealg.catalog import (
-    chain_forest,
-    lambda_tree,
-    refinement_tower,
-    standard_image_tower,
-    standard_tower,
-    triple_copy_tower,
-)
 from treealg.classify import (
     Distinct,
     Equivalent,
@@ -39,6 +31,14 @@ from treealg.embeddings import RegularEmbedding
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import Verdict, decide_tensor, materialize
 
+from catalog import (
+    chain_forest,
+    lambda_tree,
+    refinement_tower,
+    standard_image_tower,
+    standard_tower,
+    triple_copy_tower,
+)
 import reference_kernel as ref
 from conftest import all_parent_arrays, random_dag, random_out_tree, tree_from_parents
 

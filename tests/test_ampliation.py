@@ -12,12 +12,12 @@ from treealg.ampliation import (
     ampliate,
     build_tree_refinement_tower,
 )
-from treealg.catalog import branching_tree, lambda_tree
 from treealg.embeddings import tree_refinement_embedding
 from treealg.errors import NotATree, OutputTooLarge
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import Tower, TreeRefinementRule, Verdict, decide_tensor, materialize
 
+from catalog import branching_tree, lambda_tree
 from reference_kernel import iterated_ampliation
 
 

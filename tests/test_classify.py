@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treealg.ampliation import TreeRefinementSpec, ampliate
-from treealg.catalog import branching_tree, chain_forest, lambda_tree
 from treealg.classify import (
     CanonicalCode,
     Distinct,
@@ -27,6 +26,7 @@ from treealg.classify import (
 from treealg.errors import NotATree
 from treealg.graphs import DirectedGraph, OutForest
 
+from catalog import branching_tree, chain_forest, lambda_tree
 from conftest import random_out_tree
 from reference_kernel import iterated_ampliation
 

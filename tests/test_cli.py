@@ -15,18 +15,18 @@ from hypothesis import strategies as st
 
 from treealg import cli
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
-from treealg.catalog import (
+from treealg.cli import _json_text, main
+from treealg.embeddings import standard_embedding
+from treealg.formats import graph_to_json, spec_to_json, tower_to_json
+from treealg.tower import Tower
+
+from catalog import (
     lambda_tree,
     mixed_tower,
     refinement_tower,
     standard_tower,
     triple_copy_tower,
 )
-from treealg.cli import _json_text, main
-from treealg.embeddings import standard_embedding
-from treealg.formats import graph_to_json, spec_to_json, tower_to_json
-from treealg.tower import Tower
-
 from conftest import random_out_tree
 from test_golden_cli import cases
 

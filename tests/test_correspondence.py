@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from treealg.catalog import chain_graph, lambda_graph
 from treealg.classify import canonical_code, reduce
 from treealg.correspondence import (
     GraphCorrespondenceVector,
@@ -31,6 +30,7 @@ from treealg.errors import GraphMismatch, PreconditionViolated
 from treealg.formats import ckt_report_to_json
 from treealg.graphs import DirectedGraph
 
+from catalog import chain_graph, lambda_graph
 from conftest import all_parent_arrays, random_dag, random_out_tree, tree_from_parents
 
 

@@ -1,20 +1,16 @@
 """Round trips and error paths of the interchange codecs."""
 
+import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treealg.algebra import DigraphAlgebra
 from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
-from treealg.catalog import (
-    lambda_graph,
-    lambda_tree,
-    mixed_tower,
-    refinement_tower,
-    standard_image_tower,
-    standard_tower,
-    triple_copy_tower,
-)
+from treealg.cli import main
 from treealg.correspondence import GraphCorrespondenceVector
 from treealg.embeddings import refinement_embedding, standard_embedding
 from treealg.errors import FormatError
@@ -39,7 +35,18 @@ from treealg.formats import (
 from treealg.graphs import DirectedGraph
 from treealg.tower import NestRule, RefinementRule, StandardRule, Tower, TreeRefinementRule
 
+from catalog import (
+    lambda_graph,
+    lambda_tree,
+    mixed_tower,
+    refinement_tower,
+    standard_image_tower,
+    standard_tower,
+    triple_copy_tower,
+)
 from conftest import random_dag, random_out_forest, random_weights
+import reference_kernel as ref
+from test_tower import translation_towers
 
 
 def assert_tower_equal(a, b):
@@ -124,6 +131,63 @@ def test_algebra_parse_errors():
         algebra_from_json(
             {"blocks": [2], "units": [[[0, 1], [0, 2]], [[0, 2], [0, 1]]]}
         )
+
+
+@st.composite
+def algebra_documents(draw):
+    """Up to three blocks and up to eight units inside them, with perhaps
+    a unit of random coordinates, in range or not, and perhaps a
+    malformed one, each at a random place."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    inside = st.integers(0, len(blocks) - 1).flatmap(
+        lambda b: st.lists(st.integers(1, blocks[b]), min_size=2, max_size=2).map(
+            lambda rs: [[b, rs[0]], [b, rs[1]]]
+        )
+    )
+    units = draw(st.lists(inside, max_size=8))
+    coordinate = st.integers(-1, 5)
+    for extra in (
+        st.lists(st.lists(coordinate, min_size=2, max_size=2), min_size=2, max_size=2),
+        st.sampled_from(MALFORMED_UNITS),
+    ):
+        if draw(st.booleans()):
+            units.insert(draw(st.integers(0, len(units))), draw(extra))
+    return {"blocks": blocks, "units": units}
+
+
+@settings(max_examples=300, deadline=None)
+@given(algebra_documents())
+def test_algebra_decoder_matches_the_tuple_decoder(doc):
+    def decoded(decode):
+        try:
+            return decode(doc)
+        except FormatError as exc:
+            return str(exc)
+
+    assert decoded(algebra_from_json) == decoded(ref.algebra_from_json)
+
+
+def test_algebra_shape_errors_come_before_range_errors():
+    # Every shape check once ran before any range check, so the first unit
+    # out of range or pair across blocks waits for the end of the list.
+    ranges = [[[0, 1], [0, 3]], [[0, 1], [1, 1]], [[0, 2], [0, 9]]]
+    messages = [
+        "unit (0, 3) is out of range for blocks [2, 1]",
+        "pair (0, 1) / (1, 1) crosses blocks",
+        "unit (0, 9) is out of range for blocks [2, 1]",
+    ]
+    shape = "algebra.units[3][1][1]: expected an integer, found bool"
+    for blocks in ([2, 1], [0]):
+        with pytest.raises(FormatError) as info:
+            algebra_from_json({"blocks": blocks, "units": ranges + [[[0, 1], [0, True]]]})
+        assert str(info.value) == shape
+    for k, message in enumerate(messages):
+        with pytest.raises(FormatError) as info:
+            algebra_from_json({"blocks": [2, 1], "units": ranges[k:]})
+        assert str(info.value) == f"algebra: {message}"
+    with pytest.raises(FormatError) as info:
+        algebra_from_json({"blocks": [0], "units": ranges})
+    assert str(info.value) == "algebra: blocks must be a nonempty list of positive sizes"
 
 
 def test_embedding_kinds_parse():
@@ -321,3 +385,276 @@ def test_explicit_map_rejects_repeated_pairs():
     with pytest.raises(FormatError) as info:
         tower_from_json(doc)
     assert str(info.value) == "tower.maps[0].image[1]: target pair ((0, 1), (0, 2)) is listed twice"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass decoder against the decoder it replaced (reference_kernel)
+
+
+def _decoded(decode, doc):
+    """The levels, maps and written text of decode(doc), or the type and
+    message of what it raised.  Towers compare by identity, so these
+    stand in for them."""
+    try:
+        t = decode(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(t.levels), list(t.maps), json.dumps(tower_to_json(t))
+
+
+def _unit_slots(doc):
+    """(list, index) of every matrix unit of a tower document."""
+    slots = [(lv["units"], k) for lv in doc["levels"] for k in range(len(lv["units"]))]
+    for mp in doc["maps"]:
+        for entry in mp["image"]:
+            slots.append((entry, 0))
+            slots += [(entry[1], k) for k in range(len(entry[1]))]
+    return slots
+
+
+def _entries(draw, doc, count):
+    """An explicit map's image list and count distinct entry indices, or
+    None when no map has that many entries."""
+    images = [mp["image"] for mp in doc["maps"] if len(mp["image"]) >= count]
+    if not images:
+        return None
+    image = draw(st.sampled_from(images))
+    indices = st.integers(0, len(image) - 1)
+    picked = draw(st.lists(indices, min_size=count, max_size=count, unique=True))
+    return image, picked
+
+
+def _drop_entry(draw, doc):
+    if (got := _entries(draw, doc, 1)) is not None:
+        image, (k,) = got
+        del image[k]
+
+
+def _duplicate_entry(draw, doc):
+    if (got := _entries(draw, doc, 1)) is not None:
+        image, (k,) = got
+        image.insert(draw(st.integers(0, len(image))), json.loads(json.dumps(image[k])))
+
+
+def _swap_targets(draw, doc):
+    if (got := _entries(draw, doc, 2)) is not None:
+        image, (k, m) = got
+        a, b = image[k][1], image[m][1]
+        i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(b) - 1))
+        a[i], b[j] = b[j], a[i]
+
+
+def _repeat_target(draw, doc):
+    if (got := _entries(draw, doc, 1)) is not None:
+        image, (k,) = got
+        targets = image[k][1]
+        targets[draw(st.integers(0, len(targets) - 1))] = draw(st.sampled_from(targets))
+
+
+def _omit_diagonal(draw, doc):
+    if (got := _entries(draw, doc, 1)) is not None:
+        image, _ = got
+        image[:] = [e for e in image if e[0][0] != e[0][1] or draw(st.booleans())]
+
+
+def _set_coordinate(draw, doc, values):
+    slots = _unit_slots(doc)
+    if slots:
+        items, k = draw(st.sampled_from(slots))
+        unit = json.loads(json.dumps(items[k]))
+        u, c = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        unit[u][c] = draw(st.sampled_from(values(unit[u][c])))
+        items[k] = unit
+
+
+def _out_of_range(draw, doc):
+    _set_coordinate(draw, doc, lambda x: [-1, 0, 1, 64, x + 1])
+
+
+def _bool_or_float(draw, doc):
+    _set_coordinate(draw, doc, lambda x: [True, False, 1.0, float(x)])
+
+
+def _cross_block(draw, doc):
+    level = draw(st.sampled_from(doc["levels"]))
+    level["blocks"].append(draw(st.integers(1, 2)))
+    row = draw(st.integers(1, level["blocks"][0]))
+    pair = [[0, row], [1, 1]] if draw(st.booleans()) else [[1, 1], [0, row]]
+    level["units"].insert(draw(st.integers(0, len(level["units"]))), pair)
+
+
+def _bad_blocks(draw, doc):
+    draw(st.sampled_from(doc["levels"]))["blocks"] = draw(st.sampled_from([[], [0], [-2], [3, 0]]))
+
+
+MALFORMED_UNITS = [[[0, 1]], "e12", None, {"a": 1}, [[0, 1], [0]], [[0, 1], [0, True]]]
+
+
+def _shape_after_range(draw, doc):
+    lists = [lv["units"] for lv in doc["levels"] if lv["units"]]
+    lists += [e[1] for mp in doc["maps"] for e in mp["image"]]
+    if lists:
+        items = draw(st.sampled_from(lists))
+        k = draw(st.integers(0, len(items) - 1))
+        items[k] = [[0, 0], [0, 1]]
+        items.insert(draw(st.integers(k + 1, len(items))), draw(st.sampled_from(MALFORMED_UNITS)))
+
+
+MUTATIONS = [
+    None,
+    _drop_entry,
+    _duplicate_entry,
+    _repeat_target,
+    _swap_targets,
+    _omit_diagonal,
+    _out_of_range,
+    _bool_or_float,
+    _cross_block,
+    _bad_blocks,
+    _shape_after_range,
+]
+
+
+@st.composite
+def tower_documents(draw):
+    """A random translation tower as tower_to_json writes it, parsed from
+    its text, then perhaps changed by one mutation."""
+    t, _ = draw(translation_towers())
+    doc = json.loads(json.dumps(tower_to_json(t)))
+    mutate = draw(st.sampled_from(MUTATIONS))
+    if mutate is not None:
+        mutate(draw, doc)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(tower_documents())
+def test_decoder_matches_the_tuple_decoder(doc):
+    assert _decoded(tower_from_json, doc) == _decoded(ref.tower_from_json, doc)
+
+
+# Edits of the image list of the triple_copy_tower(2) document, whose
+# entries 0 to 5 are those of ((0, i), (0, j)) for (i, j) = (1, 1), (1, 2),
+# (1, 3), (2, 2), (2, 3), (3, 3); each with the form the map is then read
+# in, or None where the file does not decode.
+
+
+def _reorder_targets(image):
+    image[1][1].insert(0, image[1][1].pop())
+
+
+def _omit_diagonal_entries(image):
+    image[:] = [e for e in image if e[0][0] != e[0][1]]
+
+
+def _repeat_target_in_entry(image):
+    image[1][1][1] = image[1][1][0]
+
+
+def _swap_targets_between_entries(image):
+    image[1][1][0], image[2][1][0] = image[2][1][0], image[1][1][0]
+
+
+def _add_entry_outside_the_relation(image):
+    image.append([[[0, 2], [0, 1]], [[[0, 2], [0, 1]], [[0, 4], [0, 3]], [[0, 8], [0, 7]]]])
+
+
+def _share_copies(image):
+    image[3][1] = image[0][1]
+
+
+def _move_target_to_another_block(image):
+    image[1][1][0][0][0] = 1
+
+
+COPY_MAP_EDITS = {
+    "targets in another order": (_reorder_targets, "copies"),
+    "diagonal entries omitted": (_omit_diagonal_entries, "image sets"),
+    "off-diagonal entry dropped": (lambda image: image.pop(1), None),
+    "entry repeated": (lambda image: image.append(image[1]), None),
+    "target repeated in its entry": (_repeat_target_in_entry, None),
+    "targets swapped between entries": (_swap_targets_between_entries, None),
+    "entry outside the source relation": (_add_entry_outside_the_relation, None),
+    "copies shared by two units": (_share_copies, None),
+    "target pair in another block": (_move_target_to_another_block, None),
+}
+
+
+@pytest.mark.parametrize("edit", COPY_MAP_EDITS)
+def test_decoder_matches_the_tuple_decoder_on_edited_copy_maps(edit):
+    doc = json.loads(json.dumps(tower_to_json(triple_copy_tower(2))))
+    change, form = COPY_MAP_EDITS[edit]
+    change(doc["maps"][0]["image"])
+    got = _decoded(tower_from_json, doc)
+    assert got == _decoded(ref.tower_from_json, doc)
+    if form is None:
+        assert got[0] is FormatError
+    else:
+        assert ("copies" if got[1][0]._copies is not None else "image sets") == form
+
+
+def test_target_with_more_units_than_the_copies_is_read_as_image_sets():
+    doc = json.loads(json.dumps(tower_to_json(triple_copy_tower(2))))
+    doc["levels"][1]["blocks"] = [10]
+    got = _decoded(tower_from_json, doc)
+    assert got == _decoded(ref.tower_from_json, doc)
+    assert got[1][0]._copies is None
+
+
+# Levels [2] with (1,2) and [4] with (1,2), (3,4), (1,4), (3,2); the map
+# sends (1,2) to (1,4) + (3,2): valid, but it pairs the sorted copies
+# [1, 3] and [2, 4] of units 1 and 2 crosswise.
+TWISTED = {
+    "levels": [
+        {"blocks": [2], "units": [[[0, 1], [0, 2]]]},
+        {
+            "blocks": [4],
+            "units": [[[0, 1], [0, 2]], [[0, 1], [0, 4]], [[0, 3], [0, 2]], [[0, 3], [0, 4]]],
+        },
+    ],
+    "maps": [
+        {
+            "kind": "explicit",
+            "image": [
+                [[[0, 1], [0, 1]], [[[0, 1], [0, 1]], [[0, 3], [0, 3]]]],
+                [[[0, 1], [0, 2]], [[[0, 1], [0, 4]], [[0, 3], [0, 2]]]],
+                [[[0, 2], [0, 2]], [[[0, 2], [0, 2]], [[0, 4], [0, 4]]]],
+            ],
+        }
+    ],
+    "rule": None,
+}
+
+
+def test_twisted_map_is_read_as_image_sets(tmp_path, capsys):
+    assert _decoded(tower_from_json, TWISTED) == _decoded(ref.tower_from_json, TWISTED)
+    (e,) = tower_from_json(TWISTED).maps
+    assert e._copies is None
+    assert e.of(((0, 1), (0, 2))) == {((0, 1), (0, 4)), ((0, 3), (0, 2))}
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps(TWISTED))
+    assert main(["check-tensor", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [triple_copy_tower(4), mixed_tower(), standard_image_tower(2, 2)],
+    ids=["triple_copy_tower(4)", "mixed_tower()", "standard_image_tower(2, 2)"],
+)
+def test_written_translation_maps_are_read_as_copies(tower):
+    back = tower_from_json(json.loads(json.dumps(tower_to_json(tower))))
+    assert all(e._copies is not None and e._image is None for e in back.maps)
+    assert list(back.maps) == list(tower.maps)
+
+
+def test_decoding_the_triple_copy_tower_allocates_little():
+    # 0.51 MB when every unit pair became a tuple and every map a dict of
+    # frozensets of them; the rows and copy lists need under 0.05 MB.
+    doc = json.loads(json.dumps(tower_to_json(triple_copy_tower(4))))
+    tracemalloc.start()
+    try:
+        tower_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000

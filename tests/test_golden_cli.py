@@ -33,7 +33,10 @@ import tempfile
 from pathlib import Path
 
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
-from treealg.catalog import (
+from treealg.cli import main
+from treealg.formats import graph_to_json, spec_to_json, tower_to_json
+
+from catalog import (
     branching_graph,
     chain_graph,
     lambda_graph,
@@ -44,8 +47,6 @@ from treealg.catalog import (
     standard_tower,
     triple_copy_tower,
 )
-from treealg.cli import main
-from treealg.formats import graph_to_json, spec_to_json, tower_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 PYTHON = "%d.%d" % sys.version_info[:2]

@@ -27,7 +27,10 @@ from pathlib import Path
 
 from treealg.algebra import DigraphAlgebra
 from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
-from treealg.catalog import (
+from treealg.formats import algebra_to_json, decision_to_json, embedding_to_json
+from treealg.tower import RefinementRule, StandardRule, Tower, decide_tensor, materialize
+
+from catalog import (
     branching_tree,
     lambda_tree,
     mixed_tower,
@@ -36,8 +39,6 @@ from treealg.catalog import (
     standard_tower,
     triple_copy_tower,
 )
-from treealg.formats import algebra_to_json, decision_to_json, embedding_to_json
-from treealg.tower import RefinementRule, StandardRule, Tower, decide_tensor, materialize
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "decisions.jsonl"
 GOLDEN_MAPS = Path(__file__).resolve().parent / "golden" / "maps.jsonl"

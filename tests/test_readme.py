@@ -1,11 +1,14 @@
-"""The README's quick tour runs, and the package exports exactly its names."""
+"""The README's quick tour runs, its rule example gets the verdicts it
+states, and the package exports exactly its names."""
 
 import contextlib
 import io
+import json
 import pathlib
 import re
 
 import treealg
+from treealg.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +41,18 @@ def test_package_exports_the_documented_names():
     for name in DOCUMENTED:
         assert getattr(treealg, name).__name__ == name
         assert f"`{name}`" in README.read_text(encoding="utf-8")
+
+
+def test_rule_example_says_yes_backwards_and_no_forwards(tmp_path):
+    # "File formats": a rule continues a full upper-triangular level into
+    # the full order one size up, and any other level into its image.
+    readme = README.read_text(encoding="utf-8")
+    (text,) = re.findall(r'`(\{"levels":\[\{"blocks":\[2\].*?)`', readme)
+    backwards = json.loads(text)
+    forwards = json.loads(text)
+    forwards["levels"][0]["units"] = [[[0, 1], [0, 2]]]
+    for doc, code in ((backwards, 0), (forwards, 1)):
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check-tensor", str(path), "--depth", "3"]) == code

@@ -5,10 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
-from test_golden_decisions import DEPTHS, _diamond, towers as golden_towers
-from treealg.algebra import DigraphAlgebra, solve_grading, unit_name
-from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
-from treealg.catalog import (
+from catalog import (
     lambda_tree,
     mixed_tower,
     refinement_tower,
@@ -16,6 +13,9 @@ from treealg.catalog import (
     standard_tower,
     triple_copy_tower,
 )
+from test_golden_decisions import DEPTHS, _diamond, towers as golden_towers
+from treealg.algebra import DigraphAlgebra, solve_grading, unit_name
+from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
 from treealg.embeddings import (
     RegularEmbedding,
     refinement_embedding,
