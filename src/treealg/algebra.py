@@ -43,11 +43,11 @@ each read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CyclicGraph
 from .graphs import DirectedGraph, OutForest, find_cycle
+from .records import Record
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -337,13 +337,15 @@ def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
                 raise ValueError(f"pairs ({ui},{uj}) and ({uj},{ui}) break antisymmetry")
 
 
-@dataclass(frozen=True)
-class NonTreeTriple:
+class NonTreeTriple(Record):
     """Units x, y, z with pairs (x, y) and (x, z) but y, z incomparable."""
 
-    x: Unit
-    y: Unit
-    z: Unit
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: Unit, y: Unit, z: Unit) -> None:
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     def __bool__(self) -> bool:
         return False
@@ -405,8 +407,7 @@ def covering_pairs(a: DigraphAlgebra) -> frozenset[Pair]:
     return frozenset((us[i], us[j]) for i, covers in enumerate(a._covers()) for j in covers)
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Record):
     """The coherent additive integer grading of an algebra's relation,
     held as one depth per unit: the grade of a pair (i, j) is
     depth[i] - depth[j].
@@ -415,8 +416,11 @@ class Grading:
     laws by construction, so nothing is checked here.
     """
 
-    algebra: DigraphAlgebra
-    depth: tuple[int, ...]
+    __slots__ = ("algebra", "depth")
+
+    def __init__(self, algebra: DigraphAlgebra, depth: tuple[int, ...]) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "depth", depth)
 
     def of(self, pair: Pair) -> int:
         """The grade of a pair; KeyError outside the relation."""

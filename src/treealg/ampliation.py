@@ -24,7 +24,6 @@ the tree a stationary rule holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator
 
@@ -32,6 +31,7 @@ from .algebra import DigraphAlgebra
 from .embeddings import tree_refinement_embedding
 from .errors import NotATree, OutputTooLarge
 from .graphs import Edge, OutForest, unchecked_forest
+from .records import Record
 from .tower import Tower, TreeRefinementRule
 
 
@@ -150,27 +150,29 @@ def ampliate(tree: OutForest, l: int, steps: int = 1) -> OutForest:
     return unchecked_forest(vertices, parent)
 
 
-@dataclass(frozen=True)
-class TreeRefinementSpec:
+class TreeRefinementSpec(Record):
     """An out-tree plus the multiplicity schedule of its tower.
 
     multiplicities lists the first steps explicitly; stationary, if given,
     repeats forever after they run out.
     """
 
-    base: OutForest
-    multiplicities: tuple[int, ...] = ()
-    stationary: int | None = None
+    __slots__ = ("base", "multiplicities", "stationary")
 
-    def __post_init__(self) -> None:
-        if not self.base.is_tree():
+    def __init__(
+        self, base: OutForest, multiplicities: tuple[int, ...] = (), stationary: int | None = None
+    ) -> None:
+        if not base.is_tree():
             raise NotATree("the base of a tree-refinement tower must be a tree")
-        if any(m < 1 for m in self.multiplicities):
+        if any(m < 1 for m in multiplicities):
             raise ValueError("multiplicities must be positive")
-        if self.stationary is not None and self.stationary < 1:
+        if stationary is not None and stationary < 1:
             raise ValueError("the stationary multiplicity must be positive")
-        if max((*self.multiplicities, self.stationary or 1)) > MAX_MULTIPLICITY:
+        if max((*multiplicities, stationary or 1)) > MAX_MULTIPLICITY:
             raise ValueError(f"multiplicities must be at most {MAX_MULTIPLICITY}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "stationary", stationary)
 
     def multiplicity(self, step: int) -> int:
         """Multiplicity applied at step (0-based), or raise when exhausted."""

@@ -31,12 +31,12 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ampliation import MAX_MULTIPLICITY, TreeRefinementSpec, pair_name
 from .errors import NotATree
 from .graphs import OutForest, unchecked_forest
+from .records import Record
 
 
 def reduce(g: OutForest, weights: bool = True) -> OutForest:
@@ -77,14 +77,47 @@ def reduce(g: OutForest, weights: bool = True) -> OutForest:
     return unchecked_forest(keep, parent, weight)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(Record):
     """Total-order-comparable encoding deciding weighted isomorphism."""
 
-    data: tuple
+    # Codes compare as the 1-tuples of their data, and only with codes.
+    # The classification search compares one code per candidate, so these
+    # read data directly rather than through Record's field tuple.
+    __slots__ = ("data",)
+
+    def __init__(self, data: tuple) -> None:
+        object.__setattr__(self, "data", data)
 
     def __repr__(self) -> str:
         return f"CanonicalCode({self.data!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.data,) == (other.data,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.data,))
+
+    def __lt__(self, other: CanonicalCode) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.data,) < (other.data,)
+        return NotImplemented
+
+    def __le__(self, other: CanonicalCode) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.data,) <= (other.data,)
+        return NotImplemented
+
+    def __gt__(self, other: CanonicalCode) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.data,) > (other.data,)
+        return NotImplemented
+
+    def __ge__(self, other: CanonicalCode) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.data,) >= (other.data,)
+        return NotImplemented
 
 
 def _codes(t: OutForest) -> dict[str, tuple]:
@@ -129,12 +162,14 @@ def _skeleton(red: OutForest) -> tuple:
     return _shape(red, root)
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Record):
     """Prime exponents of a multiplicity product, some possibly infinite."""
 
-    finite: tuple[tuple[int, int], ...]
-    infinite: frozenset[int]
+    __slots__ = ("finite", "infinite")
+
+    def __init__(self, finite: tuple[tuple[int, int], ...], infinite: frozenset[int]) -> None:
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "infinite", infinite)
 
     def exponent(self, p: int) -> float:
         if p in self.infinite:
@@ -202,23 +237,33 @@ def spec_supernatural(spec: TreeRefinementSpec) -> SupernaturalNumber:
     return supernatural(spec.multiplicities, spec.stationary)
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(Record):
     verdict = "equivalent"
-    ampliations: tuple[tuple[int, ...], tuple[int, ...]]
-    bijection: tuple[tuple[str, str], ...]
+    __slots__ = ("ampliations", "bijection")
+
+    def __init__(
+        self,
+        ampliations: tuple[tuple[int, ...], tuple[int, ...]],
+        bijection: tuple[tuple[str, str], ...],
+    ) -> None:
+        object.__setattr__(self, "ampliations", ampliations)
+        object.__setattr__(self, "bijection", bijection)
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Record):
     verdict = "distinct"
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        object.__setattr__(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class Undetermined:
+class Undetermined(Record):
     verdict = "undetermined"
-    bound: int
+    __slots__ = ("bound",)
+
+    def __init__(self, bound: int) -> None:
+        object.__setattr__(self, "bound", bound)
 
 
 ClassificationResult = Equivalent | Distinct | Undetermined

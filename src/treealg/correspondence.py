@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_, sub
@@ -51,6 +50,7 @@ from typing import Mapping
 
 from .errors import GraphMismatch, OutputTooLarge, PreconditionViolated
 from .graphs import DirectedGraph
+from .records import Record
 
 Edge = tuple[str, str]
 
@@ -173,8 +173,7 @@ def _family_entries(g: DirectedGraph, cutoff: int) -> int:
     return dim * width + held
 
 
-@dataclass(eq=False)
-class PartialIsometryFamily:
+class PartialIsometryFamily(Record, eq=False):
     """Vertex projections and edge maps on a truncated path space.
 
     vertex_projections[v] is a bytearray of dim bytes, 1 on the paths
@@ -184,11 +183,21 @@ class PartialIsometryFamily:
     i or the result would exceed the cutoff.
     """
 
-    graph: DirectedGraph
-    cutoff: int
-    paths: tuple[Path, ...]
-    vertex_projections: dict[str, bytearray]
-    edge_isometries: dict[Edge, array]
+    __slots__ = ("graph", "cutoff", "paths", "vertex_projections", "edge_isometries")
+
+    def __init__(
+        self,
+        graph: DirectedGraph,
+        cutoff: int,
+        paths: tuple[Path, ...],
+        vertex_projections: dict[str, bytearray],
+        edge_isometries: dict[Edge, array],
+    ) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "vertex_projections", vertex_projections)
+        object.__setattr__(self, "edge_isometries", edge_isometries)
 
     @property
     def dimension(self) -> int:
@@ -246,15 +255,16 @@ def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> PartialIsometryFamily
     return PartialIsometryFamily(g, cutoff, tuple(paths), masks, maps)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    residual: int
-    exact: bool
-    note: str = ""
+class RelationCheck(Record):
+    __slots__ = ("residual", "exact", "note")
+
+    def __init__(self, residual: int, exact: bool, note: str = "") -> None:
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class CKTReport:
+class CKTReport(Record):
     """Per-relation residuals of a family, all entrywise integers.
 
     ok means the relations hold in the truncated sense: everything exact
@@ -262,7 +272,10 @@ class CKTReport:
     exact means no truncation artifact at all.
     """
 
-    checks: dict[str, RelationCheck]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: dict[str, RelationCheck]) -> None:
+        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -339,12 +352,14 @@ def verify_ckt(fam: PartialIsometryFamily) -> CKTReport:
     return CKTReport(checks)
 
 
-@dataclass(frozen=True)
-class NeatCheck:
-    holds: bool
-    norm_x: float
-    norm_y: float
-    norm_sum: float
+class NeatCheck(Record):
+    __slots__ = ("holds", "norm_x", "norm_y", "norm_sum")
+
+    def __init__(self, holds: bool, norm_x: float, norm_y: float, norm_sum: float) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "norm_x", norm_x)
+        object.__setattr__(self, "norm_y", norm_y)
+        object.__setattr__(self, "norm_sum", norm_sum)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -48,7 +48,6 @@ embedding is its own restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -70,6 +69,7 @@ from .embeddings import (
 )
 from .errors import MismatchedLevels, NotATree, OutputTooLarge
 from .graphs import OutForest, unchecked_forest
+from .records import Record
 
 MAX_LEVEL_UNITS = 512
 # The most units a level generated from a rule may have.  Each rule step
@@ -79,46 +79,55 @@ MAX_LEVEL_UNITS = 512
 # (Python 3.11), two fifths of it generating the rule's steps.
 
 
-@dataclass(frozen=True)
-class StandardRule:
+class StandardRule(Record):
     """Repeat standard embeddings of multiplicity m forever."""
 
-    m: int
+    __slots__ = ("m",)
+
+    def __init__(self, m: int) -> None:
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class RefinementRule:
+class RefinementRule(Record):
     """Repeat refinement embeddings of step l forever."""
 
-    l: int
+    __slots__ = ("l",)
+
+    def __init__(self, l: int) -> None:
+        object.__setattr__(self, "l", l)
 
 
-@dataclass(frozen=True)
-class NestRule:
+class NestRule(Record):
     """All further embeddings are full nest embeddings."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class TreeRefinementRule:
+
+class TreeRefinementRule(Record):
     """Keep ampliating the tree of the last stored level by l."""
 
-    tree: OutForest
-    l: int
+    __slots__ = ("tree", "l")
+
+    def __init__(self, tree: OutForest, l: int) -> None:
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "l", l)
 
 
 Rule = StandardRule | RefinementRule | NestRule | TreeRefinementRule
 
 
-@dataclass(frozen=True, eq=False)
-class Tower:
+class Tower(Record, eq=False):
     """Immutable list of levels and connecting embeddings, plus a rule."""
 
-    levels: Sequence[DigraphAlgebra]
-    maps: Sequence[RegularEmbedding]
-    rule: Rule | None = None
+    __slots__ = ("levels", "maps", "rule")
 
-    def __post_init__(self) -> None:
-        lv, mp = tuple(self.levels), tuple(self.maps)
+    def __init__(
+        self,
+        levels: Sequence[DigraphAlgebra],
+        maps: Sequence[RegularEmbedding],
+        rule: Rule | None = None,
+    ) -> None:
+        lv, mp = tuple(levels), tuple(maps)
         if not lv:
             raise MismatchedLevels("a tower needs at least one level")
         if len(mp) != len(lv) - 1:
@@ -132,6 +141,7 @@ class Tower:
                 raise MismatchedLevels(f"map {k} does not end at level {k + 1}")
         object.__setattr__(self, "levels", lv)
         object.__setattr__(self, "maps", mp)
+        object.__setattr__(self, "rule", rule)
 
     def __repr__(self) -> str:
         r = type(self.rule).__name__ if self.rule is not None else "no rule"
@@ -216,39 +226,48 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ChainGrades:
+class ChainGrades(Record):
     """One pair followed through consecutive embeddings, one summand each,
     with the grade of every pair on the way."""
 
-    start_level: int
-    pairs: tuple[Pair, ...]
-    grades: tuple[int, ...]
+    __slots__ = ("start_level", "pairs", "grades")
+
+    def __init__(self, start_level: int, pairs: tuple[Pair, ...], grades: tuple[int, ...]) -> None:
+        object.__setattr__(self, "start_level", start_level)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "grades", grades)
 
 
-@dataclass(frozen=True)
-class GradeGrowthWitness:
+class GradeGrowthWitness(Record):
     """A chain whose grade strictly rose across the step at this level."""
 
-    chain: ChainGrades
-    level: int
+    __slots__ = ("chain", "level")
+
+    def __init__(self, chain: ChainGrades, level: int) -> None:
+        object.__setattr__(self, "chain", chain)
+        object.__setattr__(self, "level", level)
 
 
-@dataclass(frozen=True)
-class NestRuleWitness:
-    note: str = "towers continued by full nest embeddings are never tensor algebras"
+class NestRuleWitness(Record):
+    __slots__ = ("note",)
+
+    def __init__(
+        self, note: str = "towers continued by full nest embeddings are never tensor algebras"
+    ) -> None:
+        object.__setattr__(self, "note", note)
 
 
-@dataclass(frozen=True)
-class LevelStructureWitness:
+class LevelStructureWitness(Record):
     """A failure of the tree condition at one level that persists to the next."""
 
-    level: int
-    witness: NonTreeTriple
+    __slots__ = ("level", "witness")
+
+    def __init__(self, level: int, witness: NonTreeTriple) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(eq=False, frozen=True)
-class PresentationLevel:
+class PresentationLevel(Record, eq=False):
     """One level of a forest presentation.
 
     forest carries the grade-1 units as edges on the diagonal units;
@@ -257,21 +276,34 @@ class PresentationLevel:
     last level has no embedding.
     """
 
-    level: int
-    forest: OutForest
-    algebra: DigraphAlgebra
-    embedding: RegularEmbedding | None
+    __slots__ = ("level", "forest", "algebra", "embedding")
+
+    def __init__(
+        self,
+        level: int,
+        forest: OutForest,
+        algebra: DigraphAlgebra,
+        embedding: RegularEmbedding | None,
+    ) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "forest", forest)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "embedding", embedding)
 
 
-@dataclass(eq=False, frozen=True)
-class ForestPresentation:
-    levels: tuple[PresentationLevel, ...]
+class ForestPresentation(Record, eq=False):
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: tuple[PresentationLevel, ...]) -> None:
+        object.__setattr__(self, "levels", levels)
 
 
-@dataclass(frozen=True)
-class InconclusiveReport:
-    reason: str
-    unsettled: tuple[ChainGrades, ...] = ()
+class InconclusiveReport(Record):
+    __slots__ = ("reason", "unsettled")
+
+    def __init__(self, reason: str, unsettled: tuple[ChainGrades, ...] = ()) -> None:
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "unsettled", unsettled)
 
 
 Certificate = (
@@ -283,11 +315,13 @@ Certificate = (
 )
 
 
-@dataclass(eq=False, frozen=True)
-class Decision:
-    verdict: Verdict
-    inspected_depth: int
-    certificate: Certificate
+class Decision(Record, eq=False):
+    __slots__ = ("verdict", "inspected_depth", "certificate")
+
+    def __init__(self, verdict: Verdict, inspected_depth: int, certificate: Certificate) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "inspected_depth", inspected_depth)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def _persists(w: NonTreeTriple, emb: RegularEmbedding, nxt: DigraphAlgebra) -> bool:

@@ -46,31 +46,38 @@ RegularEmbedding constructor as a dict of image sets; it is the oracle
 of the one-pass decoder in test_formats.py, levels, maps, bytes and
 messages alike.
 
-The dense CKT family at the end is how treealg.correspondence worked
+The dense CKT family is how treealg.correspondence worked
 before it stored edge maps as partial injections: every projection and
 edge map is an explicit dim x dim int64 matrix and every relation is a
 matrix product.  It is the oracle of test_correspondence.py, which also
 reads the dense operator of a vector off vector_operator.  These are the
 only users of numpy; treealg itself runs on the standard library.
+
+The records at the end are the 25 record classes of treealg as they
+were declared before they became slotted Record subclasses: dataclasses,
+copied verbatim and grouped by the module they came from.  They are the
+oracle of test_records.py, which checks each record's repr, equality,
+hash, order, defaults and messages against its twin here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+import treealg.correspondence
+import treealg.tower
 from treealg.algebra import DigraphAlgebra, solve_grading
-from treealg.ampliation import ampliate
+from treealg.ampliation import MAX_MULTIPLICITY, ampliate
+from treealg.classify import _factor
 from treealg.cli import _json_text
 from treealg.correspondence import (
-    CKTReport,
     Edge,
     GraphCorrespondenceVector,
-    PartialIsometryFamily,
     Path,
-    RelationCheck,
     edge_range,
     edge_source,
 )
@@ -81,7 +88,7 @@ from treealg.embeddings import (
     standard_embedding,
     translation_embedding,
 )
-from treealg.errors import CyclicGraph, FormatError, GraphMismatch
+from treealg.errors import CyclicGraph, FormatError, GraphMismatch, MismatchedLevels, NotATree
 from treealg.formats import (
     Json,
     _as_dict,
@@ -94,7 +101,6 @@ from treealg.formats import (
     rule_from_json,
 )
 from treealg.graphs import DirectedGraph, OutForest, find_cycle
-from treealg.tower import ChainGrades, Tower
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
@@ -423,12 +429,12 @@ def pair_chain_grades(
     grades: Sequence[dict[Pair, int]],
     level: int,
     pair: Pair,
-) -> list[ChainGrades]:
+) -> list[treealg.tower.ChainGrades]:
     """Every summand chain of one pair from its level, 1-based, down to
     the last graded level, with its grades: depth first over sorted
     images."""
     return [
-        ChainGrades(level, chain, tuple(grades[level - 1 + k][q] for k, q in enumerate(chain)))
+        treealg.tower.ChainGrades(level, chain, tuple(grades[level - 1 + k][q] for k, q in enumerate(chain)))
         for chain in _chains_from(maps, level, pair, len(grades))
     ]
 
@@ -437,7 +443,7 @@ def all_chain_grades(
     levels: Sequence[DigraphAlgebra],
     maps: Sequence[RegularEmbedding],
     grades: Sequence[dict[Pair, int]],
-) -> list[ChainGrades]:
+) -> list[treealg.tower.ChainGrades]:
     """Every summand chain of every pair above the last level, listed
     before any is looked at: level by level, pairs in relation order,
     chains depth first over sorted images."""
@@ -591,7 +597,7 @@ def _complete_diagonal(
     return out
 
 
-def tower_from_json(obj: Json, path: str = "tower") -> Tower:
+def tower_from_json(obj: Json, path: str = "tower") -> treealg.tower.Tower:
     doc = _as_dict(obj, path)
     levels = [
         algebra_from_json(item, f"{path}.levels[{k}]")
@@ -611,7 +617,7 @@ def tower_from_json(obj: Json, path: str = "tower") -> Tower:
     ]
     rule = rule_from_json(doc.get("rule"), f"{path}.rule")
     try:
-        return Tower(levels, maps, rule)
+        return treealg.tower.Tower(levels, maps, rule)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -647,7 +653,7 @@ class DenseFamily:
         return len(self.paths)
 
 
-def vector_operator(fam: PartialIsometryFamily, x: GraphCorrespondenceVector) -> np.ndarray:
+def vector_operator(fam: treealg.correspondence.PartialIsometryFamily, x: GraphCorrespondenceVector) -> np.ndarray:
     """The dense matrix representing a vector: its amplitude-weighted edge maps."""
     if x.graph != fam.graph:
         raise GraphMismatch("the vector lives on a different graph")
@@ -691,25 +697,25 @@ def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> DenseFamily:
     return DenseFamily(g, cutoff, tuple(paths), projections, isometries)
 
 
-def verify_ckt(fam: DenseFamily) -> CKTReport:
+def verify_ckt(fam: DenseFamily) -> treealg.correspondence.CKTReport:
     """Entrywise verification of the five relations of the family."""
     L = fam.vertex_projections
     T = fam.edge_isometries
-    checks: dict[str, RelationCheck] = {}
+    checks: dict[str, treealg.correspondence.RelationCheck] = {}
 
     r = 0
     for p in fam.graph.vertices:
         for q in fam.graph.vertices:
             if p != q:
                 r = max(r, int(np.abs(L[p] @ L[q]).max(initial=0)))
-    checks["orthogonal-vertices"] = RelationCheck(r, r == 0)
+    checks["orthogonal-vertices"] = treealg.correspondence.RelationCheck(r, r == 0)
 
     r = 0
     for e in T:
         for f in T:
             if e != f:
                 r = max(r, int(np.abs(T[e].T @ T[f]).max(initial=0)))
-    checks["orthogonal-edges"] = RelationCheck(r, r == 0)
+    checks["orthogonal-edges"] = treealg.correspondence.RelationCheck(r, r == 0)
 
     # The isometry identity can only fail on paths of maximal length,
     # where prepending the edge would overflow the cutoff.
@@ -722,14 +728,14 @@ def verify_ckt(fam: DenseFamily) -> CKTReport:
             if len(es) < fam.cutoff:
                 interior = max(interior, int(abs(diff[i, i])))
     note = "" if full == 0 else "restricted to paths shorter than the cutoff"
-    checks["isometry"] = RelationCheck(full, full == 0, note)
-    checks["isometry-interior"] = RelationCheck(interior, interior == 0)
+    checks["isometry"] = treealg.correspondence.RelationCheck(full, full == 0, note)
+    checks["isometry-interior"] = treealg.correspondence.RelationCheck(interior, interior == 0)
 
     r = 0
     for e, m in T.items():
         excess = m @ m.T - L[edge_range(e)]
         r = max(r, int(excess.max(initial=0)))
-    checks["range-domination"] = RelationCheck(r, r <= 0)
+    checks["range-domination"] = treealg.correspondence.RelationCheck(r, r <= 0)
 
     r = 0
     for p in fam.graph.vertices:
@@ -739,6 +745,327 @@ def verify_ckt(fam: DenseFamily) -> CKTReport:
                 total = total + m @ m.T
         excess = total - L[p]
         r = max(r, int(excess.max(initial=0)))
-    checks["summed-domination"] = RelationCheck(r, r <= 0)
+    checks["summed-domination"] = treealg.correspondence.RelationCheck(r, r <= 0)
 
-    return CKTReport(checks)
+    return treealg.correspondence.CKTReport(checks)
+
+
+# treealg.algebra
+
+@dataclass(frozen=True)
+class NonTreeTriple:
+    """Units x, y, z with pairs (x, y) and (x, z) but y, z incomparable."""
+
+    x: Unit
+    y: Unit
+    z: Unit
+
+    def __bool__(self) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class Grading:
+    """The coherent additive integer grading of an algebra's relation,
+    held as one depth per unit: the grade of a pair (i, j) is
+    depth[i] - depth[j].
+
+    solve_grading is its only constructor, and its grades satisfy the
+    laws by construction, so nothing is checked here.
+    """
+
+    algebra: DigraphAlgebra
+    depth: tuple[int, ...]
+
+    def of(self, pair: Pair) -> int:
+        """The grade of a pair; KeyError outside the relation."""
+        i, j = pair
+        index, rows = self.algebra._index, self.algebra._rows
+        k, m = index.get(i), index.get(j)
+        if k is None or m is None or not rows[k] >> m & 1:
+            raise KeyError(pair)
+        return self.depth[k] - self.depth[m]
+
+    def __bool__(self) -> bool:
+        return True
+
+
+# treealg.ampliation
+
+@dataclass(frozen=True)
+class TreeRefinementSpec:
+    """An out-tree plus the multiplicity schedule of its tower.
+
+    multiplicities lists the first steps explicitly; stationary, if given,
+    repeats forever after they run out.
+    """
+
+    base: OutForest
+    multiplicities: tuple[int, ...] = ()
+    stationary: int | None = None
+
+    def __post_init__(self) -> None:
+        if not self.base.is_tree():
+            raise NotATree("the base of a tree-refinement tower must be a tree")
+        if any(m < 1 for m in self.multiplicities):
+            raise ValueError("multiplicities must be positive")
+        if self.stationary is not None and self.stationary < 1:
+            raise ValueError("the stationary multiplicity must be positive")
+        if max((*self.multiplicities, self.stationary or 1)) > MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicities must be at most {MAX_MULTIPLICITY}")
+
+    def multiplicity(self, step: int) -> int:
+        """Multiplicity applied at step (0-based), or raise when exhausted."""
+        if step < len(self.multiplicities):
+            return self.multiplicities[step]
+        if self.stationary is not None:
+            return self.stationary
+        raise ValueError(
+            f"the multiplicity schedule ends after {len(self.multiplicities)} steps"
+        )
+
+
+# treealg.classify
+
+@dataclass(frozen=True, order=True)
+class CanonicalCode:
+    """Total-order-comparable encoding deciding weighted isomorphism."""
+
+    data: tuple
+
+    def __repr__(self) -> str:
+        return f"CanonicalCode({self.data!r})"
+
+
+@dataclass(frozen=True)
+class SupernaturalNumber:
+    """Prime exponents of a multiplicity product, some possibly infinite."""
+
+    finite: tuple[tuple[int, int], ...]
+    infinite: frozenset[int]
+
+    def exponent(self, p: int) -> float:
+        if p in self.infinite:
+            return math.inf
+        return dict(self.finite).get(p, 0)
+
+    def divisible_by(self, n: int) -> bool:
+        if n < 1:
+            return False
+        for p, e in _factor(n).items():
+            if self.exponent(p) < e:
+                return False
+        return True
+
+    def primes(self) -> frozenset[int]:
+        return self.infinite | {p for p, _ in self.finite}
+
+    def __repr__(self) -> str:
+        parts = [f"{p}^inf" for p in sorted(self.infinite)]
+        parts += [f"{p}^{e}" for p, e in self.finite]
+        return "SupernaturalNumber(" + (" * ".join(parts) or "1") + ")"
+
+
+@dataclass(frozen=True)
+class Equivalent:
+    verdict = "equivalent"
+    ampliations: tuple[tuple[int, ...], tuple[int, ...]]
+    bijection: tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True)
+class Distinct:
+    verdict = "distinct"
+    reason: str
+
+
+@dataclass(frozen=True)
+class Undetermined:
+    verdict = "undetermined"
+    bound: int
+
+
+# treealg.correspondence
+
+@dataclass(eq=False)
+class PartialIsometryFamily:
+    """Vertex projections and edge maps on a truncated path space.
+
+    vertex_projections[v] is a bytearray of dim bytes, 1 on the paths
+    ranging at v and 0 elsewhere.  edge_isometries[e] is an array('q')
+    partial injection on path indices, 8·dim bytes: entry i is the index
+    of path i with e prepended, or -1 where e does not compose with path
+    i or the result would exceed the cutoff.
+    """
+
+    graph: DirectedGraph
+    cutoff: int
+    paths: tuple[Path, ...]
+    vertex_projections: dict[str, bytearray]
+    edge_isometries: dict[Edge, array]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.paths)
+
+
+@dataclass(frozen=True)
+class RelationCheck:
+    residual: int
+    exact: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class CKTReport:
+    """Per-relation residuals of a family, all entrywise integers.
+
+    ok means the relations hold in the truncated sense: everything exact
+    except possibly the isometry identity on maximal-length paths.
+    exact means no truncation artifact at all.
+    """
+
+    checks: dict[str, RelationCheck]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.exact for name, c in self.checks.items() if name != "isometry")
+
+    @property
+    def exact(self) -> bool:
+        return all(c.exact for c in self.checks.values())
+
+
+@dataclass(frozen=True)
+class NeatCheck:
+    holds: bool
+    norm_x: float
+    norm_y: float
+    norm_sum: float
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+# treealg.tower
+
+@dataclass(frozen=True)
+class StandardRule:
+    """Repeat standard embeddings of multiplicity m forever."""
+
+    m: int
+
+
+@dataclass(frozen=True)
+class RefinementRule:
+    """Repeat refinement embeddings of step l forever."""
+
+    l: int
+
+
+@dataclass(frozen=True)
+class NestRule:
+    """All further embeddings are full nest embeddings."""
+
+
+@dataclass(frozen=True)
+class TreeRefinementRule:
+    """Keep ampliating the tree of the last stored level by l."""
+
+    tree: OutForest
+    l: int
+
+
+@dataclass(frozen=True, eq=False)
+class Tower:
+    """Immutable list of levels and connecting embeddings, plus a rule."""
+
+    levels: Sequence[DigraphAlgebra]
+    maps: Sequence[RegularEmbedding]
+    rule: Rule | None = None
+
+    def __post_init__(self) -> None:
+        lv, mp = tuple(self.levels), tuple(self.maps)
+        if not lv:
+            raise MismatchedLevels("a tower needs at least one level")
+        if len(mp) != len(lv) - 1:
+            raise MismatchedLevels(
+                f"{len(lv)} levels need {len(lv) - 1} maps, got {len(mp)}"
+            )
+        for k, e in enumerate(mp):
+            if e.source != lv[k]:
+                raise MismatchedLevels(f"map {k} does not start at level {k}")
+            if e.target != lv[k + 1]:
+                raise MismatchedLevels(f"map {k} does not end at level {k + 1}")
+        object.__setattr__(self, "levels", lv)
+        object.__setattr__(self, "maps", mp)
+
+    def __repr__(self) -> str:
+        r = type(self.rule).__name__ if self.rule is not None else "no rule"
+        return f"Tower({len(self.levels)} stored levels, {r})"
+
+
+@dataclass(frozen=True)
+class ChainGrades:
+    """One pair followed through consecutive embeddings, one summand each,
+    with the grade of every pair on the way."""
+
+    start_level: int
+    pairs: tuple[Pair, ...]
+    grades: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class GradeGrowthWitness:
+    """A chain whose grade strictly rose across the step at this level."""
+
+    chain: ChainGrades
+    level: int
+
+
+@dataclass(frozen=True)
+class NestRuleWitness:
+    note: str = "towers continued by full nest embeddings are never tensor algebras"
+
+
+@dataclass(frozen=True)
+class LevelStructureWitness:
+    """A failure of the tree condition at one level that persists to the next."""
+
+    level: int
+    witness: NonTreeTriple
+
+
+@dataclass(eq=False, frozen=True)
+class PresentationLevel:
+    """One level of a forest presentation.
+
+    forest carries the grade-1 units as edges on the diagonal units;
+    algebra is the subalgebra those units generate; embedding restricts
+    the tower map and sends forest edges to sums of forest edges.  The
+    last level has no embedding.
+    """
+
+    level: int
+    forest: OutForest
+    algebra: DigraphAlgebra
+    embedding: RegularEmbedding | None
+
+
+@dataclass(eq=False, frozen=True)
+class ForestPresentation:
+    levels: tuple[PresentationLevel, ...]
+
+
+@dataclass(frozen=True)
+class InconclusiveReport:
+    reason: str
+    unsettled: tuple[ChainGrades, ...] = ()
+
+
+@dataclass(eq=False, frozen=True)
+class Decision:
+    verdict: Verdict
+    inspected_depth: int
+    certificate: Certificate
+

@@ -171,6 +171,16 @@ def test_family_is_stored_in_bytearrays_and_index_arrays():
     }
 
 
+def test_family_fields_cannot_be_reassigned():
+    fam = build_ckt_family(chain_graph(3), cutoff=2)
+    for field in ("graph", "cutoff", "paths", "vertex_projections", "edge_isometries"):
+        with pytest.raises(AttributeError):
+            setattr(fam, field, getattr(fam, field))
+        with pytest.raises(AttributeError):
+            delattr(fam, field)
+    assert fam.cutoff == 2 and fam.dimension == 6
+
+
 def test_single_edge_family_relations():
     g = DirectedGraph(["p", "q"], [("p", "q")])
     fam = build_ckt_family(g, cutoff=2)

@@ -3,8 +3,8 @@
 numpy backs only the dense oracle of the tests.  These tests start fresh
 interpreters: one where every numpy import fails runs the verify-ckt and
 check-tensor cases of tests/golden/cli.jsonl and must reproduce their
-recorded exit codes and output bytes; another checks that importing the
-command line leaves numpy unloaded.
+recorded exit codes and output bytes; others check that importing the
+command line leaves numpy, dataclasses and inspect unloaded.
 """
 
 from __future__ import annotations
@@ -63,3 +63,16 @@ def test_commands_reproduce_their_golden_bytes_when_numpy_cannot_load(tmp_path):
 def test_importing_the_command_line_leaves_numpy_unloaded(tmp_path):
     code = "import sys, treealg.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
     assert fresh_python(code, tmp_path).strip() == "[]"
+
+
+def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # What the import adds to the modules argparse, json and enum load: the
+    # records are built without dataclasses, whose decorators generate and
+    # exec source on every import, or inspect, which it pulls in.
+    code = (
+        "import sys, argparse, json, enum; before = set(sys.modules); import treealg.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    added = json.loads(fresh_python(code, tmp_path))
+    assert "treealg.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added
