@@ -7,22 +7,19 @@ inconclusive or undetermined one; 64 flags a usage error, 65 an
 unreadable or ill-formed input, and 70 an internal error.  Identical
 inputs give identical output; nothing here consults clocks.
 
-The parser is built once, when the module is imported, from literals
-alone; the import also reads a table of each command's positionals,
-options and defaults off it, and parses one literal command line per
-command, so that argparse has compiled its patterns before the first
-call.  These are the only module state.  A call whose arguments have
-the form every real call has (see _direct) is parsed from the table
-without argparse; any other call, and so every usage error and help
-text, goes to argparse.  Each call parses into a fresh namespace whose
-`run` is the command's handler; handlers read their inputs and options
-from it by name.  Input files are read as bytes and decoded as UTF-8
-JSON.
+The table _COMMANDS states the grammar once: each command's help text,
+positionals, options, --format choices and handler.  It is the only
+module state.  A call whose arguments have the form every real call has
+(see _direct) is parsed straight from it.  Any other call, and so every
+usage error and help text, goes to an argparse parser that build_parser
+makes from the table for that call alone; only then is argparse
+imported.  Each call parses into a fresh namespace whose `run` is the
+command's handler; handlers read their inputs and options from it by
+name.  Input files are read as bytes and decoded as UTF-8 JSON.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from itertools import chain
@@ -60,84 +57,6 @@ DATA_ERROR = 65
 INTERNAL_ERROR = 70
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _integer(lower: int):
-    """An argument type: an integer of at least lower, which is 0 or 1."""
-    message = "must not be negative" if lower == 0 else f"must be at least {lower}"
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-        if value < lower:
-            raise argparse.ArgumentTypeError(message)
-        return value
-
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="treealg", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, run, fmt=("json", "text")) -> None:
-        p.add_argument("--format", choices=fmt, default=None, dest="fmt")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.set_defaults(run=run)
-
-    p = sub.add_parser("check-tensor", help="decide whether a tower presents a tensor algebra")
-    p.add_argument("tower", help="tower JSON file")
-    p.add_argument("--depth", type=_integer(1), default=4)
-    common(p, cmd_check_tensor)
-
-    p = sub.add_parser("ampliate", help="ampliate an out-tree under a multiplicity")
-    p.add_argument("graph", help="graph JSON file holding an out-tree")
-    p.add_argument("-l", "--multiplicity", type=_integer(1), required=True)
-    p.add_argument("--steps", type=_integer(0), default=1,
-                   help="how many times to apply the rule (0 echoes the input)")
-    common(p, cmd_ampliate, fmt=("json", "text", "dot"))
-
-    p = sub.add_parser("classify", help="compare two tree-refinement specs")
-    p.add_argument("first", help="spec JSON file")
-    p.add_argument("second", help="spec JSON file")
-    p.add_argument("--bound", type=_integer(0), default=3, dest="ampliation_bound")
-    common(p, cmd_classify)
-
-    p = sub.add_parser("reduce", help="contract chains of an out-tree into weights")
-    p.add_argument("graph", help="graph JSON file holding an out-tree")
-    common(p, cmd_reduce, fmt=("json", "text", "dot"))
-
-    p = sub.add_parser("iso", help="test two out-trees for weighted isomorphism")
-    p.add_argument("first", help="graph JSON file")
-    p.add_argument("second", help="graph JSON file")
-    common(p, cmd_iso)
-
-    p = sub.add_parser("supernatural", help="the supernatural number of a spec")
-    p.add_argument("spec", help="spec JSON file")
-    common(p, cmd_supernatural)
-
-    p = sub.add_parser("verify-ckt", help="check the relations of a truncated isometry family")
-    p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--cutoff", type=_integer(1), default=4)
-    common(p, cmd_verify_ckt)
-
-    p = sub.add_parser("norm", help="the module norm of a correspondence vector")
-    p.add_argument("vector", help="vector JSON file")
-    common(p, cmd_norm)
-
-    p = sub.add_parser("emit-dot", help="render a graph file as DOT text")
-    p.add_argument("graph", help="graph JSON file")
-    common(p, cmd_emit_dot, fmt=("dot",))
-
-    return parser
-
-
 def _read(decode, path: str):
     """Decode the JSON document in the file at path."""
     with open(path, "rb") as fh:
@@ -160,10 +79,10 @@ def _read(decode, path: str):
     return decode(doc, path)
 
 
-def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
+def _emit(ns: SimpleNamespace, text: str | Iterable[str]) -> None:
     """Write text, one string or its pieces in order, to --out or stdout."""
     pieces = (text,) if type(text) is str else text
-    if ns.out:
+    if ns.out is not None:
         with open(ns.out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     else:
@@ -220,11 +139,11 @@ def _json_text(o, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def _emit_json(ns: argparse.Namespace, doc) -> None:
+def _emit_json(ns: SimpleNamespace, doc) -> None:
     _emit(ns, _json_text(doc) + "\n")
 
 
-def _emit_graph(ns: argparse.Namespace, g: OutForest) -> None:
+def _emit_graph(ns: SimpleNamespace, g: OutForest) -> None:
     _emit(ns, formats.graph_text(g, ns.fmt or "json"))
 
 
@@ -262,7 +181,7 @@ def _decision_text(d: Decision) -> str:
 _VERDICT_EXIT = {Verdict.YES: 0, Verdict.NO: 1, Verdict.INCONCLUSIVE: 2}
 
 
-def cmd_check_tensor(ns: argparse.Namespace) -> int:
+def cmd_check_tensor(ns: SimpleNamespace) -> int:
     tower = _read(formats.tower_from_json, ns.tower)
     decision = decide_tensor(tower, depth=ns.depth)
     if ns.fmt == "json":
@@ -272,7 +191,7 @@ def cmd_check_tensor(ns: argparse.Namespace) -> int:
     return _VERDICT_EXIT[decision.verdict]
 
 
-def cmd_ampliate(ns: argparse.Namespace) -> int:
+def cmd_ampliate(ns: SimpleNamespace) -> int:
     tree = _read(formats.forest_from_json, ns.graph)
     l, steps = ns.multiplicity, ns.steps
     check_ampliation(tree, l, steps)
@@ -288,7 +207,7 @@ def cmd_ampliate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(ns: argparse.Namespace) -> int:
+def cmd_classify(ns: SimpleNamespace) -> int:
     a = _read(formats.spec_from_json, ns.first)
     b = _read(formats.spec_from_json, ns.second)
     result = classify_tree_refinement(a, b, ampliation_bound=ns.ampliation_bound)
@@ -314,12 +233,12 @@ def cmd_classify(ns: argparse.Namespace) -> int:
     return {"equivalent": 0, "distinct": 1, "undetermined": 2}[result.verdict]
 
 
-def cmd_reduce(ns: argparse.Namespace) -> int:
+def cmd_reduce(ns: SimpleNamespace) -> int:
     _emit_graph(ns, reduce(_read(formats.forest_from_json, ns.graph)))
     return 0
 
 
-def cmd_iso(ns: argparse.Namespace) -> int:
+def cmd_iso(ns: SimpleNamespace) -> int:
     a = _read(formats.forest_from_json, ns.first)
     b = _read(formats.forest_from_json, ns.second)
     same = trees_isomorphic(a, b)
@@ -336,7 +255,7 @@ def _supernatural_text(sn: SupernaturalNumber) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def cmd_supernatural(ns: argparse.Namespace) -> int:
+def cmd_supernatural(ns: SimpleNamespace) -> int:
     spec = _read(formats.spec_from_json, ns.spec)
     sn = spec_supernatural(spec)
     if ns.fmt == "json":
@@ -352,7 +271,7 @@ def cmd_supernatural(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify_ckt(ns: argparse.Namespace) -> int:
+def cmd_verify_ckt(ns: SimpleNamespace) -> int:
     g = _read(formats.graph_from_json, ns.graph)
     report = verify_ckt(build_ckt_family(g, cutoff=ns.cutoff))
     if ns.fmt == "json":
@@ -368,7 +287,7 @@ def cmd_verify_ckt(ns: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_norm(ns: argparse.Namespace) -> int:
+def cmd_norm(ns: SimpleNamespace) -> int:
     x = _read(formats.vector_from_json, ns.vector)
     value = module_norm(x)
     if ns.fmt == "json":
@@ -378,93 +297,131 @@ def cmd_norm(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_emit_dot(ns: argparse.Namespace) -> int:
+def cmd_emit_dot(ns: SimpleNamespace) -> int:
     g = _read(formats.graph_from_json, ns.graph)
     _emit(ns, formats.graph_to_dot(g))
     return 0
 
 
-_PARSER = build_parser()
-
-# One valid command line per command, parsed at import and thrown away.
-# argparse compiles the patterns that match arguments against options
-# on the first parse that needs them; this moves that cost out of every
-# call of a process that imports once and runs many calls.  Only the
-# parser runs: no file is opened and no handler is called.
-_WARM_ARGV = (
-    ("check-tensor", "tower.json", "--depth", "1"),
-    ("ampliate", "graph.json", "-l", "1"),
-    ("classify", "first.json", "second.json", "--bound", "0"),
-    ("reduce", "graph.json", "--format", "json"),
-    ("iso", "first.json", "second.json", "--format", "json"),
-    ("supernatural", "spec.json", "--format", "json"),
-    ("verify-ckt", "graph.json", "--cutoff", "1"),
-    ("norm", "vector.json", "--format", "json"),
-    ("emit-dot", "graph.json", "--format", "dot"),
-)
-for _argv in _WARM_ARGV:
-    _PARSER.parse_args(_argv)
-del _argv
-
-
-def _direct_table(parser: argparse.ArgumentParser) -> dict:
-    """Command -> (positional dests, option string -> (dest, type,
-    choices), the namespace before arguments, required dests), read off
-    the sub-parsers of parser.  Defaults are copied as they are: argparse
-    would pass a string default through its option's type, and no
-    default here is a string."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for command, p in sub.choices.items():
-        stores = [a for a in p._actions if type(a) is argparse._StoreAction]
-        required = {a.dest for a in stores if a.required}
-        start = {a.dest: a.default for a in p._actions
-                 if argparse.SUPPRESS not in (a.dest, a.default) and a.dest not in required}
-        start.update(p._defaults, command=command)
-        options = {s: (a.dest, a.type, a.choices) for a in stores for s in a.option_strings}
-        table[command] = ([a.dest for a in stores if not a.option_strings], options, start, required)
-    return table
+# The grammar, stated once: command -> (help, handler, --format choices,
+# positionals, options), with commands, positionals and options in the
+# order help lists them.  A positional is (dest, help).  An option is
+# (flags, dest, kind, default, required, help), where kind is the least
+# integer the option takes, the tuple of its choices, or None for any
+# string.
+_COMMANDS = {
+    "check-tensor": ("decide whether a tower presents a tensor algebra", cmd_check_tensor,
+                     ("json", "text"), [("tower", "tower JSON file")],
+                     [(("--depth",), "depth", 1, 4, False, None)]),
+    "ampliate": ("ampliate an out-tree under a multiplicity", cmd_ampliate,
+                 ("json", "text", "dot"), [("graph", "graph JSON file holding an out-tree")],
+                 [(("-l", "--multiplicity"), "multiplicity", 1, None, True, None),
+                  (("--steps",), "steps", 0, 1, False,
+                   "how many times to apply the rule (0 echoes the input)")]),
+    "classify": ("compare two tree-refinement specs", cmd_classify,
+                 ("json", "text"), [("first", "spec JSON file"), ("second", "spec JSON file")],
+                 [(("--bound",), "ampliation_bound", 0, 3, False, None)]),
+    "reduce": ("contract chains of an out-tree into weights", cmd_reduce,
+               ("json", "text", "dot"), [("graph", "graph JSON file holding an out-tree")], []),
+    "iso": ("test two out-trees for weighted isomorphism", cmd_iso,
+            ("json", "text"), [("first", "graph JSON file"), ("second", "graph JSON file")], []),
+    "supernatural": ("the supernatural number of a spec", cmd_supernatural,
+                     ("json", "text"), [("spec", "spec JSON file")], []),
+    "verify-ckt": ("check the relations of a truncated isometry family", cmd_verify_ckt,
+                   ("json", "text"), [("graph", "graph JSON file")],
+                   [(("--cutoff",), "cutoff", 1, 4, False, None)]),
+    "norm": ("the module norm of a correspondence vector", cmd_norm,
+             ("json", "text"), [("vector", "vector JSON file")], []),
+    "emit-dot": ("render a graph file as DOT text", cmd_emit_dot,
+                 ("dot",), [("graph", "graph JSON file")], []),
+}
 
 
-_DIRECT = _direct_table(_PARSER)
+def _options(choices: tuple, own: list) -> list:
+    """A command's options: its own, then --format and --out, which
+    every command takes."""
+    return [*own, (("--format",), "fmt", choices, None, False, None),
+            (("--out",), "out", None, None, False, "write the report here instead of stdout")]
+
+
+def build_parser():
+    """The argparse parser of the table, for the calls _direct declines:
+    it words help and usage errors, and parses unusual spellings."""
+    import argparse
+
+    def integer(lower: int):
+        """An argument type: an integer of at least lower, which is 0 or 1."""
+        message = "must not be negative" if lower == 0 else f"must be at least {lower}"
+
+        def parse(text: str) -> int:
+            try:
+                value = int(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+            if value < lower:
+                raise argparse.ArgumentTypeError(message)
+            return value
+
+        return parse
+
+    parser = argparse.ArgumentParser(prog="treealg", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (about, run, choices, positionals, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
+        for flags, dest, kind, default, required, text in _options(choices, own):
+            p.add_argument(*flags, dest=dest, default=default, required=required, help=text,
+                           type=integer(kind) if type(kind) is int else None,
+                           choices=kind if type(kind) is tuple else None)
+        p.set_defaults(run=run)
+    return parser
 
 
 def _direct(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace _PARSER.parse_args(argv) builds, for an argv of the
-    one form every real call has: a command, that command's positionals,
-    then pairs of an exact option string and a value, where no
-    positional or value starts with "-".  Each value goes through its
-    option's type and choices, and every required option must be given.
+    """The namespace build_parser().parse_args(argv) builds, for an argv
+    of the one form every real call has: a command, that command's
+    positionals, then pairs of an exact option string and a value, where
+    no positional or value starts with "-".  Each value must be of its
+    option's kind, and every required option must be given.
 
     Any other argv gives None and is left to argparse: abbreviations,
     "--depth=3", "-l5", "--", "-", help, options before positionals, and
     every bad, missing or extra argument.  So argparse words every usage
-    error and help text, and a well-formed call runs none of its code.
+    error and help text, and a well-formed call neither builds nor runs
+    a parser.
     """
-    entry = _DIRECT.get(argv[0]) if argv else None
+    entry = _COMMANDS.get(argv[0]) if argv else None
     if entry is None:
         return None
-    positionals, options, start, required = entry
+    _, run, choices, positionals, own = entry
+    options = _options(choices, own)
     n = len(positionals) + 1
     if len(argv) < n or (len(argv) - n) % 2:
         return None
-    values = dict(start)
-    for dest, text in zip(positionals, argv[1:n]):
+    values = {dest: default for _, dest, _, default, required, _ in options if not required}
+    values.update(command=argv[0], run=run)
+    for (dest, _), text in zip(positionals, argv[1:n]):
         if text.startswith("-"):
             return None
         values[dest] = text
     for flag, text in zip(argv[n::2], argv[n + 1::2]):
-        if flag not in options or text.startswith("-"):
+        option = next((o for o in options if flag in o[0]), None)
+        if option is None or text.startswith("-"):
             return None
-        dest, convert, choices = options[flag]
-        try:
-            value = text if convert is None else convert(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-        if choices is not None and value not in choices:
+        _, dest, kind, _, _, _ = option
+        value = text
+        if type(kind) is int:
+            try:
+                value = int(text)
+            except ValueError:
+                return None
+            if value < kind:
+                return None
+        elif kind is not None and text not in kind:
             return None
         values[dest] = value
-    if not required <= values.keys():
+    if any(required and dest not in values for _, dest, _, _, required, _ in options):
         return None
     return SimpleNamespace(**values)
 
@@ -475,9 +432,11 @@ def main(argv: list[str] | None = None) -> int:
     ns = _direct(argv)
     if ns is None:
         try:
-            ns = _PARSER.parse_args(argv)
+            ns = build_parser().parse_args(argv, SimpleNamespace())
         except SystemExit as exc:
-            return int(exc.code or 0)
+            # argparse exits 2 on a usage error, after writing the usage
+            # and the error to stderr.
+            return USAGE_ERROR if exc.code == 2 else int(exc.code or 0)
     try:
         return ns.run(ns)
     except (TreealgError, OSError) as exc:

@@ -2,12 +2,9 @@
 
 import argparse
 import json
-import os
 import random
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +27,6 @@ from catalog import (
 from conftest import random_out_tree
 from test_golden_cli import cases
 
-TESTS = Path(__file__).resolve().parent
 LAMBDA_DOC = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["1", "3"]]}
 
 
@@ -363,6 +359,14 @@ def test_out_flag_writes_file(capsys, lam, tmp_path):
     assert target.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("command, options", [("emit-dot", []), ("ampliate", ["-l", "2"])])
+def test_empty_out_path_exits_65(capsys, lam, command, options):
+    # An empty --out names no file; it must not fall back to stdout.
+    code, out, err = run(capsys, command, lam, *options, "--out", "")
+    assert code == 65 and out == ""
+    assert err.startswith("treealg: error: ") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_64(capsys):
     assert run(capsys, "check-tensor")[0] == 64
     assert run(capsys, "no-such-command")[0] == 64
@@ -420,50 +424,14 @@ def test_crlf_inputs_report_text_mode_positions(capsys, tmp_path):
     assert code == 65 and err == f"treealg: error: {path}:3:12: Expecting value\n"
 
 
-COUNT_COMPILES = """
-import json, sys
-import treealg.cli
-try:
-    from re import _compiler as compiler
-except ImportError:
-    import sre_compile as compiler
-compiled = []
-real = compiler.compile
-def counting(pattern, flags=0):
-    compiled.append(pattern)
-    return real(pattern, flags)
-compiler.compile = counting
-for argv in json.load(sys.stdin):
-    treealg.cli._PARSER.parse_args(argv)
-print(json.dumps(compiled))
-"""
-
-
-def test_parsing_compiles_no_pattern_after_import():
-    # A fresh interpreter: this one has compiled argparse's patterns already.
-    golden = (TESTS / "golden" / "cli.jsonl").read_text().splitlines()
-    argvs = [c["case"].split(" ") for c in map(json.loads, golden) if not c.get("argparse")]
-    paths = [str(TESTS.parent / "src")] + [os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run(
-        [sys.executable, "-c", COUNT_COMPILES], input=json.dumps(argvs),
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert len(argvs) > 100 and json.loads(done.stdout) == []
-
-
-def test_import_parses_one_line_per_command():
-    commands = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(argv[0] for argv in cli._WARM_ARGV) == sorted(commands.choices)
-
-
 def test_norm_of_huge_amplitudes_is_json(capsys, tmp_path):
     vec = write(tmp_path, "v.json", {"graph": LAMBDA_DOC, "amplitudes": [["1", "2", 1e200, 1e200]]})
     code, out, _ = run(capsys, "norm", vec, "--format", "json")
     assert code == 0 and out == '{\n  "norm": 1.414213562373095e+200\n}\n'
 
 
-_SUB = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction))
+PARSER = cli.build_parser()
+_SUB = next(a for a in PARSER._actions if isinstance(a, argparse._SubParsersAction))
 COMMANDS = sorted(_SUB.choices)
 OWN_OPTIONS = {c: sorted(s for a in p._actions for s in a.option_strings) for c, p in _SUB.choices.items()}
 OPTIONS = sorted({s for own in OWN_OPTIONS.values() for s in own})
@@ -501,7 +469,7 @@ def command_lines(draw):
 def test_direct_parse_builds_the_namespace_argparse_builds(argv):
     ns = cli._direct(argv)
     if ns is not None:
-        assert vars(cli._PARSER.parse_args(argv)) == vars(ns)
+        assert vars(PARSER.parse_args(argv)) == vars(ns)
 
 
 def test_direct_parse_serves_every_real_call_and_no_other():
@@ -523,9 +491,15 @@ def test_direct_parse_serves_every_real_call_and_no_other():
     assert hits == []
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "ampliate", "--help")[0] == 0
+def test_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and all(command in out for command in cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out.startswith(f"usage: treealg {command} ")
 
 
 def test_outputs_deterministic(capsys, tmp_path):

@@ -4,7 +4,8 @@ numpy backs only the dense oracle of the tests.  These tests start fresh
 interpreters: one where every numpy import fails runs the verify-ckt and
 check-tensor cases of tests/golden/cli.jsonl and must reproduce their
 recorded exit codes and output bytes; others check that importing the
-command line leaves numpy, dataclasses and inspect unloaded.
+command line leaves numpy, dataclasses, inspect and argparse unloaded,
+and that well-formed calls do not load argparse either.
 """
 
 from __future__ import annotations
@@ -38,6 +39,23 @@ print(json.dumps(got))
 """
 
 
+IMPORT_THEN_CALL = f"""
+import json, sys
+from pathlib import Path
+sys.path[:0] = [{str(SRC)!r}, {str(TESTS)!r}]
+before = set(sys.modules)
+import treealg.cli
+imported = set(sys.modules) - before
+import test_golden_cli as golden
+golden._write_inputs(Path.cwd())
+ran = {{}}
+for name, argv, from_argparse in golden.cases():
+    if not from_argparse and argv[0] not in ran:
+        ran[argv[0]] = golden.run(argv)[0]
+print(json.dumps([sorted(imported), ran, sorted(set(sys.modules) - before)]))
+"""
+
+
 def fresh_python(code: str, cwd: Path) -> str:
     paths = [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
@@ -66,13 +84,24 @@ def test_importing_the_command_line_leaves_numpy_unloaded(tmp_path):
 
 
 def test_importing_the_command_line_loads_neither_dataclasses_nor_inspect(tmp_path):
-    # What the import adds to the modules argparse, json and enum load: the
+    # What the import adds to the modules json and enum load: the
     # records are built without dataclasses, whose decorators generate and
     # exec source on every import, or inspect, which it pulls in.
     code = (
-        "import sys, argparse, json, enum; before = set(sys.modules); import treealg.cli; "
+        "import sys, json, enum; before = set(sys.modules); import treealg.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     added = json.loads(fresh_python(code, tmp_path))
     assert "treealg.cli" in added
     assert "dataclasses" not in added and "inspect" not in added
+
+
+def test_well_formed_calls_leave_argparse_unloaded(tmp_path):
+    # argparse, and the gettext and locale it imports, load only for a
+    # call the direct parse declines: help, a usage error, an unusual
+    # spelling.
+    imported, ran, loaded = json.loads(fresh_python(IMPORT_THEN_CALL, tmp_path))
+    assert "treealg.cli" in imported
+    assert not {"argparse", "gettext", "locale"} & set(imported)
+    assert sorted(ran) == sorted(golden.COMMANDS) and set(ran.values()) <= {0, 1, 2}
+    assert "argparse" not in loaded

@@ -317,6 +317,21 @@ def test_tails_of_stored_steps_never_get_opposite_proof_verdicts(name):
     check_tails_agree(stored_step_towers()[name])
 
 
+@pytest.mark.parametrize("build", [standard_tower, refinement_tower])
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3), (3, 2)])
+def test_telescopings_never_get_opposite_proof_verdicts(build, n, m):
+    # Two rule steps of m are one step of m², so the towers of m and m²
+    # have one limit.  A depth whose levels pass the cap is skipped.
+    verdicts = {}
+    for step in (m, m * m):
+        for depth in range(1, 6):
+            try:
+                verdicts[step, depth] = decide_tensor(build(n, step), depth).verdict.value
+            except OutputTooLarge:
+                pass
+    assert {"yes", "no"} - set(verdicts.values()), f"verdicts by step and depth: {verdicts}"
+
+
 def check_against_the_eager_reference(t: Tower, depth: int) -> bool:
     """Compare decide_tensor with the eager chain list, when every level
     is a tree: under a rule the witness is the first rising chain of the
