@@ -20,9 +20,31 @@ out-degree other than 1.  A vertex v of weight w in R = reduce(T,
 weights=False) gets weight L*w + L - 1 (all copies of the w contracted
 vertices above it and v's own earlier copies), plus L - 1 more for the
 root's later copies when its parent is a root with one child.  Any
-other root keeps its last copy, of weight L - 2.  So each side's code
-depends on L alone and is computed once per product in O(|R| log |R|);
-a candidate then costs one comparison of codes.
+other root keeps its last copy, of weight L - 2.
+
+So for L >= 2 the reduction is one template read at L: each vertex
+carries a pair (a, b) and weighs a*L + b.  The root's first copy has
+(0, 0), the last copy of a root with other than one child (1, -2), and
+the last copy of any other vertex v of weight w in R has (w + 1 + s,
+-1 - s), where s is 1 when v's parent is a root with one child and 0
+otherwise.  Then b is 0 at depth 0, -2 at depth 1 and -1 below, so
+siblings share b, and for L >= 1 a*L + b is strictly increasing in a
+at fixed b.  Codes compare as tuples: weights first, then the sorted
+codes of the children one by one, then their number, and each step
+compares vertices of one depth.  By induction from the leaves, two
+codes of one depth therefore compare at every L as their codes over
+the pairs (a, b) compare.  Sibling order, and with it the code's
+preorder, does not depend on L: the code at L is a fixed shape, the
+child counts of its vertices in preorder, with the weight a*L + b at
+each.  A nested code and its preorder of child counts and weights
+determine each other, so the codes of two sides at L_a, L_b >= 2 are
+equal exactly when their shapes are equal and so are their lists of
+weights.  code_template gives each side's shape and pairs once; the
+shapes are compared once per search, and a candidate costs one
+comparison of two integer lists.  A side with no factor (L = 1) keeps
+the file weights, so it goes through reduce and canonical_code, and
+only the candidate that wins has its vertices named, by
+ampliated_reduction, for the bijection.
 """
 
 from __future__ import annotations
@@ -31,7 +53,7 @@ import functools
 import itertools
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .ampliation import MAX_MULTIPLICITY, TreeRefinementSpec, pair_name
 from .errors import NotATree
@@ -80,9 +102,8 @@ def reduce(g: OutForest, weights: bool = True) -> OutForest:
 class CanonicalCode(Record):
     """Total-order-comparable encoding deciding weighted isomorphism."""
 
-    # Codes compare as the 1-tuples of their data, and only with codes.
-    # The classification search compares one code per candidate, so these
-    # read data directly rather than through Record's field tuple.
+    # Codes compare as the 1-tuples of their data, and only with codes;
+    # Record gives equality and hash alike.
     __slots__ = ("data",)
 
     def __init__(self, data: tuple) -> None:
@@ -90,14 +111,6 @@ class CanonicalCode(Record):
 
     def __repr__(self) -> str:
         return f"CanonicalCode({self.data!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.data,) == (other.data,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.data,))
 
     def __lt__(self, other: CanonicalCode) -> bool:
         if other.__class__ is self.__class__:
@@ -120,14 +133,16 @@ class CanonicalCode(Record):
         return NotImplemented
 
 
-def _codes(t: OutForest) -> dict[str, tuple]:
-    """The code of every vertex, each computed once, children first."""
+def _codes(t: OutForest, weight: Callable[[str], object] | None = None) -> dict[str, tuple]:
+    """The code of every vertex, each computed once, children first,
+    with the weights t carries or those weight gives."""
+    weight = weight or t.graph.weight
     order = [t.single_root()]
     for v in order:
         order.extend(t.children(v))
     codes: dict[str, tuple] = {}
     for v in reversed(order):
-        codes[v] = (t.graph.weight(v), tuple(sorted(codes[c] for c in t.children(v))))
+        codes[v] = (weight(v), tuple(sorted(codes[c] for c in t.children(v))))
     return codes
 
 
@@ -177,12 +192,18 @@ class SupernaturalNumber(Record):
         return dict(self.finite).get(p, 0)
 
     def divisible_by(self, n: int) -> bool:
+        """Whether n divides this number, found by dividing n by this
+        number's own primes rather than by factoring n."""
         if n < 1:
             return False
-        for p, e in _factor(n).items():
+        for p in self.primes():
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
             if self.exponent(p) < e:
                 return False
-        return True
+        return n == 1
 
     def primes(self) -> frozenset[int]:
         return self.infinite | {p for p, _ in self.finite}
@@ -306,6 +327,33 @@ def ampliated_reduction(red: OutForest, factors: Sequence[int]) -> OutForest:
     return unchecked_forest(weights, parent, weights)
 
 
+def code_template(red: OutForest) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The code of ampliated_reduction(red, factors) for every product
+    L >= 2 of the factors: the child counts of its vertices in preorder,
+    and in the same order the pairs (a, b) of their weights a*L + b (see
+    the module docstring for the proof).
+
+    Siblings are ordered by their codes over the pairs, which order them
+    as their codes at any L do.
+    """
+    root = red.single_root()
+    stem = red.graph.out_degree(root) == 1
+
+    def pair(v: str) -> tuple[int, int]:
+        s = 1 if stem and red.parent(v) == root else 0
+        return red.graph.weight(v) + 1 + s, -1 - s
+
+    _, kids = _codes(red, pair)[root]
+    stack = [((0, 0), kids if stem else (((1, -2), kids),))]
+    shape, pairs = [], []
+    while stack:
+        weight, kids = stack.pop()
+        shape.append(len(kids))
+        pairs.append(weight)
+        stack.extend(reversed(kids))
+    return tuple(shape), tuple(pairs)
+
+
 def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:
     """Pair the vertices of two reductions with equal codes: depth-first
     from the roots, siblings matched in (code, name) order."""
@@ -323,18 +371,21 @@ def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:
 
 def _factor_sequences(
     primes: Sequence[int], max_steps: int, sn: SupernaturalNumber
-) -> list[tuple[int, ...]]:
-    """Nondecreasing prime tuples of bounded length whose product divides sn."""
+) -> dict[int, tuple[int, ...]]:
+    """Nondecreasing prime tuples of bounded length whose product divides
+    sn, by product.  A tuple divides sn when no prime occurs in it more
+    often than sn's exponent of that prime allows."""
     if not sn.infinite:
         # A product of k primes divides a finite number only when k is at
         # most the sum of its exponents.
         max_steps = min(max_steps, sum(e for _, e in sn.finite))
-    return [
-        seq
+    caps = [(p, sn.exponent(p)) for p in primes]
+    return {
+        math.prod(seq): seq
         for k in range(max_steps + 1)
         for seq in itertools.combinations_with_replacement(primes, k)
-        if sn.divisible_by(math.prod(seq))
-    ]
+        if all(seq.count(p) <= e for p, e in caps)
+    }
 
 
 def classify_tree_refinement(
@@ -359,21 +410,27 @@ def classify_tree_refinement(
         return Distinct("branching skeletons differ")
     # A nondecreasing prime sequence is fixed by its product, and a product
     # L_a has at most one partner L_b = na * L_a / nb, so one pass pairs the
-    # sequences and each side's code is computed at most once.
-    seqs = {math.prod(s): s for s in _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)}
+    # sequences.
+    seqs = _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)
     na, nb = len(a.base.vertices), len(b.base.vertices)
     candidates = sorted(
-        (len(pa) + len(pb), pa, pb)
+        (len(pa) + len(pb), pa, pb, la, na * la // nb)
         for la, pa in seqs.items()
         for pb in [seqs.get(na * la // nb)]
         if na * la % nb == 0 and pb is not None
     )
+    (shape_a, pairs_a), (shape_b, pairs_b) = map(code_template, plain)
+    same_shape = shape_a == shape_b
 
     def reduction(k: int, seq: tuple[int, ...]) -> OutForest:
         return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
 
-    for _, pa, pb in candidates:
+    for _, pa, pb, la, lb in candidates:
+        if pa and pb:
+            if not same_shape or [x * la + y for x, y in pairs_a] != [x * lb + y for x, y in pairs_b]:
+                continue
+        elif canonical_code(reduction(0, pa)) != canonical_code(reduction(1, pb)):
+            continue
         ra, rb = reduction(0, pa), reduction(1, pb)
-        if canonical_code(ra) == canonical_code(rb):
-            return Equivalent((pa, pb), _match_vertices(ra, rb))
+        return Equivalent((pa, pb), _match_vertices(ra, rb))
     return Undetermined(ampliation_bound)

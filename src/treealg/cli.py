@@ -15,12 +15,16 @@ usage error and help text, goes to an argparse parser that build_parser
 makes from the table for that call alone; only then is argparse
 imported.  Each call parses into a fresh namespace whose `run` is the
 command's handler; handlers read their inputs and options from it by
-name.  Input files are read as bytes and decoded as UTF-8 JSON.
+name.  An --out that is empty or lies in no existing directory is
+refused before any input is read.  Input files are read as bytes and
+decoded as UTF-8 JSON.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -77,6 +81,14 @@ def _read(decode, path: str):
         # longer than the interpreter converts.
         raise FormatError(f"{path}: {exc}") from exc
     return decode(doc, path)
+
+
+def _check_out(path: str) -> None:
+    """Raise the error that opening path for writing raises when path is
+    empty or names no existing directory, so that such an --out fails
+    before any input is read; no file is created."""
+    if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(ns: SimpleNamespace, text: str | Iterable[str]) -> None:
@@ -438,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
             # and the error to stderr.
             return USAGE_ERROR if exc.code == 2 else int(exc.code or 0)
     try:
+        if ns.out is not None:
+            _check_out(ns.out)
         return ns.run(ns)
     except (TreealgError, OSError) as exc:
         print(f"treealg: error: {exc}", file=sys.stderr)

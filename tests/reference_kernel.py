@@ -20,6 +20,11 @@ for every candidate before it read their reductions off in closed form,
 one single_ampliation per factor; it is the oracle of
 classify.ampliated_reduction in test_classify.py and of ampliate's
 closed form in test_ampliation.py.
+classify_by_codes is the classification search as it ran before it
+compared code templates: every candidate's reductions named in full by
+ampliated_reduction and compared by canonical_code, and every sequence's
+product factored by trial division; it is the oracle of
+classify.classify_tree_refinement in test_classify.py.
 refinement_between builds one tree-refinement step through the tree,
 as towers did before they read the next order off the rows; it is the
 oracle of the generated steps in test_kernel.py.
@@ -62,17 +67,27 @@ hash, order, defaults and messages against its twin here.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+import treealg.classify
 import treealg.correspondence
 import treealg.tower
 from treealg.algebra import DigraphAlgebra, solve_grading
 from treealg.ampliation import MAX_MULTIPLICITY, ampliate
-from treealg.classify import _factor
+from treealg.classify import (
+    _factor,
+    _match_vertices,
+    _skeleton,
+    ampliated_reduction,
+    canonical_code,
+    reduce,
+    spec_supernatural,
+)
 from treealg.cli import _json_text
 from treealg.correspondence import (
     Edge,
@@ -368,6 +383,46 @@ def iterated_ampliation(base: OutForest, factors) -> OutForest:
     for f in factors:
         g = single_ampliation(g, f)
     return g
+
+
+def classify_by_codes(a, b, ampliation_bound: int = 3):
+    """classify_tree_refinement with one ampliated_reduction and one
+    canonical_code per side and candidate."""
+    if ampliation_bound < 0:
+        raise ValueError("the ampliation bound must be nonnegative")
+    sa, sb = spec_supernatural(a), spec_supernatural(b)
+    if sa != sb:
+        return treealg.classify.Distinct("supernatural numbers differ")
+    specs = (a, b)
+    plain = [reduce(spec.base, weights=False) for spec in specs]
+    if _skeleton(plain[0]) != _skeleton(plain[1]):
+        return treealg.classify.Distinct("branching skeletons differ")
+    primes = sorted(sa.primes())
+    max_steps = ampliation_bound
+    if not sa.infinite:
+        max_steps = min(max_steps, sum(e for _, e in sa.finite))
+    seqs = {
+        math.prod(seq): seq
+        for k in range(max_steps + 1)
+        for seq in itertools.combinations_with_replacement(primes, k)
+        if all(sa.exponent(p) >= e for p, e in _factor(math.prod(seq)).items())
+    }
+    na, nb = len(a.base.vertices), len(b.base.vertices)
+    candidates = sorted(
+        (len(pa) + len(pb), pa, pb)
+        for la, pa in seqs.items()
+        for pb in [seqs.get(na * la // nb)]
+        if na * la % nb == 0 and pb is not None
+    )
+
+    def reduction(k, seq):
+        return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
+
+    for _, pa, pb in candidates:
+        ra, rb = reduction(0, pa), reduction(1, pb)
+        if canonical_code(ra) == canonical_code(rb):
+            return treealg.classify.Equivalent((pa, pb), _match_vertices(ra, rb))
+    return treealg.classify.Undetermined(ampliation_bound)
 
 
 def _graph_lines(g: DirectedGraph | OutForest, fmt: str) -> str:

@@ -19,6 +19,7 @@ from treealg.classify import (
     branching_skeleton,
     canonical_code,
     classify_tree_refinement,
+    code_template,
     reduce,
     supernatural,
     trees_isomorphic,
@@ -28,7 +29,7 @@ from treealg.graphs import DirectedGraph, OutForest
 
 from catalog import branching_tree, chain_forest, lambda_tree
 from conftest import random_out_tree
-from reference_kernel import iterated_ampliation
+from reference_kernel import classify_by_codes, iterated_ampliation
 
 
 def shape_isomorphic(g: OutForest, h: OutForest) -> bool:
@@ -195,6 +196,75 @@ def test_ampliated_reduction_matches_the_iterated_ampliation(g, factors):
     # An iterated ampliation reduces like one ampliation by the product.
     product = ampliate(g, math.prod(factors))
     assert canonical_code(red) == canonical_code(reduce(product))
+
+
+def preorder(code: CanonicalCode) -> tuple[tuple[int, ...], list[int]]:
+    """The child counts and the weights of a code's vertices in preorder."""
+    shape, weights, stack = [], [], [code.data]
+    while stack:
+        weight, kids = stack.pop()
+        shape.append(len(kids))
+        weights.append(weight)
+        stack.extend(reversed(kids))
+    return tuple(shape), weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weighted_trees(),
+    weighted_trees(),
+    st.sampled_from(["independent", "same", "ampliated"]),
+    st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3),
+    st.sampled_from([2, 3]),
+)
+def test_code_templates_compare_as_the_codes_of_the_ampliated_reductions(g, h, kind, fa, fb, p):
+    # "same" and "ampliated" pairs have equal codes whenever the products
+    # agree, so the property sees both answers often.
+    if kind == "same":
+        h = g
+    elif kind == "ampliated":
+        h = ampliate(g, p)
+        fa = [p, *fb]
+    sides = []
+    for tree, factors in ((g, fa), (h, fb)):
+        red = reduce(tree, weights=False)
+        code = canonical_code(ampliated_reduction(red, factors))
+        shape, pairs = code_template(red)
+        l = math.prod(factors)
+        # The template read at the product is the code's own preorder.
+        assert (shape, [a * l + b for a, b in pairs]) == preorder(code)
+        sides.append((code, shape, [a * l + b for a, b in pairs]))
+    (code_a, *read_a), (code_b, *read_b) = sides
+    assert (read_a == read_b) == (code_a == code_b)
+
+
+@st.composite
+def spec_pairs(draw):
+    """Two specs whose bases are independent, equal, or one ampliated from
+    the other, with schedules mostly equal."""
+    schedule = st.tuples(
+        st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2).map(tuple),
+        st.sampled_from([None, 2, 3, 6]),
+    )
+    g = draw(weighted_trees())
+    kind = draw(st.sampled_from(["independent", "same", "ampliated"]))
+    if kind == "independent":
+        h = draw(weighted_trees())
+    elif kind == "same":
+        h = g
+    else:
+        h = ampliate(g, draw(st.sampled_from([2, 3, 4])))
+    mults, stationary = draw(schedule)
+    other = draw(schedule) if draw(st.integers(0, 4)) == 0 else (mults, stationary)
+    return TreeRefinementSpec(g, mults, stationary), TreeRefinementSpec(h, *other)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_pairs(), st.integers(0, 4))
+def test_classification_matches_the_search_by_codes(specs, bound):
+    a, b = specs
+    assert classify_tree_refinement(a, b, bound) == classify_by_codes(a, b, bound)
 
 
 def test_supernatural_examples():

@@ -177,6 +177,33 @@ def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
     assert code == 2 and out == "verdict: undetermined\nsearch bound: 64\n"
 
 
+def test_classify_bound_128_exhausts_in_under_one_second(capsys, tmp_path):
+    # The pair above at twice the bound: 8385 sequences a side, each
+    # candidate one comparison of the affine weights of two code templates.
+    a = {"vertices": ["r", "a", "b", "m"], "edges": [["r", "a"], ["r", "m"], ["m", "b"]]}
+    b = {"vertices": ["p", "r", "a", "b"], "edges": [["p", "r"], ["r", "a"], ["r", "b"]]}
+    fa = write(tmp_path, "a.json", {"base": a, "stationary": 6})
+    fb = write(tmp_path, "b.json", {"base": b, "stationary": 6})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", fa, fb, "--bound", "128")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "verdict: undetermined\nsearch bound: 128\n"
+
+
+@pytest.mark.parametrize("stationary", [999983, 4294967291])
+def test_classify_a_large_prime_stationary_multiplicity_in_under_one_second(capsys, tmp_path, stationary):
+    # One prime, the second just under MAX_MULTIPLICITY: divisibility is
+    # counted, never found by trial division up to the prime.
+    a = {"vertices": ["r", "a", "b", "c"], "edges": [["r", "a"], ["r", "b"], ["b", "c"]]}
+    b = {"vertices": ["r", "a", "b", "c"], "edges": [["r", "a"], ["a", "b"], ["a", "c"]]}
+    fa = write(tmp_path, "a.json", {"base": a, "stationary": stationary})
+    fb = write(tmp_path, "b.json", {"base": b, "stationary": stationary})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "classify", fa, fb)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "verdict: undetermined\nsearch bound: 3\n"
+
+
 def test_classify_finite_supernatural_search_stops_at_its_exponents(capsys, tmp_path):
     # Both sides have supernatural number 2, so only () and (2,) can
     # divide it; a bound of thousands must not enumerate longer sequences.
@@ -365,6 +392,30 @@ def test_empty_out_path_exits_65(capsys, lam, command, options):
     code, out, err = run(capsys, command, lam, *options, "--out", "")
     assert code == 65 and out == ""
     assert err.startswith("treealg: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["", "no-such-dir/out.txt"])
+def test_an_unopenable_out_path_is_refused_before_any_input_is_read(capsys, tmp_path, monkeypatch, where):
+    tower = write(tmp_path, "tower.json", tower_to_json(triple_copy_tower(4)))
+
+    def decode(*args):
+        raise AssertionError("the decoder ran")
+
+    monkeypatch.setattr(cli.formats, "tower_from_json", decode)
+    path = str(tmp_path / where) if where else ""
+    code, out, err = run(capsys, "check-tensor", tower, "--out", path)
+    assert code == 65 and out == ""
+    assert err == f"treealg: error: [Errno 2] No such file or directory: {path!r}\n"
+
+
+def test_bad_input_creates_or_truncates_no_out_file(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("old")
+    for out in (kept, fresh):
+        assert run(capsys, "check-tensor", str(bad), "--out", str(out))[0] == 65
+    assert kept.read_text() == "old" and not fresh.exists()
 
 
 def test_usage_errors_exit_64(capsys):
