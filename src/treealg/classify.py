@@ -192,18 +192,12 @@ class SupernaturalNumber(Record):
         return dict(self.finite).get(p, 0)
 
     def divisible_by(self, n: int) -> bool:
-        """Whether n divides this number, found by dividing n by this
-        number's own primes rather than by factoring n."""
         if n < 1:
             return False
-        for p in self.primes():
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+        for p, e in _factor(n).items():
             if self.exponent(p) < e:
                 return False
-        return n == 1
+        return True
 
     def primes(self) -> frozenset[int]:
         return self.infinite | {p for p, _ in self.finite}
@@ -426,11 +420,12 @@ def classify_tree_refinement(
         return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
 
     for _, pa, pb, la, lb in candidates:
-        if pa and pb:
-            if not same_shape or [x * la + y for x, y in pairs_a] != [x * lb + y for x, y in pairs_b]:
-                continue
-        elif canonical_code(reduction(0, pa)) != canonical_code(reduction(1, pb)):
+        templated = pa and pb
+        if templated and not (
+            same_shape and [x * la + y for x, y in pairs_a] == [x * lb + y for x, y in pairs_b]
+        ):
             continue
         ra, rb = reduction(0, pa), reduction(1, pb)
-        return Equivalent((pa, pb), _match_vertices(ra, rb))
+        if templated or canonical_code(ra) == canonical_code(rb):
+            return Equivalent((pa, pb), _match_vertices(ra, rb))
     return Undetermined(ampliation_bound)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -85,10 +86,16 @@ def _read(decode, path: str):
 
 def _check_out(path: str) -> None:
     """Raise the error that opening path for writing raises when path is
-    empty or names no existing directory, so that such an --out fails
-    before any input is read; no file is created."""
-    if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    empty or its directory cannot be reached or is no directory, so that
+    such an --out fails before any input is read; no file is created."""
+    try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        if not stat.S_ISDIR(os.stat(os.path.dirname(path) or os.curdir).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        # open names the whole path, whichever component failed.
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _emit(ns: SimpleNamespace, text: str | Iterable[str]) -> None:

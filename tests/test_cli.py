@@ -394,18 +394,23 @@ def test_empty_out_path_exits_65(capsys, lam, command, options):
     assert err.startswith("treealg: error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("where", ["", "no-such-dir/out.txt"])
+@pytest.mark.parametrize("where", ["", "no-such-dir/out.txt", "no-such-dir/sub/out.txt", "notes.txt/out.txt", "notes.txt/sub/out.txt"])
 def test_an_unopenable_out_path_is_refused_before_any_input_is_read(capsys, tmp_path, monkeypatch, where):
     tower = write(tmp_path, "tower.json", tower_to_json(triple_copy_tower(4)))
+    (tmp_path / "notes.txt").write_text("kept")
 
     def decode(*args):
         raise AssertionError("the decoder ran")
 
     monkeypatch.setattr(cli.formats, "tower_from_json", decode)
     path = str(tmp_path / where) if where else ""
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
     code, out, err = run(capsys, "check-tensor", tower, "--out", path)
     assert code == 65 and out == ""
-    assert err == f"treealg: error: [Errno 2] No such file or directory: {path!r}\n"
+    # The message is the one open gives for the same path.
+    assert err == f"treealg: error: {opened.value}\n"
+    assert (tmp_path / "notes.txt").read_text() == "kept"
 
 
 def test_bad_input_creates_or_truncates_no_out_file(capsys, tmp_path):
