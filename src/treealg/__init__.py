@@ -2,8 +2,8 @@
 
 The package decides when a tower of digraph algebras presents a tensor
 algebra of a tree, classifies tree-refinement limit algebras up to
-ampliation, and verifies the partial-isometry relations of graph
-correspondences numerically.
+ampliation, and reports on the partial-isometry relations of graph
+correspondences.
 
 The names below are the ones the README documents; everything else is
 imported from its module, for example
@@ -12,7 +12,7 @@ imported from its module, for example
 
 from .ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from .classify import classify_tree_refinement
-from .correspondence import build_ckt_family, check_neat_inequality, module_norm, verify_ckt
+from .correspondence import check_neat_inequality, module_norm, verify_ckt
 from .graphs import DirectedGraph, OutForest
 from .tower import Verdict, decide_tensor
 
@@ -25,7 +25,6 @@ __all__ = [
     "TreeRefinementSpec",
     "build_tree_refinement_tower",
     "classify_tree_refinement",
-    "build_ckt_family",
     "verify_ckt",
     "module_norm",
     "check_neat_inequality",

@@ -56,7 +56,7 @@ from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .ampliation import MAX_MULTIPLICITY, TreeRefinementSpec, pair_name
-from .errors import NotATree
+from .errors import NotATree, OutputTooLarge
 from .graphs import OutForest, unchecked_forest
 from .records import Record
 
@@ -190,14 +190,6 @@ class SupernaturalNumber(Record):
         if p in self.infinite:
             return math.inf
         return dict(self.finite).get(p, 0)
-
-    def divisible_by(self, n: int) -> bool:
-        if n < 1:
-            return False
-        for p, e in _factor(n).items():
-            if self.exponent(p) < e:
-                return False
-        return True
 
     def primes(self) -> frozenset[int]:
         return self.infinite | {p for p, _ in self.finite}
@@ -363,23 +355,79 @@ def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:
     return tuple(out)
 
 
+MAX_SEQUENCE_ENTRIES = 2_000_000
+# The most entries the prime sequences of the equivalence search may hold,
+# one per prime and one per sequence; above it the search is refused
+# before any sequence is listed.
+
+
+def _sequence_entries(caps: Sequence[float], max_steps: int) -> int:
+    """Entries, one per prime and one per tuple, of the nondecreasing
+    prime tuples of length at most max_steps that hold the i-th prime at
+    most caps[i] times, max_steps being at most the sum of the caps; any
+    number above MAX_SEQUENCE_ENTRIES once the count passes it.
+
+    ways[k] counts the tuples of length k over the primes so far, and a
+    prime of cap e makes it the sum of the old ways[k - j] for j <= e.
+    There is a tuple of every length up to max_steps, so there are at
+    least (max_steps + 1)(max_steps + 2)/2 entries; and a prime's pass
+    adds a tuple of every length it covers, so the passes cost
+    O(MAX_SEQUENCE_ENTRIES) steps in all.
+    """
+    least = (max_steps + 1) * (max_steps + 2) // 2
+    if least > MAX_SEQUENCE_ENTRIES:
+        return least
+    ways, entries = [1], 1
+    for e in caps:
+        prefix = [0, *itertools.accumulate(ways)]
+        last = len(ways) - 1
+        ways = [
+            prefix[min(k, last) + 1] - prefix[max(0, k - e)]
+            for k in range(min(max_steps, last + e) + 1)
+        ]
+        entries = sum(k * w for k, w in enumerate(ways, 1))
+        if entries > MAX_SEQUENCE_ENTRIES:
+            break
+    return entries
+
+
 def _factor_sequences(
     primes: Sequence[int], max_steps: int, sn: SupernaturalNumber
 ) -> dict[int, tuple[int, ...]]:
     """Nondecreasing prime tuples of bounded length whose product divides
     sn, by product.  A tuple divides sn when no prime occurs in it more
-    often than sn's exponent of that prime allows."""
+    often than sn's exponent of that prime allows.
+
+    Raises OutputTooLarge, before listing any tuple, when they would hold
+    more than MAX_SEQUENCE_ENTRIES entries.  Each tuple extends one of the
+    previous length by a prime no smaller than its last, and its product
+    that tuple's product.
+    """
+    steps = max_steps
     if not sn.infinite:
         # A product of k primes divides a finite number only when k is at
         # most the sum of its exponents.
-        max_steps = min(max_steps, sum(e for _, e in sn.finite))
-    caps = [(p, sn.exponent(p)) for p in primes]
-    return {
-        math.prod(seq): seq
-        for k in range(max_steps + 1)
-        for seq in itertools.combinations_with_replacement(primes, k)
-        if all(seq.count(p) <= e for p, e in caps)
-    }
+        steps = min(max_steps, sum(e for _, e in sn.finite))
+    caps = [sn.exponent(p) for p in primes]
+    if _sequence_entries(caps, steps) > MAX_SEQUENCE_ENTRIES:
+        raise OutputTooLarge(
+            f"the search to bound {max_steps} needs more than"
+            f" {MAX_SEQUENCE_ENTRIES} stored entries"
+        )
+    seqs = {1: ()}
+    level = [(1, (), 0)]  # (product, tuple, index of its last prime)
+    for _ in range(steps):
+        longer = []
+        for n, seq, first in level:
+            for i in range(first, len(primes)):
+                p, e = primes[i], caps[i]
+                # Every exponent of sn is at least 1, so a tuple whose
+                # last e entries are p holds as many as sn allows.
+                if len(seq) < e or seq[-e] != p:
+                    longer.append((n * p, seq + (p,), i))
+        level = longer
+        seqs.update((n, seq) for n, seq, _ in level)
+    return seqs
 
 
 def classify_tree_refinement(

@@ -43,7 +43,7 @@ from .classify import (
     spec_supernatural,
     trees_isomorphic,
 )
-from .correspondence import build_ckt_family, module_norm, verify_ckt
+from .correspondence import module_norm, verify_ckt
 from .errors import FormatError, TreealgError
 from .graphs import OutForest
 from .tower import (
@@ -292,7 +292,7 @@ def cmd_supernatural(ns: SimpleNamespace) -> int:
 
 def cmd_verify_ckt(ns: SimpleNamespace) -> int:
     g = _read(formats.graph_from_json, ns.graph)
-    report = verify_ckt(build_ckt_family(g, cutoff=ns.cutoff))
+    report = verify_ckt(g, ns.cutoff)
     if ns.fmt == "json":
         _emit_json(ns, formats.ckt_report_to_json(report))
     else:
@@ -303,7 +303,7 @@ def cmd_verify_ckt(ns: SimpleNamespace) -> int:
             lines.append(f"{name}: {state}{suffix}")
         lines.append(f"ok: {'true' if report.ok else 'false'}")
         _emit(ns, "\n".join(lines) + "\n")
-    return 0 if report.ok else 1
+    return 0
 
 
 def cmd_norm(ns: SimpleNamespace) -> int:

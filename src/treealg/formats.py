@@ -5,8 +5,8 @@ One JSON dialect covers graphs, algebras, embeddings, towers, rules,
 refinement specs and correspondence vectors.  Parsers raise FormatError
 with a path prefix locating the offending field; encoders emit canonical
 (sorted, deterministic) structures so identical values give identical
-documents.  Reports (decisions, classifications, relation checks) are
-output only.
+documents.  Towers, rules, specs and vectors are input only; reports
+(decisions, classifications, relation checks) are output only.
 
 A tower file is read straight into the forms the kernel works on.  Each
 level's units become bits of its rows in one pass, with no pair tuples,
@@ -375,20 +375,6 @@ def _complete_diagonal(
 # rules and towers
 
 
-def rule_to_json(rule: Rule | None) -> Json:
-    if rule is None:
-        return None
-    if isinstance(rule, StandardRule):
-        return {"kind": "standard", "m": rule.m}
-    if isinstance(rule, RefinementRule):
-        return {"kind": "refinement", "l": rule.l}
-    if isinstance(rule, NestRule):
-        return {"kind": "nest"}
-    if isinstance(rule, TreeRefinementRule):
-        return {"kind": "tree-refinement", "tree": graph_to_json(rule.tree), "l": rule.l}
-    raise FormatError(f"rule: unknown rule type {type(rule).__name__}")
-
-
 def rule_from_json(obj: Json, path: str = "rule") -> Rule | None:
     if obj is None:
         return None
@@ -404,14 +390,6 @@ def rule_from_json(obj: Json, path: str = "rule") -> Rule | None:
         tree = forest_from_json(_get(doc, "tree", path), f"{path}.tree")
         return TreeRefinementRule(tree, _positive(doc, "l", path))
     raise FormatError(f"{path}.kind: unknown rule kind {kind!r}")
-
-
-def tower_to_json(t: Tower) -> dict:
-    return {
-        "levels": [algebra_to_json(a) for a in t.levels],
-        "maps": [embedding_to_json(e) for e in t.maps],
-        "rule": rule_to_json(t.rule),
-    }
 
 
 def tower_from_json(obj: Json, path: str = "tower") -> Tower:
@@ -443,16 +421,6 @@ def tower_from_json(obj: Json, path: str = "tower") -> Tower:
 # refinement specs
 
 
-def spec_to_json(spec: TreeRefinementSpec) -> dict:
-    doc: dict = {
-        "base": graph_to_json(spec.base),
-        "multiplicities": list(spec.multiplicities),
-    }
-    if spec.stationary is not None:
-        doc["stationary"] = spec.stationary
-    return doc
-
-
 def spec_from_json(obj: Json, path: str = "spec") -> TreeRefinementSpec:
     doc = _as_dict(obj, path)
     base = forest_from_json(_get(doc, "base", path), f"{path}.base")
@@ -471,16 +439,6 @@ def spec_from_json(obj: Json, path: str = "spec") -> TreeRefinementSpec:
 
 # ---------------------------------------------------------------------------
 # correspondence vectors
-
-
-def vector_to_json(x: GraphCorrespondenceVector) -> dict:
-    g = x.graph
-    order = {v: k for k, v in enumerate(g.vertices)}
-    amps = []
-    for e in sorted(x.support, key=lambda e: (order[e[0]], order[e[1]])):
-        a = x.amplitude(e)
-        amps.append([e[0], e[1], a.real, a.imag])
-    return {"graph": graph_to_json(g), "amplitudes": amps}
 
 
 def vector_from_json(obj: Json, path: str = "vector") -> GraphCorrespondenceVector:

@@ -51,14 +51,26 @@ RegularEmbedding constructor as a dict of image sets; it is the oracle
 of the one-pass decoder in test_formats.py, levels, maps, bytes and
 messages alike.
 
-The dense CKT family is how treealg.correspondence worked
-before it stored edge maps as partial injections: every projection and
-edge map is an explicit dim x dim int64 matrix and every relation is a
-matrix product.  It is the oracle of test_correspondence.py, which also
-reads the dense operator of a vector off vector_operator.  These are the
-only users of numpy; treealg itself runs on the standard library.
+tower_to_json, rule_to_json, spec_to_json and vector_to_json are the
+encoders treealg.formats had for documents the command line only reads;
+the tests write their input files with them, and the round trips of
+test_formats.py check them against the decoders.
 
-The records at the end are the 25 record classes of treealg as they
+The dense CKT family is how treealg.correspondence worked before it
+computed its report in closed form: the space of paths up to the cutoff
+is enumerated, every projection and edge map is an explicit dim x dim
+int64 matrix and every relation is a matrix product.  It is the oracle
+of verify_ckt in test_correspondence.py, which also reads the dense
+operator of a vector off vector_operator and compares module norms with
+operator norms and inner products with module_inner_product.  These are
+the only users of numpy, and each imports it when called, so the rest of
+this module loads where numpy cannot, as the golden replay of
+test_stdlib_only.py needs; treealg itself runs on the standard library.
+
+divisible_by is the divisibility test of SupernaturalNumber, which only
+test_classify.py calls.
+
+The records at the end are the 24 record classes of treealg as they
 were declared before they became slotted Record subclasses: dataclasses,
 copied verbatim and grouped by the module they came from.  They are the
 oracle of test_records.py, which checks each record's repr, equality,
@@ -72,8 +84,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
+import treealg.ampliation
 import treealg.classify
 import treealg.correspondence
 import treealg.tower
@@ -89,13 +100,7 @@ from treealg.classify import (
     spec_supernatural,
 )
 from treealg.cli import _json_text
-from treealg.correspondence import (
-    Edge,
-    GraphCorrespondenceVector,
-    Path,
-    edge_range,
-    edge_source,
-)
+from treealg.correspondence import Edge, GraphCorrespondenceVector, edge_range, edge_source
 from treealg.embeddings import (
     RegularEmbedding,
     refinement_embedding,
@@ -112,6 +117,8 @@ from treealg.formats import (
     _as_str,
     _get,
     _positive,
+    algebra_to_json,
+    embedding_to_json,
     graph_to_json,
     rule_from_json,
 )
@@ -425,6 +432,15 @@ def classify_by_codes(a, b, ampliation_bound: int = 3):
     return treealg.classify.Undetermined(ampliation_bound)
 
 
+def divisible_by(self: treealg.classify.SupernaturalNumber, n: int) -> bool:
+    if n < 1:
+        return False
+    for p, e in _factor(n).items():
+        if self.exponent(p) < e:
+            return False
+    return True
+
+
 def _graph_lines(g: DirectedGraph | OutForest, fmt: str) -> str:
     graph = g.graph if isinstance(g, OutForest) else g
     if fmt == "json":
@@ -677,6 +693,69 @@ def tower_from_json(obj: Json, path: str = "tower") -> treealg.tower.Tower:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def rule_to_json(rule: treealg.tower.Rule | None) -> Json:
+    if rule is None:
+        return None
+    if isinstance(rule, treealg.tower.StandardRule):
+        return {"kind": "standard", "m": rule.m}
+    if isinstance(rule, treealg.tower.RefinementRule):
+        return {"kind": "refinement", "l": rule.l}
+    if isinstance(rule, treealg.tower.NestRule):
+        return {"kind": "nest"}
+    if isinstance(rule, treealg.tower.TreeRefinementRule):
+        return {"kind": "tree-refinement", "tree": graph_to_json(rule.tree), "l": rule.l}
+    raise FormatError(f"rule: unknown rule type {type(rule).__name__}")
+
+
+def tower_to_json(t: treealg.tower.Tower) -> dict:
+    return {
+        "levels": [algebra_to_json(a) for a in t.levels],
+        "maps": [embedding_to_json(e) for e in t.maps],
+        "rule": rule_to_json(t.rule),
+    }
+
+
+def spec_to_json(spec: treealg.ampliation.TreeRefinementSpec) -> dict:
+    doc: dict = {
+        "base": graph_to_json(spec.base),
+        "multiplicities": list(spec.multiplicities),
+    }
+    if spec.stationary is not None:
+        doc["stationary"] = spec.stationary
+    return doc
+
+
+def vector_to_json(x: GraphCorrespondenceVector) -> dict:
+    g = x.graph
+    order = {v: k for k, v in enumerate(g.vertices)}
+    amps = []
+    for e in sorted(x.support, key=lambda e: (order[e[0]], order[e[1]])):
+        a = x.amplitude(e)
+        amps.append([e[0], e[1], a.real, a.imag])
+    return {"graph": graph_to_json(g), "amplitudes": amps}
+
+
+# treealg.correspondence
+
+Path = tuple[str, tuple[Edge, ...]]
+# A path is (range vertex, composable edge tuple); the empty tuple is the
+# length-0 path sitting at its vertex.
+
+
+def module_inner_product(
+    x: GraphCorrespondenceVector, y: GraphCorrespondenceVector
+) -> dict[str, complex]:
+    """Per-vertex sums of conjugate(x)·y over edges with that source,
+    in declaration order."""
+    if x.graph != y.graph:
+        raise GraphMismatch("inner product needs a common graph")
+    g = x.graph
+    out = {v: 0j for v in g.vertices}
+    for e in ((s, t) for s in g.vertices for t in g.successors(s)):
+        out[edge_source(e)] += x.amplitude(e).conjugate() * y.amplitude(e)
+    return out
+
+
 def _enumerate_paths(g: DirectedGraph, cutoff: int) -> list[Path]:
     edges = sorted(g.edges)
     paths: list[Path] = [(v, ()) for v in g.vertices]
@@ -708,17 +787,16 @@ class DenseFamily:
         return len(self.paths)
 
 
-def vector_operator(fam: treealg.correspondence.PartialIsometryFamily, x: GraphCorrespondenceVector) -> np.ndarray:
-    """The dense matrix representing a vector: its amplitude-weighted edge maps."""
+def vector_operator(fam: DenseFamily, x: GraphCorrespondenceVector) -> np.ndarray:
+    """The dense matrix representing a vector: the sum of its amplitudes
+    times the edge maps."""
     if x.graph != fam.graph:
         raise GraphMismatch("the vector lives on a different graph")
+    import numpy as np
+
     out = np.zeros((fam.dimension, fam.dimension), dtype=np.complex128)
-    for e, d in fam.edge_isometries.items():
-        a = x.amplitude(e)
-        if a != 0:
-            d = np.asarray(d)
-            (cols,) = np.nonzero(d >= 0)
-            out[d[cols], cols] += a
+    for e, m in fam.edge_isometries.items():
+        out += x.amplitude(e) * m
     return out
 
 
@@ -731,6 +809,8 @@ def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> DenseFamily:
     """
     if cutoff < 0:
         raise ValueError("the cutoff must be nonnegative")
+    import numpy as np
+
     paths = _enumerate_paths(g, cutoff)
     index = {p: i for i, p in enumerate(paths)}
     dim = len(paths)
@@ -754,6 +834,8 @@ def build_ckt_family(g: DirectedGraph, cutoff: int = 4) -> DenseFamily:
 
 def verify_ckt(fam: DenseFamily) -> treealg.correspondence.CKTReport:
     """Entrywise verification of the five relations of the family."""
+    import numpy as np
+
     L = fam.vertex_projections
     T = fam.edge_isometries
     checks: dict[str, treealg.correspondence.RelationCheck] = {}
@@ -941,28 +1023,6 @@ class Undetermined:
 
 
 # treealg.correspondence
-
-@dataclass(eq=False)
-class PartialIsometryFamily:
-    """Vertex projections and edge maps on a truncated path space.
-
-    vertex_projections[v] is a bytearray of dim bytes, 1 on the paths
-    ranging at v and 0 elsewhere.  edge_isometries[e] is an array('q')
-    partial injection on path indices, 8·dim bytes: entry i is the index
-    of path i with e prepended, or -1 where e does not compose with path
-    i or the result would exceed the cutoff.
-    """
-
-    graph: DirectedGraph
-    cutoff: int
-    paths: tuple[Path, ...]
-    vertex_projections: dict[str, bytearray]
-    edge_isometries: dict[Edge, array]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.paths)
-
 
 @dataclass(frozen=True)
 class RelationCheck:

@@ -21,12 +21,7 @@ from treealg.classify import (
     trees_isomorphic,
 )
 from treealg.cli import main
-from treealg.correspondence import (
-    GraphCorrespondenceVector,
-    build_ckt_family,
-    check_neat_inequality,
-    verify_ckt,
-)
+from treealg.correspondence import GraphCorrespondenceVector, check_neat_inequality, verify_ckt
 from treealg.embeddings import RegularEmbedding
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import Verdict, decide_tensor, materialize
@@ -256,14 +251,14 @@ def test_criterion_08_ckt_families(capsys):
                 continue
             seen.add(key)
             g = tree.graph
-            report = verify_ckt(build_ckt_family(g, cutoff=longest_path(g) + 1))
+            report = verify_ckt(g, cutoff=longest_path(g) + 1)
             assert report.exact
             assert all(c.residual == 0 for c in report.checks.values())
             checked += 1
     rng = random.Random(808)
     for _ in range(50):
         g = random_dag(rng, rng.randrange(1, 7), p=0.5)
-        report = verify_ckt(build_ckt_family(g, cutoff=longest_path(g) + 1))
+        report = verify_ckt(g, cutoff=longest_path(g) + 1)
         assert report.exact
         assert all(c.residual == 0 for c in report.checks.values())
     assert checked >= 200

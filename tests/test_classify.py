@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from treealg.ampliation import TreeRefinementSpec, ampliate
 from treealg.classify import (
+    MAX_SEQUENCE_ENTRIES,
     CanonicalCode,
     Distinct,
     Equivalent,
     SupernaturalNumber,
     Undetermined,
+    _factor_sequences,
+    _sequence_entries,
     ampliated_reduction,
     branching_skeleton,
     canonical_code,
@@ -29,7 +32,7 @@ from treealg.graphs import DirectedGraph, OutForest
 
 from catalog import branching_tree, chain_forest, lambda_tree
 from conftest import random_out_tree
-from reference_kernel import classify_by_codes, iterated_ampliation
+from reference_kernel import classify_by_codes, divisible_by, iterated_ampliation
 
 
 def shape_isomorphic(g: OutForest, h: OutForest) -> bool:
@@ -288,9 +291,54 @@ def test_supernatural_caps_what_it_factors():
 
 def test_supernatural_divisibility():
     s = supernatural((2,), 3)  # 2 * 3^inf
-    assert s.divisible_by(2) and s.divisible_by(27) and s.divisible_by(6)
-    assert not s.divisible_by(4)
-    assert not s.divisible_by(5)
+    assert divisible_by(s, 2) and divisible_by(s, 27) and divisible_by(s, 6)
+    assert not divisible_by(s, 4)
+    assert not divisible_by(s, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 30]), max_size=4),
+    st.sampled_from([None, 2, 6, 7, 30]),
+    st.integers(0, 8),
+)
+def test_factor_sequences_are_the_dividing_prime_tuples_and_are_counted(mults, tail, bound):
+    sn = supernatural(mults, tail)
+    primes = sorted(sn.primes())
+    steps = bound if sn.infinite else min(bound, sum(e for _, e in sn.finite))
+    want = {
+        math.prod(seq): seq
+        for k in range(steps + 1)
+        for seq in itertools.combinations_with_replacement(primes, k)
+        if all(seq.count(p) <= sn.exponent(p) for p in primes)
+    }
+    assert _factor_sequences(primes, bound, sn) == want
+    entries = len(want) + sum(map(len, want.values()))
+    assert _sequence_entries([sn.exponent(p) for p in primes], steps) == entries
+
+
+def test_sequence_entries_match_closed_forms_up_to_the_cap():
+    # k steps over r primes of unbounded exponent give C(k + r - 1, r - 1)
+    # tuples of length k; over n primes of exponent 1, C(n, k).  A tuple
+    # of length k holds k + 1 entries.
+    above = MAX_SEQUENCE_ENTRIES + 1
+
+    def capped(counts) -> int:
+        total = 0
+        for k, count in enumerate(counts):
+            total += (k + 1) * count
+            if total >= above:
+                return above
+        return total
+
+    for r in (1, 2, 3):
+        for steps in (0, 1, 10, 61, 62, 180, 181, 1998, 1999, 10**5, 10**9):
+            want = capped(math.comb(k + r - 1, r - 1) for k in range(steps + 1))
+            assert min(_sequence_entries([math.inf] * r, steps), above) == want
+    for n in (3, 17, 18, 40):
+        for steps in range(n + 1):
+            want = capped(math.comb(n, k) for k in range(steps + 1))
+            assert min(_sequence_entries([1] * n, steps), above) == want
 
 
 def test_classify_equivalent_after_one_ampliation():

@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from treealg import cli
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.cli import _json_text, main
 from treealg.embeddings import standard_embedding
-from treealg.formats import graph_to_json, spec_to_json, tower_to_json
+from treealg.formats import graph_to_json
 from treealg.tower import Tower
 
 from catalog import (
@@ -25,6 +28,7 @@ from catalog import (
     triple_copy_tower,
 )
 from conftest import random_out_tree
+from reference_kernel import spec_to_json, tower_to_json
 from test_golden_cli import cases
 
 LAMBDA_DOC = {"vertices": ["1", "2", "3"], "edges": [["1", "2"], ["1", "3"]]}
@@ -163,14 +167,19 @@ def test_classify_json_witness(capsys, tmp_path):
     assert ["r", "r"] in doc["witness"]["vertex-bijection"]
 
 
-def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
+def exhaust_pair(tmp_path):
     # The same skeleton, but A's root stays branching and B's root a chain
-    # under every ampliation, so the whole search runs: 2145 sequences of
-    # 2s and 3s a side, each paired in one pass.
+    # under every ampliation, so the whole search runs over the sequences
+    # of 2s and 3s, each paired in one pass.
     a = {"vertices": ["r", "a", "b", "m"], "edges": [["r", "a"], ["r", "m"], ["m", "b"]]}
     b = {"vertices": ["p", "r", "a", "b"], "edges": [["p", "r"], ["r", "a"], ["r", "b"]]}
-    fa = write(tmp_path, "a.json", {"base": a, "stationary": 6})
-    fb = write(tmp_path, "b.json", {"base": b, "stationary": 6})
+    return (write(tmp_path, "a.json", {"base": a, "stationary": 6}),
+            write(tmp_path, "b.json", {"base": b, "stationary": 6}))
+
+
+def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
+    # 2145 sequences a side.
+    fa, fb = exhaust_pair(tmp_path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "classify", fa, fb, "--bound", "64")
     assert time.perf_counter() - start < 2.0
@@ -178,16 +187,36 @@ def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
 
 
 def test_classify_bound_128_exhausts_in_under_one_second(capsys, tmp_path):
-    # The pair above at twice the bound: 8385 sequences a side, each
-    # candidate one comparison of the affine weights of two code templates.
-    a = {"vertices": ["r", "a", "b", "m"], "edges": [["r", "a"], ["r", "m"], ["m", "b"]]}
-    b = {"vertices": ["p", "r", "a", "b"], "edges": [["p", "r"], ["r", "a"], ["r", "b"]]}
-    fa = write(tmp_path, "a.json", {"base": a, "stationary": 6})
-    fb = write(tmp_path, "b.json", {"base": b, "stationary": 6})
+    # 8385 sequences a side, each candidate one comparison of the affine
+    # weights of two code templates.
+    fa, fb = exhaust_pair(tmp_path)
     start = time.perf_counter()
     code, out, _ = run(capsys, "classify", fa, fb, "--bound", "128")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "verdict: undetermined\nsearch bound: 128\n"
+
+
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from treealg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_classify_bound_1024_exits_65_before_listing_any_sequence(tmp_path):
+    # 525,825 sequences of up to 1024 primes a side, which once took
+    # gigabytes to list, so the call runs in a child whose address space
+    # is capped at 1 GB.
+    fa, fb = exhaust_pair(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "classify", fa, fb, "--bound", "1024"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 65 and done.stdout == ""
+    assert done.stderr == "treealg: error: the search to bound 1024 needs more than 2000000 stored entries\n"
 
 
 @pytest.mark.parametrize("stationary", [999983, 4294967291])

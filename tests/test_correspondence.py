@@ -1,4 +1,4 @@
-"""Module norms, CKT families, and the ultrametric norm bound."""
+"""Module norms, CKT reports, and the ultrametric norm bound."""
 
 import math
 import os
@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import time
-from array import array
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
+from reference_kernel import module_inner_product
 from treealg.classify import canonical_code, reduce
 from treealg.correspondence import (
+    MAX_FAMILY_ENTRIES,
     GraphCorrespondenceVector,
-    PartialIsometryFamily,
-    _family_entries,
-    build_ckt_family,
     check_neat_inequality,
-    module_inner_product,
     module_norm,
     verify_ckt,
 )
-from treealg.errors import GraphMismatch, PreconditionViolated
+from treealg.errors import GraphMismatch, OutputTooLarge, PreconditionViolated
 from treealg.formats import ckt_report_to_json
 from treealg.graphs import DirectedGraph
 
@@ -141,58 +138,25 @@ def test_mismatched_graphs_raise():
         x + y
 
 
-def projections(fam):
-    """The vertex projections as dense 0/1 matrices."""
-    return {
-        v: np.diag(np.frombuffer(m, dtype=np.uint8).astype(np.int64))
-        for v, m in fam.vertex_projections.items()
-    }
-
-
 def test_single_vertex_family_is_identity():
-    fam = build_ckt_family(DirectedGraph(["p"], []))
-    assert fam.dimension == 1
-    assert projections(fam)["p"].tolist() == [[1]]
-    assert verify_ckt(fam).exact
-
-
-def test_family_is_stored_in_bytearrays_and_index_arrays():
-    fam = build_ckt_family(chain_graph(3), cutoff=2)
-    # The paths: the vertices 1, 2, 3; then 1->2, 2->3; then 1->2->3.
-    assert fam.dimension == 6
-    assert fam.vertex_projections == {
-        "1": bytearray([1, 0, 0, 1, 0, 1]),
-        "2": bytearray([0, 1, 0, 0, 1, 0]),
-        "3": bytearray([0, 0, 1, 0, 0, 0]),
-    }
-    assert fam.edge_isometries == {
-        ("1", "2"): array("q", [-1, 3, -1, -1, 5, -1]),
-        ("2", "3"): array("q", [-1, -1, 4, -1, -1, -1]),
-    }
-
-
-def test_family_fields_cannot_be_reassigned():
-    fam = build_ckt_family(chain_graph(3), cutoff=2)
-    for field in ("graph", "cutoff", "paths", "vertex_projections", "edge_isometries"):
-        with pytest.raises(AttributeError):
-            setattr(fam, field, getattr(fam, field))
-        with pytest.raises(AttributeError):
-            delattr(fam, field)
-    assert fam.cutoff == 2 and fam.dimension == 6
+    assert verify_ckt(DirectedGraph(["p"], [])).exact
+    oracle = ref.build_ckt_family(DirectedGraph(["p"], []))
+    assert oracle.dimension == 1
+    assert oracle.vertex_projections["p"].tolist() == [[1]]
 
 
 def test_single_edge_family_relations():
     g = DirectedGraph(["p", "q"], [("p", "q")])
-    fam = build_ckt_family(g, cutoff=2)
-    L = projections(fam)
+    fam = ref.build_ckt_family(g, cutoff=2)
+    L = fam.vertex_projections
     T = ref.vector_operator(fam, GraphCorrespondenceVector(g, {("p", "q"): 1}))
     assert (T.conj().T @ T == L["q"]).all()
     assert ((L["p"] - T @ T.conj().T).real >= 0).all()
-    assert verify_ckt(fam).exact
+    assert verify_ckt(g, cutoff=2).exact
 
 
 def test_lambda_family_all_relations_exact():
-    rep = verify_ckt(build_ckt_family(lambda_graph(), cutoff=4))
+    rep = verify_ckt(lambda_graph(), cutoff=4)
     assert rep.exact
     assert all(c.residual == 0 for c in rep.checks.values())
 
@@ -201,12 +165,12 @@ def test_out_trees_exact_at_sufficient_cutoff():
     rng = random.Random(17)
     for _ in range(12):
         g = random_out_tree(rng, rng.randrange(1, 9)).graph
-        rep = verify_ckt(build_ckt_family(g, cutoff=longest_path(g) + 1))
+        rep = verify_ckt(g, cutoff=longest_path(g) + 1)
         assert rep.exact
 
 
 def test_truncation_confined_to_maximal_paths():
-    rep = verify_ckt(build_ckt_family(chain_graph(6), cutoff=2))
+    rep = verify_ckt(chain_graph(6), cutoff=2)
     assert not rep.checks["isometry"].exact
     assert rep.checks["isometry"].note
     assert rep.checks["isometry-interior"].exact
@@ -214,56 +178,47 @@ def test_truncation_confined_to_maximal_paths():
 
 
 def test_empty_graph_family():
-    rep = verify_ckt(build_ckt_family(DirectedGraph([], [])))
+    rep = verify_ckt(DirectedGraph([], []))
     assert rep.exact
 
 
 def test_sixty_vertex_tree_verifies_within_budget():
     g = random_out_tree(random.Random(3), 60).graph
     start = time.perf_counter()
-    rep = verify_ckt(build_ckt_family(g, cutoff=12))
+    rep = verify_ckt(g, cutoff=12)
     assert time.perf_counter() - start < 1.0
     assert rep.ok
 
 
-# The dense oracle: reference_kernel keeps the matrix-product verifier.
+def test_cap_counts_the_entries_the_family_would_store():
+    # A 3-cycle has 3 paths of each length, each stored as 6 mask and map
+    # entries plus its edges.
+    cycle = DirectedGraph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+
+    def entries(cutoff: int) -> int:
+        return 18 * (cutoff + 1) + 3 * cutoff * (cutoff + 1) // 2
+
+    for cutoff in range(6):
+        fam = ref.build_ckt_family(cycle, cutoff)
+        assert fam.dimension * 6 + sum(len(es) for _, es in fam.paths) == entries(cutoff)
+    fits = max(c for c in range(2000) if entries(c) <= MAX_FAMILY_ENTRIES)
+    assert verify_ckt(cycle, fits).checks["isometry"].residual == 1
+    with pytest.raises(OutputTooLarge, match=f"cutoff {fits + 1} needs more than {MAX_FAMILY_ENTRIES} "):
+        verify_ckt(cycle, fits + 1)
+    with pytest.raises(ValueError):
+        verify_ckt(cycle, -1)
+
+
+# The dense oracle: reference_kernel enumerates the paths, builds every
+# projection and edge map as a matrix and checks the relations by matrix
+# products.
 
 ORACLE_DIM = 80
 
 
-def dense(fam: PartialIsometryFamily) -> ref.DenseFamily:
-    """The same family with explicit 0/1 matrices."""
-    dim = fam.dimension
-    maps = {}
-    for e, d in fam.edge_isometries.items():
-        m = np.zeros((dim, dim), dtype=np.int64)
-        d = np.asarray(d)
-        (cols,) = np.nonzero(d >= 0)
-        m[d[cols], cols] = 1
-        maps[e] = m
-    return ref.DenseFamily(fam.graph, fam.cutoff, fam.paths, projections(fam), maps)
-
-
-def assert_same_family(fam: PartialIsometryFamily, oracle: ref.DenseFamily) -> None:
-    expected = dense(fam)
-    assert fam.paths == oracle.paths
-    assert expected.vertex_projections.keys() == oracle.vertex_projections.keys()
-    for v, m in oracle.vertex_projections.items():
-        assert (expected.vertex_projections[v] == m).all()
-    assert list(expected.edge_isometries) == list(oracle.edge_isometries)
-    for e, m in oracle.edge_isometries.items():
-        assert (expected.edge_isometries[e] == m).all()
-
-
 def agrees_with_oracle(g: DirectedGraph, cutoff: int) -> None:
-    fam = build_ckt_family(g, cutoff)
-    oracle = ref.build_ckt_family(g, cutoff)
-    assert_same_family(fam, oracle)
-    # The size the cap is checked against is the size actually stored.
-    held = sum(len(es) for _, es in fam.paths)
-    width = len(g.vertices) + len(g.edges)
-    assert _family_entries(g, cutoff) == fam.dimension * width + held
-    assert ckt_report_to_json(verify_ckt(fam)) == ckt_report_to_json(ref.verify_ckt(oracle))
+    want = ckt_report_to_json(ref.verify_ckt(ref.build_ckt_family(g, cutoff)))
+    assert ckt_report_to_json(verify_ckt(g, cutoff)) == want
 
 
 @st.composite
@@ -277,7 +232,7 @@ def digraphs(draw):
 
 def small_cutoff(g: DirectedGraph, cutoff: int) -> int:
     """The largest cutoff up to the given one with at most ORACLE_DIM paths."""
-    while cutoff and build_ckt_family(g, cutoff).dimension > ORACLE_DIM:
+    while cutoff and ref.build_ckt_family(g, cutoff).dimension > ORACLE_DIM:
         cutoff -= 1
     return cutoff
 
@@ -286,29 +241,6 @@ def small_cutoff(g: DirectedGraph, cutoff: int) -> int:
 @given(digraphs(), st.integers(0, 6))
 def test_family_and_report_match_the_dense_oracle(g, cutoff):
     agrees_with_oracle(g, small_cutoff(g, cutoff))
-
-
-@settings(max_examples=200, deadline=None)
-@given(digraphs(), st.integers(0, 4), st.data())
-def test_residuals_of_perturbed_families_match_dense_products(g, cutoff, data):
-    # Flipped mask entries and redirected or dropped destinations make
-    # every relation fail somewhere; the edge maps stay injective.
-    fam = build_ckt_family(g, small_cutoff(g, cutoff))
-    dim = fam.dimension
-    masks = {v: m.copy() for v, m in fam.vertex_projections.items()}
-    maps = {e: array("q", d) for e, d in fam.edge_isometries.items()}
-    for _ in range(data.draw(st.integers(0, 3)) if dim else 0):
-        i = data.draw(st.integers(0, dim - 1))
-        if maps and data.draw(st.booleans()):
-            d = maps[data.draw(st.sampled_from(sorted(maps)))]
-            free = sorted(set(range(dim)) - set(d))
-            d[i] = data.draw(st.sampled_from([-1] + free))
-        else:
-            masks[data.draw(st.sampled_from(g.vertices))][i] ^= 1
-    perturbed = PartialIsometryFamily(g, fam.cutoff, fam.paths, masks, maps)
-    assert ckt_report_to_json(verify_ckt(perturbed)) == ckt_report_to_json(
-        ref.verify_ckt(dense(perturbed))
-    )
 
 
 def test_criterion_corpus_matches_the_dense_oracle():
@@ -327,15 +259,27 @@ def test_criterion_corpus_matches_the_dense_oracle():
         agrees_with_oracle(g, longest_path(g) + 1)
     vs = [str(i) for i in range(6)]
     complete = DirectedGraph(vs, [(u, v) for k, u in enumerate(vs) for v in vs[k + 1:]])
-    for cutoff in (5, 3):
+    for cutoff in (5, 3, 0):
         agrees_with_oracle(complete, cutoff)
+    # Cycles, where the isometry residual never vanishes, and the empty graph.
+    for _ in range(30):
+        n = rng.randrange(2, 5)
+        vs = [str(i) for i in range(n)]
+        edges = [(u, v) for u in vs for v in vs if u != v and rng.random() < 0.5]
+        edges.append((vs[-1], vs[0]))
+        edges += [(vs[i], vs[i + 1]) for i in range(n - 1)]
+        g = DirectedGraph(vs, list(dict.fromkeys(edges)))
+        for cutoff in (0, 1, small_cutoff(g, 6)):
+            agrees_with_oracle(g, cutoff)
+    agrees_with_oracle(DirectedGraph([], []), 0)
+    agrees_with_oracle(DirectedGraph([], []), 4)
 
 
 def test_operator_norm_equals_module_norm():
     rng = random.Random(29)
     for _ in range(20):
         g = random_dag(rng, rng.randrange(1, 6), p=0.5)
-        fam = build_ckt_family(g, cutoff=3)
+        fam = ref.build_ckt_family(g, cutoff=3)
         amps = {
             e: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for e in g.edges
         }
@@ -415,7 +359,8 @@ def test_neat_inequality_randomized():
 
 
 FAN_IN_RUN = """
-from treealg.correspondence import GraphCorrespondenceVector as V, check_neat_inequality, module_inner_product
+from reference_kernel import module_inner_product
+from treealg.correspondence import GraphCorrespondenceVector as V, check_neat_inequality
 from treealg.errors import PreconditionViolated
 from treealg.graphs import DirectedGraph
 ts = [f"t{i}" for i in range(1, 31)]
@@ -432,7 +377,8 @@ except PreconditionViolated as exc:
 def test_sums_and_first_failing_edge_do_not_follow_string_hashing():
     # 30 edges into one source vertex: added in hash order, the sum's last
     # bits and the first edge named changed with PYTHONHASHSEED.
-    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    here = Path(__file__).parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     outs = set()
     for seed in range(6):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONHASHSEED=str(seed))

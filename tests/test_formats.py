@@ -24,13 +24,9 @@ from treealg.formats import (
     graph_to_dot,
     graph_to_json,
     rule_from_json,
-    rule_to_json,
     spec_from_json,
-    spec_to_json,
     tower_from_json,
-    tower_to_json,
     vector_from_json,
-    vector_to_json,
 )
 from treealg.graphs import DirectedGraph
 from treealg.tower import NestRule, RefinementRule, StandardRule, Tower, TreeRefinementRule
@@ -46,6 +42,7 @@ from catalog import (
 )
 from conftest import random_dag, random_out_forest, random_weights
 import reference_kernel as ref
+from reference_kernel import rule_to_json, spec_to_json, tower_to_json, vector_to_json
 from test_tower import translation_towers
 
 

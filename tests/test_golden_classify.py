@@ -40,10 +40,11 @@ from pathlib import Path
 from treealg.ampliation import TreeRefinementSpec, ampliate
 from treealg.classify import branching_skeleton, classify_tree_refinement
 from treealg.cli import main
-from treealg.formats import classification_to_json, spec_to_json
+from treealg.formats import classification_to_json
 from treealg.graphs import DirectedGraph, OutForest
 
 from conftest import all_parent_arrays, random_out_tree, tree_from_parents
+from reference_kernel import spec_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "classify.jsonl"
 STATIONARY = (2, 3, 6)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refinement_tower
 from treealg.cli import main
-from treealg.formats import graph_to_json, spec_to_json, tower_to_json
+from treealg.formats import graph_to_json
 
 from catalog import (
     branching_graph,
@@ -47,6 +47,7 @@ from catalog import (
     standard_tower,
     triple_copy_tower,
 )
+from reference_kernel import spec_to_json, tower_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.jsonl"
 PYTHON = "%d.%d" % sys.version_info[:2]

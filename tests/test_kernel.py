@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
+from reference_kernel import rule_to_json
 from test_ampliation import trees as named_trees
 from test_golden_classify import cli_inputs, small_trees
 from test_golden_decisions import DEPTHS, towers as golden_towers
@@ -47,7 +48,7 @@ from treealg.embeddings import (
     standard_rows,
     translation_embedding,
 )
-from treealg.formats import rule_to_json, spec_from_json
+from treealg.formats import spec_from_json
 from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import (
     ForestPresentation,

@@ -21,7 +21,6 @@ DOCUMENTED = [
     "TreeRefinementSpec",
     "build_tree_refinement_tower",
     "classify_tree_refinement",
-    "build_ckt_family",
     "verify_ckt",
     "module_norm",
     "check_neat_inequality",
