@@ -22,7 +22,9 @@ O(N/64) machine words; _bits decodes a row with one per set bit.  With
 * constructor: transitivity as "row j is a subset of row i" for every
   pair (i, j), then antisymmetry as "no two rows are equal": |R| row
   operations;
-* from_generators: Warshall's closure on the rows, N^2 row operations;
+* from_generators: one depth-first search that absorbs closed rows
+  (see _closed), at most one row operation per generator, and two per
+  unit on a chain or a full order; Warshall's N^2 only on cyclic input;
 * upper_triangular, ampliated and placed: closed-form rows, each
   builder stating why they form an order, so nothing is checked;
   ampliated and placed give a row its unit's copies OR the images of
@@ -32,8 +34,9 @@ O(N/64) machine words; _bits decodes a row with one per set bit.  With
   (Aho, Garey and Ullman, SIAM J. Comput. 1972): |R| row operations,
   or O(N) under the tree condition (below);
 * is_tree_semigroupoid: the strict sources of every unit x must be the
-  row of one unit, x's one cover, which one dict from row to unit finds:
-  N lookups (on failure, |R| row operations name a failing triple);
+  row of one unit, x's one cover, which one dict from row key to unit
+  finds: N lookups (on failure, |R| row operations name a failing
+  triple);
 * solve_grading: one depth (popcount) per unit: O(N).
 
 has_pair reads one row bit; pairs() decodes every row (14 ms for the
@@ -51,6 +54,15 @@ from .records import Record
 
 Unit = tuple[int, int]
 Pair = tuple[Unit, Unit]
+
+# A prime, the modulus by which rows are keyed in place of their hash.
+# Python hashes an int modulo 2^61 - 1, to which 2^a and 2^(a mod 61) are
+# congruent, so the N rows of a chain share 61 hashes, and a dict or set
+# of them compares whole rows along probe chains about N/61 long.  The
+# powers 2^a are distinct modulo _KEY for every a below 2,000,000, and a
+# modulus below 2^30 takes CPython's one-digit division.  Rows that share
+# a key anyway are told apart by the rows themselves.
+_KEY = (1 << 30) - 35
 
 
 def unit_name(u: Unit) -> str:
@@ -135,20 +147,56 @@ class DigraphAlgebra:
         validated blocks, such as _rows_of returns.  The decoder of
         algebra files sets the rows' bits itself and ends here too.
 
-        Warshall's closure: after step k, every row holding unit k also
-        holds row k.  A step whose row holds only unit k changes nothing
-        and is skipped.  Closed rows are transitive: only antisymmetry
-        is checked.
+        One depth-first search closes the rows in place, from the last
+        unit down.  While a unit x is open, its row holds its generators
+        without x, and acc the closed rows of the generators it has
+        absorbed so far; x closes with row acc plus x.  x takes the
+        highest and the lowest pending generator in turn, descending
+        first into one that is not yet closed.  A generator that acc
+        already holds is skipped: it lies in an absorbed closed row,
+        which, being transitive, holds its whole closure.  So by
+        induction on the order in which units close, every closed row is
+        its unit's closure, and a chain or a full order numbered either
+        way costs at most two row operations per unit.  Meeting an open
+        unit closes a cycle, and only then does Warshall's closure finish
+        the rows (those met so far lie between the generators and their
+        closure, so it gives the same closure), for _raise_two_cycle to
+        name the first two-cycle.  Acyclic closed rows are distinct,
+        since equal rows i != j would hold both (i, j) and (j, i); so
+        nothing else is checked.
         """
-        for k in range(len(rows)):
-            bit, through = 1 << k, rows[k]
-            if through == bit:
+        done = bytearray(len(rows))  # 1 while open, 2 once closed
+        for top in reversed(range(len(rows))):
+            if done[top]:
                 continue
-            for i, row in enumerate(rows):
-                if row & bit:
-                    rows[i] = row | through
-        if len(set(rows)) != len(rows):
-            _raise_two_cycle(tuple(index), rows)
+            done[top] = 1
+            rows[top] ^= 1 << top
+            path = [[top, 0, 0]]
+            while path:
+                frame = path[-1]
+                x, acc, turn = frame
+                pending = rows[x] & ~acc
+                if not pending:
+                    rows[x] = acc | 1 << x
+                    done[x] = 2
+                    path.pop()
+                    continue
+                if turn & 1:
+                    g = (pending & -pending).bit_length() - 1
+                else:
+                    g = pending.bit_length() - 1
+                if done[g] == 2:
+                    frame[1] = acc | rows[g]
+                    frame[2] = turn + 1
+                elif done[g]:
+                    for x, _, _ in path:
+                        rows[x] |= 1 << x
+                    _warshall(rows)
+                    _raise_two_cycle(tuple(index), rows)
+                else:
+                    done[g] = 1
+                    rows[g] ^= 1 << g
+                    path.append([g, 0, 0])
         return cls.__new__(cls)._set(bl, index, rows)
 
     @classmethod
@@ -323,9 +371,24 @@ def _check_order(units: tuple[Unit, ...], rows: list[int]) -> None:
             ui, uj, ul = units[i], units[j], units[l]
             raise ValueError(f"missing composite ({ui},{ul}) of ({ui},{uj}) and ({uj},{ul})")
     # In a transitive relation, pairs (i, j) and (j, i) make rows i and
-    # j equal, and equal rows i != j hold both pairs.
-    if len(set(rows)) != len(rows):
+    # j equal, and equal rows i != j hold both pairs.  Equal rows share a
+    # key (see _KEY); so do, rarely, unequal ones, and then
+    # _raise_two_cycle finds nothing to raise.
+    if len({row % _KEY for row in rows}) != len(rows):
         _raise_two_cycle(units, rows)
+
+
+def _warshall(rows: list[int]) -> None:
+    """Close the reflexive rows in place: after step k, every row holding
+    unit k also holds row k.  A step whose row holds only unit k changes
+    nothing and is skipped."""
+    for k in range(len(rows)):
+        bit, through = 1 << k, rows[k]
+        if through == bit:
+            continue
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | through
 
 
 def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
@@ -364,17 +427,27 @@ def _parents(a: DigraphAlgebra) -> list[int] | None:
     induction on the row size, the strict sources of x are c and the
     strict sources of c, a chain inside row c, so together a chain.
     Every strict source of x but c then lies in row c, so (x, c) is the
-    one covering pair of x.  One dict from row to unit decides it: N
-    lookups.
+    one covering pair of x.  One dict from row key (see _KEY) to unit
+    decides it: N lookups, each hit checked against the row itself.  A
+    row's key less 2^x mod _KEY is the key of its strict sources.  Where
+    two rows share a key, which is rare, each row is keyed by itself.
     """
-    unit_of = {row: c for c, row in enumerate(a._rows)}
-    parents = []
-    for x, row in enumerate(a._rows):
-        strict = row ^ (1 << x)
-        c = unit_of.get(strict) if strict else -1
-        if c is None:
+    rows, modulus = a._rows, _KEY
+    keys = [row % modulus for row in rows]
+    unit_of = {key: c for c, key in enumerate(keys)}
+    if len(unit_of) < len(rows):
+        # Two rows share a key, which is rare: key each row by itself.
+        modulus, keys = 1 << len(rows), rows
+        unit_of = {row: c for c, row in enumerate(rows)}
+    parents, low = [], 1
+    for x, row in enumerate(rows):
+        strict = row ^ 1 << x
+        # low is 2^x mod modulus, so this is strict's key.
+        c = unit_of.get((keys[x] - low) % modulus) if strict else -1
+        if c is None or strict and rows[c] != strict:
             return None
         parents.append(c)
+        low = low * 2 % modulus
     return parents
 
 

@@ -23,6 +23,7 @@ decoded as UTF-8 JSON.
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import stat
@@ -63,25 +64,37 @@ INTERNAL_ERROR = 70
 
 
 def _read(decode, path: str):
-    """Decode the JSON document in the file at path."""
+    """Decode the JSON document in the file at path.
+
+    The cyclic garbage collector is paused while the document is parsed
+    and decoded, and restored as it was in any case.  A parsed JSON
+    document is a tree, so the collections that its many new lists and
+    dicts would trigger free nothing.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        # Newlines are translated as a text-mode read would, so error
-        # positions count lines alike.
-        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
-    except RecursionError as exc:
-        raise FormatError(f"{path}: JSON nested too deeply") from exc
-    except ValueError as exc:
-        # The one other ValueError of the decoder: an integer literal
-        # longer than the interpreter converts.
-        raise FormatError(f"{path}: {exc}") from exc
-    return decode(doc, path)
+        try:
+            # Newlines are translated as a text-mode read would, so error
+            # positions count lines alike.
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+        except RecursionError as exc:
+            raise FormatError(f"{path}: JSON nested too deeply") from exc
+        except ValueError as exc:
+            # The one other ValueError of the decoder: an integer literal
+            # longer than the interpreter converts.
+            raise FormatError(f"{path}: {exc}") from exc
+        return decode(doc, path)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _check_out(path: str) -> None:

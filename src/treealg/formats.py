@@ -13,7 +13,12 @@ level's units become bits of its rows in one pass, with no pair tuples,
 before the rows are closed.  An explicit map whose entries pair up the
 copies of its units copy by copy becomes a translation embedding that
 keeps only those copies; any other explicit map goes to the checked
-RegularEmbedding constructor as a dict of image sets.
+RegularEmbedding constructor as a dict of image sets.  Each unit list,
+target list and graph is read in one unpacking pass, which builds a
+field's path only where its checks may fail.  The command line parses
+and decodes with the cyclic garbage collector paused (cli._read): a
+parsed document is a tree, so a collection during the pass frees
+nothing.
 """
 
 from __future__ import annotations
@@ -112,24 +117,28 @@ def graph_from_json(obj: Json, path: str = "graph") -> DirectedGraph:
     doc = _as_dict(obj, path)
     vertices: list[str] = []
     weights: dict[str, int] = {}
+    # Each item's path is built only where its checks may fail.
     for k, item in enumerate(_as_list(_get(doc, "vertices", path), f"{path}.vertices")):
-        vp = f"{path}.vertices[{k}]"
         if isinstance(item, str):
             vertices.append(item)
         elif isinstance(item, dict):
-            vid = _as_str(_get(item, "id", vp), f"{vp}.id")
+            vid, weight = item.get("id"), item.get("weight", 0)
+            if type(vid) is not str or type(weight) is not int:
+                vp = f"{path}.vertices[{k}]"
+                _as_str(_get(item, "id", vp), f"{vp}.id"), _as_int(weight, f"{vp}.weight")
             vertices.append(vid)
             if "weight" in item:
-                weights[vid] = _as_int(item["weight"], f"{vp}.weight")
+                weights[vid] = weight
         else:
-            raise _fail(vp, "a string or an {id, weight} object", item)
+            raise _fail(f"{path}.vertices[{k}]", "a string or an {id, weight} object", item)
     edges: list[tuple[str, str]] = []
     for k, item in enumerate(_as_list(_get(doc, "edges", path), f"{path}.edges")):
-        ep = f"{path}.edges[{k}]"
-        pair = _as_list(item, ep)
-        if len(pair) != 2:
-            raise FormatError(f"{ep}: an edge is a [source, range] pair")
-        edges.append((_as_str(pair[0], f"{ep}[0]"), _as_str(pair[1], f"{ep}[1]")))
+        if type(item) is not list or len(item) != 2 or not (type(item[0]) is type(item[1]) is str):
+            ep = f"{path}.edges[{k}]"
+            if len(_as_list(item, ep)) != 2:
+                raise FormatError(f"{ep}: an edge is a [source, range] pair")
+            _as_str(item[0], f"{ep}[0]"), _as_str(item[1], f"{ep}[1]")
+        edges.append((item[0], item[1]))
     try:
         return DirectedGraph(vertices, edges, weights)
     except ValueError as exc:
@@ -148,10 +157,6 @@ def forest_from_json(obj: Json, path: str = "graph") -> OutForest:
 # algebras
 
 
-def _unit_to_json(u: Unit) -> list:
-    return [u[0], u[1]]
-
-
 def _unit_from_json(obj: Json, path: str) -> Unit:
     pair = _as_list(obj, path)
     if len(pair) != 2:
@@ -160,7 +165,7 @@ def _unit_from_json(obj: Json, path: str) -> Unit:
 
 
 def _pair_to_json(p: Pair) -> list:
-    return [_unit_to_json(p[0]), _unit_to_json(p[1])]
+    return [list(p[0]), list(p[1])]
 
 
 def _pair_from_json(obj: Json, path: str) -> Pair:
@@ -168,18 +173,6 @@ def _pair_from_json(obj: Json, path: str) -> Pair:
     if len(pair) != 2:
         raise FormatError(f"{path}: a matrix unit is a [[block,row],[block,col]] pair")
     return (_unit_from_json(pair[0], f"{path}[0]"), _unit_from_json(pair[1], f"{path}[1]"))
-
-
-def _coords(p: Json) -> tuple[int, int, int, int] | None:
-    """The coordinates a, b, c, e of a matrix unit [[a, b], [c, e]] of
-    ints, or None where p has any other shape."""
-    if type(p) is list and len(p) == 2:
-        u, v = p
-        if type(u) is type(v) is list and len(u) == len(v) == 2:
-            (a, b), (c, e) = u, v
-            if type(a) is type(b) is type(c) is type(e) is int:
-                return a, b, c, e
-    return None
 
 
 def algebra_to_json(a: DigraphAlgebra) -> dict:
@@ -207,15 +200,14 @@ def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
         bl, index, rows = (), {}, []
     # Unit (b, r) has index start[b] + r.
     start, bad = [sum(bl[:b]) - 1 for b in range(len(bl))], []
-    for k, p in enumerate(_as_list(doc.get("units", []), f"{path}.units")):
-        # The test of _coords, inline on the hottest loop of the decoder.
-        ok = False
-        if type(p) is list and len(p) == 2:
-            u, v = p
-            if type(u) is type(v) is list and len(u) == len(v) == 2:
-                (a, b), (c, e) = u, v
-                ok = type(a) is type(b) is type(c) is type(e) is int
-        if not ok:
+    for p in (units := _as_list(doc.get("units", []), f"{path}.units")):
+        try:
+            (a, b), (c, e) = u, v = p
+            ok = type(p) is type(u) is type(v) is list
+        except (TypeError, ValueError):
+            ok = False
+        if not (ok and type(a) is type(b) is type(c) is type(e) is int):
+            k = next(k for k, q in enumerate(units) if q is p)
             (a, b), (c, e) = _pair_from_json(p, f"{path}.units[{k}]")
         if a == c and 0 <= a < len(bl) and 0 < b <= bl[a] and 0 < e <= bl[a]:
             rows[start[a] + b] |= 1 << start[a] + e
@@ -311,36 +303,46 @@ def _copywise(
         return None
     n = source.blocks[0]
     seen, diagonal = [0] * n, [[]] * n
-    for entry in raw:
-        ok = type(entry) is list and len(entry) == 2 and type(entry[1]) is list
-        q = _coords(entry[0]) if ok else None
-        if q is None or q[0] or q[2] or not (0 < q[1] <= n and 0 < q[3] <= n):
+    # Every shape is unpacked and then checked; one that does not unpack
+    # raises TypeError, ValueError or LookupError.
+    try:
+        for entry in raw:
+            src, targets = entry
+            (a, i), (c, j) = u, v = src
+            if not (type(entry) is type(src) is type(u) is type(v) is type(targets) is list):
+                return None
+            if not (type(a) is type(i) is type(c) is type(j) is int) or a or c:
+                return None
+            if not (0 < i <= n and 0 < j <= n) or seen[i - 1] >> j - 1 & 1:
+                return None
+            seen[i - 1] |= 1 << j - 1
+            if i == j:
+                diagonal[i - 1] = targets
+        if tuple(seen) != source._rows:
             return None
-        i, j = q[1] - 1, q[3] - 1
-        if seen[i] >> j & 1:
-            return None
-        seen[i] |= 1 << j
-        if i == j:
-            diagonal[i] = [_coords(t) for t in entry[1]]
-    if tuple(seen) != source._rows or any(None in d for d in diagonal):
+        # The loop below checks every target, these diagonal ones too.
+        m = len(diagonal[0])
+        at = {i + 1: sorted(t[0][1] for t in d) for i, d in enumerate(diagonal)}
+        # code[r] = i·m + c where target row r is copy c of source row i + 1.
+        code = {r: i * m + c for i, rows in enumerate(at.values()) for c, r in enumerate(rows)}
+        for ((_, i), (_, j)), targets in raw:
+            if len(targets) != m:
+                return None
+            got = 0
+            for t in targets:
+                (a, b), (c, e) = u, v = t
+                if not (type(t) is type(u) is type(v) is list):
+                    return None
+                if not (type(a) is type(b) is type(c) is type(e) is int) or a or c:
+                    return None
+                k = code.get(b, -1) - (i - 1) * m
+                if not 0 <= k < m or code.get(e, -1) - (j - 1) * m != k:
+                    return None
+                got |= 1 << k
+            if got != (1 << m) - 1:
+                return None
+    except (TypeError, ValueError, LookupError):
         return None
-    m = len(diagonal[0])
-    at = {i + 1: sorted(q[1] for q in d) for i, d in enumerate(diagonal)}
-    # code[r] = i·m + c where target row r is copy c of source row i + 1.
-    code = {r: i * m + c for i, rows in enumerate(at.values()) for c, r in enumerate(rows)}
-    for ((_, i), (_, j)), targets in raw:
-        if len(targets) != m:
-            return None
-        got = 0
-        for q in map(_coords, targets):
-            if q is None or q[0] or q[2]:
-                return None
-            c = code.get(q[1], -1) - (i - 1) * m
-            if not 0 <= c < m or code.get(q[3], -1) - (j - 1) * m != c:
-                return None
-            got |= 1 << c
-        if got != (1 << m) - 1:
-            return None
     return at
 
 
@@ -512,8 +514,8 @@ def _certificate_to_json(cert: object) -> dict:
             "persisted": True,
             "witness": {
                 "type": "incomparable-sources",
-                "range": _unit_to_json(w.x),
-                "sources": [_unit_to_json(w.y), _unit_to_json(w.z)],
+                "range": list(w.x),
+                "sources": [list(w.y), list(w.z)],
             },
         }
     if isinstance(cert, InconclusiveReport):

@@ -49,7 +49,10 @@ as it read every unit pair into a tuple, ran every shape check before
 any range check, and handed every explicit map to the checked
 RegularEmbedding constructor as a dict of image sets; it is the oracle
 of the one-pass decoder in test_formats.py, levels, maps, bytes and
-messages alike.
+messages alike.  unit_loop_algebra_from_json is that one-pass decoder's
+level reader as it ran before each unit became one unpacking: it is the
+oracle of the rows and messages of formats.algebra_from_json on unit
+lists with malformed units.
 
 tower_to_json, rule_to_json, spec_to_json and vector_to_json are the
 encoders treealg.formats had for documents the command line only reads;
@@ -591,6 +594,41 @@ def algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
     units = _matrix_units(_as_list(doc.get("units", []), f"{path}.units"), f"{path}.units")
     try:
         return DigraphAlgebra.from_generators(blocks, units)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def unit_loop_algebra_from_json(obj: Json, path: str = "algebra") -> DigraphAlgebra:
+    """The one-pass decoder of treealg.formats as it tested each unit's
+    shape with len calls and built each unit's path up front."""
+    doc = _as_dict(obj, path)
+    blocks = [
+        _as_int(b, f"{path}.blocks[{k}]")
+        for k, b in enumerate(_as_list(_get(doc, "blocks", path), f"{path}.blocks"))
+    ]
+    try:
+        bl, index, rows = DigraphAlgebra._rows_of(blocks, ())
+    except ValueError:
+        bl, index, rows = (), {}, []
+    # Unit (b, r) has index start[b] + r.
+    start, bad = [sum(bl[:b]) - 1 for b in range(len(bl))], []
+    for k, p in enumerate(_as_list(doc.get("units", []), f"{path}.units")):
+        ok = False
+        if type(p) is list and len(p) == 2:
+            u, v = p
+            if type(u) is type(v) is list and len(u) == len(v) == 2:
+                (a, b), (c, e) = u, v
+                ok = type(a) is type(b) is type(c) is type(e) is int
+        if not ok:
+            (a, b), (c, e) = _pair_from_json(p, f"{path}.units[{k}]")
+        if a == c and 0 <= a < len(bl) and 0 < b <= bl[a] and 0 < e <= bl[a]:
+            rows[start[a] + b] |= 1 << start[a] + e
+        elif not bad:
+            bad.append(((a, b), (c, e)))
+    try:
+        if bad or not bl:
+            DigraphAlgebra._rows_of(blocks, bad)
+        return DigraphAlgebra._closed(bl, index, rows)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -731,6 +731,19 @@ def test_a_level_of_many_units_without_pairs_decides_at_once(capsys, tmp_path):
     assert code == 2 and "too short without a rule" in out
 
 
+def test_a_stored_chain_of_8000_units_decides_in_under_one_second(capsys, tmp_path):
+    # The level lists only the 7,999 covers of a chain, which closes to the
+    # full order.  Warshall's closure, N^2 row steps, took 11 s on it (2-core
+    # x86 VM, Python 3.11).
+    units = [[[0, i], [0, i + 1]] for i in range(1, 8000)]
+    doc = {"levels": [{"blocks": [8000], "units": units}], "maps": [], "rule": None}
+    path = write(tmp_path, "t.json", doc)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check-tensor", path, "--depth", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "too short without a rule" in out
+
+
 def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
     def crash(*args, **kwargs):
         raise KeyError("boom")

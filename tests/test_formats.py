@@ -164,6 +164,102 @@ def test_algebra_decoder_matches_the_tuple_decoder(doc):
     assert decoded(algebra_from_json) == decoded(ref.algebra_from_json)
 
 
+# Replacements for a unit [[a, b], [c, e]], or for a part of it, that the
+# unpacking in algebra_from_json either takes apart or rejects: a tuple
+# unpacks like a list, a 2-key dict into its keys and a 2-character string
+# into its characters, so each must still fail on its type.
+def _tuple_unit(u, k):
+    return [(tuple(u[0]), u[1]), [tuple(u[0]), u[1]], [u[0], tuple(u[1])], tuple(map(tuple, u))][k]
+
+
+def _bool_or_float_coordinate(u, k):
+    u = json.loads(json.dumps(u))
+    u[k // 2 % 2][k % 2] = [True, False, 1.0, float(u[k // 2 % 2][k % 2])][k]
+    return u
+
+
+def _three_elements(u, k):
+    return [u + [u[0]], [u[0] + [1], u[1]], [u[0], u[1] + [u[1][1]]], [*u[0], *u[1]][:3]][k]
+
+
+def _two_key_dict(u, k):
+    dicts = [{"ab": 1, "cd": 2}, [{"01": 0, "23": 1}, u[1]], [u[0], dict(zip("xy", u[1]))]]
+    return (dicts + [{"a": 1, "b": u}])[k]
+
+
+def _two_characters(u, k):
+    return ["ab", ["01", u[1]], [u[0], "12"], [["0", "1"], u[1]]][k]
+
+
+def _out_of_range_coordinate(u, k):
+    u = json.loads(json.dumps(u))
+    u[k % 2][k // 2] = [-1, 9, 0, 64][k]
+    return u
+
+
+def _across_blocks(u, k):
+    pairs = [[u[0], [u[0][0] + 1, 1]], [[u[1][0] + 1, 1], u[1]]]
+    return (pairs + [[[0, 1], [1, 1]], [[1, 1], [0, 1]]])[k]
+
+
+UNIT_MUTANTS = [
+    _tuple_unit,
+    _bool_or_float_coordinate,
+    _three_elements,
+    _two_key_dict,
+    _two_characters,
+    _out_of_range_coordinate,
+    _across_blocks,
+]
+
+
+@st.composite
+def mutated_unit_lists(draw):
+    """An algebra document whose unit list holds one to three mutants of
+    units drawn inside the blocks, each in place of a unit or inserted."""
+    blocks = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    inside = st.integers(0, len(blocks) - 1).flatmap(
+        lambda b: st.lists(st.integers(1, blocks[b]), min_size=2, max_size=2).map(
+            lambda rs: [[b, rs[0]], [b, rs[1]]]
+        )
+    )
+    units = draw(st.lists(inside, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(units) - 1))
+        mutant = draw(st.sampled_from(UNIT_MUTANTS))(draw(inside), draw(st.integers(0, 3)))
+        if draw(st.booleans()):
+            units[k] = mutant
+        else:
+            units.insert(draw(st.integers(0, len(units))), mutant)
+    return {"blocks": blocks, "units": units}
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_unit_lists())
+def test_algebra_decoder_matches_the_unit_loop_on_mutated_units(doc):
+    def decoded(decode):
+        try:
+            a = decode(doc, "lv")
+        except FormatError as exc:
+            return str(exc)
+        return a.blocks, a._rows
+
+    assert decoded(algebra_from_json) == decoded(ref.unit_loop_algebra_from_json)
+
+
+@pytest.mark.parametrize("bad, rest", [
+    # A tuple unpacks as a list does; its type alone must fail it.
+    (((0, 2), (0, 3)), ": expected an array, found tuple"),
+    # Equal to the unit before it (1.0 == 1), so only its identity names it.
+    ([[0, 1.0], [0, 2]], "[0][1]: expected an integer, found float"),
+])
+def test_a_malformed_unit_is_named_by_its_own_index(bad, rest):
+    units = [[[0, 1], [0, 2]], bad, [[0, 1], [0, 3]]]
+    with pytest.raises(FormatError) as info:
+        algebra_from_json({"blocks": [3], "units": units})
+    assert str(info.value) == "algebra.units[1]" + rest
+
+
 def test_algebra_shape_errors_come_before_range_errors():
     # Every shape check once ran before any range check, so the first unit
     # out of range or pair across blocks waits for the end of the list.

@@ -21,6 +21,8 @@ the ampliated tree, reference_kernel.refinement_between.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from test_ampliation import trees as named_trees
 from test_golden_classify import cli_inputs, small_trees
 from test_golden_decisions import DEPTHS, towers as golden_towers
 from test_tower import translation_towers
+from treealg import algebra
 from treealg.algebra import (
     DigraphAlgebra,
     Grading,
@@ -114,7 +117,7 @@ def test_closure_matches_reference(gen):
 @settings(max_examples=300, deadline=None)
 @given(generators())
 def test_closure_fails_with_the_constructors_message(gen):
-    # Warshall's rows are transitive, so from_generators checks only
+    # Closed rows are transitive, so from_generators checks only
     # antisymmetry; the constructor, checking everything on the closed
     # pairs, must name the same two-cycle.
     blocks, pairs = gen
@@ -132,7 +135,7 @@ def test_closure_fails_with_the_constructors_message(gen):
 @st.composite
 def sparse_generators(draw):
     """One block of up to 40 units and at most eight pairs, so that most
-    units have no strict source and their Warshall steps are skipped."""
+    units have no strict source."""
     n = draw(st.integers(2, 40))
     pair = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
     return [n], [((0, i), (0, j)) for i, j in draw(st.lists(pair, max_size=8))]
@@ -144,6 +147,99 @@ def test_sparse_closure_matches_reference(gen):
     blocks, pairs = gen
     want = ref.relation(blocks, ref.closure(pairs))
     assert DigraphAlgebra.from_generators(blocks, pairs).relation == want
+
+
+@st.composite
+def numbered_orders(draw, sizes=st.integers(1, 9)):
+    """One block and generators drawn along a hidden order of its units:
+    all pairs of it, its chain of covers, a tree's parent pairs or a
+    random part of them, listed in any order.  The units are numbered
+    along the hidden order, against it, or shuffled; a cyclic set adds
+    one pair against the hidden order."""
+    n = draw(sizes)
+    numbering = draw(st.sampled_from(["forward", "backward", "shuffled"]))
+    at = list(range(1, n + 1))
+    if numbering == "backward":
+        at.reverse()
+    elif numbering == "shuffled":
+        at = draw(st.permutations(at))
+    kind = draw(st.sampled_from(["full", "chain", "tree", "part"]))
+    if kind == "full":
+        hidden = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    elif kind == "chain":
+        hidden = [(a, a + 1) for a in range(n - 1)]
+    elif kind == "tree":
+        hidden = [(b, draw(st.integers(0, b - 1))) for b in range(1, n)]
+    else:
+        full = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        hidden = draw(st.lists(st.sampled_from(full), max_size=2 * n)) if full else []
+    if n > 1 and draw(st.booleans()):
+        a, b = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        hidden.append((b, a) if kind != "tree" else (a, b))
+    pairs = [((0, at[a]), (0, at[b])) for a, b in draw(st.permutations(hidden))]
+    return [n], pairs
+
+
+def _cyclic(closed) -> bool:
+    return any((j, i) in closed for i, j in closed if i != j)
+
+
+def _closure_outcome(build):
+    """The relation built, or the message raised, and whether Warshall's
+    closure ran."""
+    with mock.patch.object(algebra, "_warshall", wraps=algebra._warshall) as warshall:
+        try:
+            got = build().relation
+        except ValueError as exc:
+            got = str(exc)
+    return got, warshall.called
+
+
+@settings(max_examples=400, deadline=None)
+@given(numbered_orders())
+def test_closure_of_numbered_orders_matches_reference(gen):
+    # Whatever the numbering and listing, the search gives the reference
+    # closure, or the constructor's message on it, and runs Warshall's
+    # closure exactly when the generators hold a cycle.
+    blocks, pairs = gen
+    closed = ref.closure(pairs)
+    want, _ = _closure_outcome(lambda: DigraphAlgebra(blocks, closed))
+    if not _cyclic(closed):
+        assert want == ref.relation(blocks, closed)
+    assert _closure_outcome(lambda: DigraphAlgebra.from_generators(blocks, pairs)) == (
+        want, _cyclic(closed)
+    )
+
+
+def _search_closure(pairs) -> set:
+    """The transitive closure by one search from each range: the oracle
+    where ref.closure, |R|^2 per round, would take too long."""
+    sources: dict = {}
+    for i, j in pairs:
+        sources.setdefault(i, []).append(j)
+    out = set()
+    for i, todo in sources.items():
+        seen, todo = set(), list(todo)
+        while todo:
+            j = todo.pop()
+            if j not in seen:
+                seen.add(j)
+                todo += sources.get(j, [])
+        out.update((i, j) for j in seen)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(numbered_orders(sizes=st.integers(40, 300)))
+def test_closure_of_long_numbered_orders_matches_a_search(gen):
+    # Long chains and full orders numbered every way, where every open
+    # unit of the search may wait on hundreds of others.
+    blocks, pairs = gen
+    closed = _search_closure(pairs)
+    want, _ = _closure_outcome(lambda: DigraphAlgebra(blocks, closed))
+    assert _closure_outcome(lambda: DigraphAlgebra.from_generators(blocks, pairs)) == (
+        want, _cyclic(closed)
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,6 +279,26 @@ def test_covers_tree_condition_and_grades_match_reference(gen):
     else:
         assert tree == NonTreeTriple(*triple)
         assert solved == tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(generators(), trees(), numbered_orders()), st.sampled_from([2, 3, 5]))
+def test_rows_sharing_keys_give_the_same_answers(gen, key):
+    # With a modulus this small, rows share keys: the order check and the
+    # parents list must then fall back on the rows themselves.
+    blocks, pairs = gen
+
+    def answers():
+        try:
+            a = DigraphAlgebra.from_generators(blocks, pairs)
+        except ValueError as exc:
+            return str(exc)
+        checked = _outcome(lambda: DigraphAlgebra(blocks, a.pairs()).relation)
+        return algebra._parents(a), covering_pairs(a), is_tree_semigroupoid(a), checked
+
+    want = answers()
+    with mock.patch.object(algebra, "_KEY", key):
+        assert answers() == want
 
 
 @st.composite
