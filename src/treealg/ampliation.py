@@ -24,7 +24,7 @@ the tree a stationary rule holds.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 from typing import Callable, Iterator
 
 from .algebra import DigraphAlgebra
@@ -96,12 +96,10 @@ def ampliation_chains(
     format escapes "(", ",", ")" or a digit, so each base name is quoted
     once and the rest of its names are built around it.
     """
-    tails = [""]
-    for _ in range(steps):
-        tails = [f"{tail},{s})" for tail in tails for s in range(1, l + 1)]
     empty = quote("")
     mark = empty[: len(empty) // 2]
-    tails = [tail + mark for tail in tails]
+    pieces = [f",{s})" for s in range(1, l + 1)]
+    tails = ["".join(seq) + mark for seq in product(pieces, repeat=steps)]
     prefix = {}
     for v in tree.vertices:
         q = quote(v)

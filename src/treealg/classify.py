@@ -1,5 +1,5 @@
 """Classification of tree-refinement data: reduced weighted trees,
-canonical codes, supernatural numbers, and the bounded equivalence search.
+canonical codes, supernatural numbers, and the equivalence search.
 
 Reduction contracts every chain of pass-through vertices to a single
 edge and records how many vertices each contraction swallowed as a
@@ -7,7 +7,23 @@ weight on the deeper endpoint.  Two trees are isomorphic exactly when
 their reductions match weight for weight, which canonical codes test in
 one comparison.  The equivalence search for refinement towers first
 compares supernatural numbers, then the ampliation-invariant branching
-skeleton, and only then hunts for a witnessing pair of ampliations.
+skeleton, and only then looks for a witnessing pair of ampliations.
+
+A vertex's code is its weight and the sorted codes of its children, and
+codes compare as tuples: weights first, then the children's codes one
+by one, then their number.  No code is built as a nested tuple, whose
+comparison would recurse as deep as the tree.  Instead the codes of
+each depth are ranked, from the deepest depth up: a vertex's key is its
+weight and the sorted ranks of its children, which share a depth, so
+keys compare as codes do.  A code is written as the tuple of its
+vertices in preorder, siblings in rank order, each as the pair of its
+depth and weight, and comparing it goes one level deep.  It compares
+as the code does.  Up to the first difference the two preorders walk
+one shape.  There, at equal depths, two matched vertices differ in
+weight; at unequal depths, the side that goes less deep, or ends, has
+run out of children first at the depth above the other's vertex, and
+a prefix of children is the smaller.  The same ranks with every weight
+0 give the skeleton.
 
 The search never builds an ampliation.  By induction on k, ampliating T
 by f1, ..., fk in turn replaces each vertex v by a chain of L = f1...fk
@@ -29,22 +45,45 @@ the last copy of any other vertex v of weight w in R has (w + 1 + s,
 -1 - s), where s is 1 when v's parent is a root with one child and 0
 otherwise.  Then b is 0 at depth 0, -2 at depth 1 and -1 below, so
 siblings share b, and for L >= 1 a*L + b is strictly increasing in a
-at fixed b.  Codes compare as tuples: weights first, then the sorted
-codes of the children one by one, then their number, and each step
-compares vertices of one depth.  By induction from the leaves, two
-codes of one depth therefore compare at every L as their codes over
-the pairs (a, b) compare.  Sibling order, and with it the code's
-preorder, does not depend on L: the code at L is a fixed shape, the
-child counts of its vertices in preorder, with the weight a*L + b at
-each.  A nested code and its preorder of child counts and weights
-determine each other, so the codes of two sides at L_a, L_b >= 2 are
-equal exactly when their shapes are equal and so are their lists of
-weights.  code_template gives each side's shape and pairs once; the
-shapes are compared once per search, and a candidate costs one
+at fixed b.  Codes compare weights first and each step compares
+vertices of one depth, so by induction from the leaves two codes of
+one depth compare at every L as their codes over the pairs (a, b)
+compare.  Sibling order, and with it the code's preorder, does not
+depend on L: the code at L is a fixed shape, the child counts of its
+vertices in preorder, with the weight a*L + b at each.  A nested code
+and its preorder of child counts and weights determine each other, so
+the codes of two sides at L_a, L_b >= 2 are equal exactly when their
+shapes are equal and so are their lists of weights.  code_template
+gives each side's shape and pairs once, and a candidate costs one
 comparison of two integer lists.  A side with no factor (L = 1) keeps
 the file weights, so it goes through reduce and canonical_code, and
 only the candidate that wins has its vertices named, by
 ampliated_reduction, for the bijection.
+
+Nor does the search list prime sequences.  A candidate is a pair of
+nondecreasing prime tuples whose products L_a, L_b divide the
+supernatural number, of at most the bound primes each, and make
+ampliations of one size: na*L_a = nb*L_b for bases of na and nb
+vertices.  They are ordered by their total length, then the tuple of
+A, then that of B, and the first whose reductions match wins.
+Call n feasible when some such tuple has product n; a divisor of a
+feasible number is feasible.  With g = gcd(na, nb), alpha = nb/g and
+beta = na/g, the pairs of products are (alpha*t, beta*t) for t >= 1.
+A side has product 1 only at t = 1, and only when alpha or beta is 1,
+so at most one candidate keeps file weights.  The others have both
+products at least 2.  Their codes need equal shapes, and then the b of
+the two templates agree, since b is fixed by depth; so with pairs
+(a, b) on A and (c, b) on B the weights agree at (alpha*t, beta*t)
+exactly when a*alpha = c*beta at every vertex: for every t or for
+none.  If they agree for every t, the first such candidate has the
+fewest primes, those of alpha and beta and twice those of t.  That is
+t = 1 when alpha, beta >= 2.  Otherwise t is a prime p, the least for
+which alpha*p and beta*p are feasible: every t >= 2 has a prime factor
+p with alpha*p and beta*p feasible when alpha*t and beta*t are, and
+for primes p < q the sorted tuples of alpha*p and alpha*q agree until
+p stands where the other holds q or a prime above p.  Hence t = 1 and
+that p, in this order (t = 1 has fewer primes), are the only
+candidates to try, whatever the bound.
 """
 
 from __future__ import annotations
@@ -56,7 +95,7 @@ from collections import Counter
 from typing import Callable, Iterable, Sequence
 
 from .ampliation import MAX_MULTIPLICITY, TreeRefinementSpec, pair_name
-from .errors import NotATree, OutputTooLarge
+from .errors import NotATree
 from .graphs import OutForest, unchecked_forest
 from .records import Record
 
@@ -133,31 +172,53 @@ class CanonicalCode(Record):
         return NotImplemented
 
 
-def _codes(t: OutForest, weight: Callable[[str], object] | None = None) -> dict[str, tuple]:
-    """The code of every vertex, each computed once, children first,
-    with the weights t carries or those weight gives."""
+def _preorder(t: OutForest, weight: Callable[[str], object] | None = None) -> list[tuple[str, int]]:
+    """The vertices in preorder with siblings in (code, name) order, each
+    with its depth; codes carry the weights t carries or those weight
+    gives.
+
+    Codes are ranked one depth at a time from the deepest, each key the
+    weight and the ranks of the children in that order (see the module
+    docstring).
+    """
     weight = weight or t.graph.weight
-    order = [t.single_root()]
-    for v in order:
-        order.extend(t.children(v))
-    codes: dict[str, tuple] = {}
-    for v in reversed(order):
-        codes[v] = (weight(v), tuple(sorted(codes[c] for c in t.children(v))))
-    return codes
+    levels = [[t.single_root()]]
+    kids = {}
+    while levels[-1]:
+        below = []
+        for v in levels[-1]:
+            kids[v] = t.children(v)
+            below += kids[v]
+        levels.append(below)
+    rank: dict[str, int] = {}
+    ranked = rank.__getitem__
+    for level in reversed(levels):
+        keys = []
+        for v in level:
+            if kids[v]:
+                kids[v] = sorted(sorted(kids[v]), key=ranked)
+            keys.append((weight(v), tuple(map(ranked, kids[v]))))
+        order = dict(zip(sorted(set(keys)), itertools.count()))
+        rank.update(zip(level, map(order.__getitem__, keys)))
+    out = []
+    stack = [(levels[0][0], 0)]
+    while stack:
+        v, depth = stack.pop()
+        out.append((v, depth))
+        stack += [(c, depth + 1) for c in reversed(kids[v])]
+    return out
 
 
 def canonical_code(t: OutForest) -> CanonicalCode:
-    """Bottom-up code: (weight, sorted children codes) from the root."""
-    return CanonicalCode(_codes(t)[t.single_root()])
+    """The code of t's root, as the tuple of its vertices' (depth,
+    weight) pairs in preorder, which compares as the code does."""
+    weight = t.graph.weight
+    return CanonicalCode(tuple([(depth, weight(v)) for v, depth in _preorder(t)]))
 
 
 def trees_isomorphic(g: OutForest, h: OutForest) -> bool:
     """Weight-preserving isomorphism of the reductions, decided by codes."""
     return canonical_code(reduce(g)) == canonical_code(reduce(h))
-
-
-def _shape(t: OutForest, v: str) -> tuple:
-    return tuple(sorted(_shape(t, c) for c in t.children(v)))
 
 
 def branching_skeleton(g: OutForest) -> tuple:
@@ -171,10 +232,12 @@ def branching_skeleton(g: OutForest) -> tuple:
 
 
 def _skeleton(red: OutForest) -> tuple:
-    root = red.single_root()
-    if red.graph.out_degree(root) == 1:
-        (root,) = red.children(root)
-    return _shape(red, root)
+    """The depths of the canonical preorder with every weight 0, from
+    the root's child down when the root has one child."""
+    depths = [depth for _, depth in _preorder(red, lambda v: 0)]
+    if red.graph.out_degree(red.single_root()) == 1:
+        return tuple(depth - 1 for depth in depths[1:])
+    return tuple(depths)
 
 
 class SupernaturalNumber(Record):
@@ -266,6 +329,10 @@ class Distinct(Record):
 
 
 class Undetermined(Record):
+    """No pair of ampliations of at most bound primes a side makes the
+    reductions match; the limits may still be equivalent through longer
+    ones."""
+
     verdict = "undetermined"
     __slots__ = ("bound",)
 
@@ -329,105 +396,32 @@ def code_template(red: OutForest) -> tuple[tuple[int, ...], tuple[tuple[int, int
         s = 1 if stem and red.parent(v) == root else 0
         return red.graph.weight(v) + 1 + s, -1 - s
 
-    _, kids = _codes(red, pair)[root]
-    stack = [((0, 0), kids if stem else (((1, -2), kids),))]
-    shape, pairs = [], []
-    while stack:
-        weight, kids = stack.pop()
-        shape.append(len(kids))
-        pairs.append(weight)
-        stack.extend(reversed(kids))
+    order = [v for v, _ in _preorder(red, pair)]
+    shape = [red.graph.out_degree(v) for v in order]
+    pairs = [(0, 0)] + [pair(v) for v in order[1:]]
+    if not stem:
+        shape, pairs = [1, *shape], [(0, 0), (1, -2), *pairs[1:]]
     return tuple(shape), tuple(pairs)
 
 
 def _match_vertices(a: OutForest, b: OutForest) -> tuple[tuple[str, str], ...]:
     """Pair the vertices of two reductions with equal codes: depth-first
     from the roots, siblings matched in (code, name) order."""
-    code_a, code_b = _codes(a), _codes(b)
-    out = []
-    stack = [(a.single_root(), b.single_root())]
-    while stack:
-        va, vb = stack.pop()
-        out.append((va, vb))
-        ka = sorted(a.children(va), key=lambda c: (code_a[c], c))
-        kb = sorted(b.children(vb), key=lambda c: (code_b[c], c))
-        stack.extend(reversed(list(zip(ka, kb))))
-    return tuple(out)
+    return tuple((va, vb) for (va, _), (vb, _) in zip(_preorder(a), _preorder(b)))
 
 
-MAX_SEQUENCE_ENTRIES = 2_000_000
-# The most entries the prime sequences of the equivalence search may hold,
-# one per prime and one per sequence; above it the search is refused
-# before any sequence is listed.
-
-
-def _sequence_entries(caps: Sequence[float], max_steps: int) -> int:
-    """Entries, one per prime and one per tuple, of the nondecreasing
-    prime tuples of length at most max_steps that hold the i-th prime at
-    most caps[i] times, max_steps being at most the sum of the caps; any
-    number above MAX_SEQUENCE_ENTRIES once the count passes it.
-
-    ways[k] counts the tuples of length k over the primes so far, and a
-    prime of cap e makes it the sum of the old ways[k - j] for j <= e.
-    There is a tuple of every length up to max_steps, so there are at
-    least (max_steps + 1)(max_steps + 2)/2 entries; and a prime's pass
-    adds a tuple of every length it covers, so the passes cost
-    O(MAX_SEQUENCE_ENTRIES) steps in all.
-    """
-    least = (max_steps + 1) * (max_steps + 2) // 2
-    if least > MAX_SEQUENCE_ENTRIES:
-        return least
-    ways, entries = [1], 1
-    for e in caps:
-        prefix = [0, *itertools.accumulate(ways)]
-        last = len(ways) - 1
-        ways = [
-            prefix[min(k, last) + 1] - prefix[max(0, k - e)]
-            for k in range(min(max_steps, last + e) + 1)
-        ]
-        entries = sum(k * w for k, w in enumerate(ways, 1))
-        if entries > MAX_SEQUENCE_ENTRIES:
-            break
-    return entries
-
-
-def _factor_sequences(
-    primes: Sequence[int], max_steps: int, sn: SupernaturalNumber
-) -> dict[int, tuple[int, ...]]:
-    """Nondecreasing prime tuples of bounded length whose product divides
-    sn, by product.  A tuple divides sn when no prime occurs in it more
-    often than sn's exponent of that prime allows.
-
-    Raises OutputTooLarge, before listing any tuple, when they would hold
-    more than MAX_SEQUENCE_ENTRIES entries.  Each tuple extends one of the
-    previous length by a prime no smaller than its last, and its product
-    that tuple's product.
-    """
-    steps = max_steps
-    if not sn.infinite:
-        # A product of k primes divides a finite number only when k is at
-        # most the sum of its exponents.
-        steps = min(max_steps, sum(e for _, e in sn.finite))
-    caps = [sn.exponent(p) for p in primes]
-    if _sequence_entries(caps, steps) > MAX_SEQUENCE_ENTRIES:
-        raise OutputTooLarge(
-            f"the search to bound {max_steps} needs more than"
-            f" {MAX_SEQUENCE_ENTRIES} stored entries"
-        )
-    seqs = {1: ()}
-    level = [(1, (), 0)]  # (product, tuple, index of its last prime)
-    for _ in range(steps):
-        longer = []
-        for n, seq, first in level:
-            for i in range(first, len(primes)):
-                p, e = primes[i], caps[i]
-                # Every exponent of sn is at least 1, so a tuple whose
-                # last e entries are p holds as many as sn allows.
-                if len(seq) < e or seq[-e] != p:
-                    longer.append((n * p, seq + (p,), i))
-        level = longer
-        seqs.update((n, seq) for n, seq, _ in level)
-    return seqs
+def _prime_tuple(n: int, sn: SupernaturalNumber, bound: int) -> tuple[int, ...] | None:
+    """The nondecreasing primes whose product is n, when n divides sn and
+    they number at most bound; None otherwise.  Only sn's primes divide n."""
+    seq: list[int] = []
+    for p in sorted(sn.primes()):
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e > sn.exponent(p):
+            return None
+        seq += [p] * e
+    return tuple(seq) if n == 1 and len(seq) <= bound else None
 
 
 def classify_tree_refinement(
@@ -437,9 +431,11 @@ def classify_tree_refinement(
 
     Distinct requires a certificate that survives every ampliation:
     different supernatural numbers or different branching skeletons.
-    Equivalent reports the ampliation pair and a vertex bijection of the
-    reductions.  Otherwise the bounded search is exhausted and the
-    verdict stays Undetermined.
+    Equivalent reports the first ampliation pair, of at most
+    ampliation_bound primes a side, in the order of the module
+    docstring, and a vertex bijection of the reductions.  Otherwise no
+    such pair exists and the verdict stays Undetermined.  At most two
+    candidates are tried, whatever the bound.
     """
     if ampliation_bound < 0:
         raise ValueError("the ampliation bound must be nonnegative")
@@ -448,26 +444,29 @@ def classify_tree_refinement(
         return Distinct("supernatural numbers differ")
     specs = (a, b)
     plain = [reduce(spec.base, weights=False) for spec in specs]
-    if _skeleton(plain[0]) != _skeleton(plain[1]):
-        return Distinct("branching skeletons differ")
-    # A nondecreasing prime sequence is fixed by its product, and a product
-    # L_a has at most one partner L_b = na * L_a / nb, so one pass pairs the
-    # sequences.
-    seqs = _factor_sequences(sorted(sa.primes()), ampliation_bound, sa)
-    na, nb = len(a.base.vertices), len(b.base.vertices)
-    candidates = sorted(
-        (len(pa) + len(pb), pa, pb, la, na * la // nb)
-        for la, pa in seqs.items()
-        for pb in [seqs.get(na * la // nb)]
-        if na * la % nb == 0 and pb is not None
-    )
     (shape_a, pairs_a), (shape_b, pairs_b) = map(code_template, plain)
     same_shape = shape_a == shape_b
+    # A shape is a 1 and then the skeleton's tree in some preorder, so
+    # equal shapes have equal skeletons.
+    if not same_shape and _skeleton(plain[0]) != _skeleton(plain[1]):
+        return Distinct("branching skeletons differ")
+    na, nb = len(a.base.vertices), len(b.base.vertices)
+    alpha, beta = nb // math.gcd(na, nb), na // math.gcd(na, nb)
+
+    def primes_of(n: int) -> tuple[int, ...] | None:
+        return _prime_tuple(n, sa, ampliation_bound)
 
     def reduction(k: int, seq: tuple[int, ...]) -> OutForest:
         return ampliated_reduction(plain[k], seq) if seq else reduce(specs[k].base)
 
-    for _, pa, pb, la, lb in candidates:
+    # The products (alpha*t, beta*t) at t = 1 and at the least prime t that
+    # both admit are the only candidates to try (see the module docstring).
+    fits = [p for p in sorted(sa.primes()) if primes_of(alpha * p) and primes_of(beta * p)]
+    for t in [1, *fits[:1]]:
+        la, lb = alpha * t, beta * t
+        pa, pb = primes_of(la), primes_of(lb)
+        if pa is None or pb is None:
+            continue
         templated = pa and pb
         if templated and not (
             same_shape and [x * la + y for x, y in pairs_a] == [x * lb + y for x, y in pairs_b]

@@ -9,6 +9,7 @@ import json
 import os
 import random
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -122,3 +123,25 @@ def test_a_large_ampliation_is_written_in_little_memory(tmp_path):
     assert code == 0
     assert peak < 10 * 2**20
     assert len(json.loads(out.read_text())["vertices"]) == 40 * 4**5
+
+
+def test_many_steps_by_one_take_linear_time(tmp_path):
+    # By 1 every vertex keeps one name, "(" * K + v + ",1)" * K after K
+    # steps, whose tail was once rebuilt at every step: 240,000 steps of
+    # one vertex, and 120,000 of a two-vertex chain, count as many
+    # vertices as the cap allows and write about 1 MB in under a second.
+    one = OutForest(DirectedGraph(["a"], []))
+    pair = OutForest(DirectedGraph(["a", "b"], [("a", "b")]))
+    for fmt in ("json", "dot", "text"):
+        _check(one, 1, 50, fmt)
+        _check(pair, 1, 50, fmt)
+    for tree, steps in ((one, 240_000), (pair, 120_000)):
+        names = ["(" * steps + v + ",1)" * steps for v in tree.vertices]
+        want = {"vertices": names, "edges": [names] if len(names) == 2 else []}
+        path, out = tmp_path / "tree.json", tmp_path / "out.json"
+        path.write_text(json.dumps(graph_to_json(tree)))
+        start = time.perf_counter()
+        code = main(["ampliate", str(path), "-l", "1", "--steps", str(steps), "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out.read_text() == json.dumps(want, indent=2) + "\n"

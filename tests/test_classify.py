@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from treealg.ampliation import TreeRefinementSpec, ampliate
 from treealg.classify import (
-    MAX_SEQUENCE_ENTRIES,
     CanonicalCode,
     Distinct,
     Equivalent,
     SupernaturalNumber,
     Undetermined,
-    _factor_sequences,
-    _sequence_entries,
     ampliated_reduction,
     branching_skeleton,
     canonical_code,
@@ -202,13 +199,14 @@ def test_ampliated_reduction_matches_the_iterated_ampliation(g, factors):
 
 
 def preorder(code: CanonicalCode) -> tuple[tuple[int, ...], list[int]]:
-    """The child counts and the weights of a code's vertices in preorder."""
-    shape, weights, stack = [], [], [code.data]
-    while stack:
-        weight, kids = stack.pop()
-        shape.append(len(kids))
-        weights.append(weight)
-        stack.extend(reversed(kids))
+    """The child counts and the weights of a code's vertices in preorder,
+    read off its (depth, weight) pairs: a vertex's children are the later
+    vertices one deeper before the next vertex no deeper than it."""
+    depths, weights = [d for d, _ in code.data], [w for _, w in code.data]
+    shape = []
+    for i, d in enumerate(depths):
+        below = itertools.takewhile(lambda e: e > d, depths[i + 1 :])
+        shape.append(sum(e == d + 1 for e in below))
     return tuple(shape), weights
 
 
@@ -270,6 +268,103 @@ def test_classification_matches_the_search_by_codes(specs, bound):
     assert classify_tree_refinement(a, b, bound) == classify_by_codes(a, b, bound)
 
 
+@st.composite
+def same_skeleton_pairs(draw):
+    """Two specs over one skeleton of 1 to 5 vertices whose edges each side
+    subdivides by 0 to 3 vertices, half the time as the other side does;
+    either side may hang under a new root and carry file weights, and
+    one side may be ampliated."""
+    n = draw(st.integers(1, 5))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    cuts = st.lists(st.integers(0, 3), min_size=n - 1, max_size=n - 1)
+    first = draw(cuts)
+    sides = []
+    for counts in (first, first if draw(st.booleans()) else draw(cuts)):
+        vs, edges = ["s0"], []
+        for i, (p, count) in enumerate(zip(parents, counts), start=1):
+            path = [f"s{p}", *(f"s{i}.{k}" for k in range(count)), f"s{i}"]
+            vs += path[1:]
+            edges += zip(path, path[1:])
+        if draw(st.booleans()):
+            vs.append("top")
+            edges.append(("top", "s0"))
+        weights = {v: draw(st.integers(0, 2)) for v in vs} if draw(st.integers(0, 3)) == 0 else {}
+        sides.append(OutForest(DirectedGraph(draw(st.permutations(vs)), edges, weights)))
+    l = draw(st.sampled_from([1, 1, 2, 3, 4]))
+    if l > 1:
+        k = draw(st.integers(0, 1))
+        sides[k] = ampliate(sides[k], l)
+    schedule = st.tuples(
+        st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2).map(tuple),
+        st.sampled_from([None, 2, 3, 6]),
+    )
+    mults, stationary = draw(schedule)
+    other = draw(schedule) if draw(st.integers(0, 9)) == 0 else (mults, stationary)
+    return TreeRefinementSpec(sides[0], mults, stationary), TreeRefinementSpec(sides[1], *other)
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_skeleton_pairs(), st.integers(0, 9))
+def test_same_skeleton_classification_matches_the_search_by_codes(specs, bound):
+    a, b = specs
+    assert classify_tree_refinement(a, b, bound) == classify_by_codes(a, b, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_skeleton_pairs())
+def test_template_offsets_are_fixed_by_the_shape(specs):
+    # b is 0 at depth 0, -2 at depth 1 and -1 below, so templates of one
+    # shape differ only in a: their weights agree at (alpha*t, beta*t)
+    # for every t or for none, and never at exactly one product.
+    shapes, offsets = [], []
+    for spec in specs:
+        shape, pairs = code_template(reduce(spec.base, weights=False))
+        shapes.append(shape)
+        offsets.append([b for _, b in pairs])
+    if shapes[0] == shapes[1]:
+        assert offsets[0] == offsets[1]
+
+
+def test_the_first_templated_candidate_is_the_least_admitted_prime():
+    # The file weight on "a" keeps the unampliated pair apart; every
+    # ampliation drops it, so each pair of equal products matches, and
+    # the least prime that the supernatural number admits comes first.
+    lam = lambda_tree()
+    weighted = OutForest(DirectedGraph(lam.vertices, lam.edges, {"a": 1}))
+    for mults, tail, want in [((3,), 5, (3,)), ((), 5, (5,)), ((2,), 6, (2,))]:
+        a, b = TreeRefinementSpec(weighted, mults, tail), TreeRefinementSpec(lam, mults, tail)
+        assert isinstance(classify_tree_refinement(a, b, 0), Undetermined)
+        for bound in (1, 9, 10**6):
+            res = classify_tree_refinement(a, b, bound)
+            assert res.ampliations == (want, want)
+            assert res == classify_by_codes(a, b, min(bound, 9))
+    # Sizes 6 and 3 pair the products (t, 2t): (1, 2) keeps the file
+    # weights and fails, so t = 2 wins if B may take two primes, and
+    # without 2 in the supernatural number no candidate is left.
+    doubled = ampliate(lam, 2)
+    weighted = OutForest(DirectedGraph(doubled.vertices, doubled.edges, {doubled.vertices[1]: 1}))
+    a, b = TreeRefinementSpec(weighted, (), 6), TreeRefinementSpec(lam, (), 6)
+    assert classify_tree_refinement(a, b, 3).ampliations == ((2,), (2, 2))
+    assert classify_tree_refinement(a, b, 3) == classify_by_codes(a, b, 3)
+    assert classify_tree_refinement(a, b, 1) == classify_by_codes(a, b, 1) == Undetermined(1)
+    a, b = TreeRefinementSpec(weighted, (), 3), TreeRefinementSpec(lam, (), 3)
+    assert classify_tree_refinement(a, b, 10**6) == Undetermined(10**6)
+
+
+def test_template_weights_that_never_agree_leave_any_bound_undetermined():
+    # One skeleton, but A's root keeps branching and B's root sits on a
+    # chain: the templates share their shape, and the a of the two sides
+    # differ in proportion, so no product pair matches.
+    a = OutForest(DirectedGraph(["r", "a", "b", "m"], [("r", "a"), ("r", "m"), ("m", "b")]))
+    b = OutForest(DirectedGraph(["p", "r", "a", "b"], [("p", "r"), ("r", "a"), ("r", "b")]))
+    (shape_a, pairs_a), (shape_b, pairs_b) = (code_template(reduce(t, weights=False)) for t in (a, b))
+    assert shape_a == shape_b
+    assert [x for x, _ in pairs_a] != [x for x, _ in pairs_b]
+    sa, sb = TreeRefinementSpec(a, (), 6), TreeRefinementSpec(b, (), 6)
+    assert classify_tree_refinement(sa, sb, 9) == classify_by_codes(sa, sb, 9) == Undetermined(9)
+    assert classify_tree_refinement(sa, sb, 10**6) == Undetermined(10**6)
+
+
 def test_supernatural_examples():
     assert supernatural((2, 2), 2) == SupernaturalNumber((), frozenset({2}))
     assert supernatural((6, 2)).finite == ((2, 2), (3, 1))
@@ -294,51 +389,6 @@ def test_supernatural_divisibility():
     assert divisible_by(s, 2) and divisible_by(s, 27) and divisible_by(s, 6)
     assert not divisible_by(s, 4)
     assert not divisible_by(s, 5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 10, 12, 30]), max_size=4),
-    st.sampled_from([None, 2, 6, 7, 30]),
-    st.integers(0, 8),
-)
-def test_factor_sequences_are_the_dividing_prime_tuples_and_are_counted(mults, tail, bound):
-    sn = supernatural(mults, tail)
-    primes = sorted(sn.primes())
-    steps = bound if sn.infinite else min(bound, sum(e for _, e in sn.finite))
-    want = {
-        math.prod(seq): seq
-        for k in range(steps + 1)
-        for seq in itertools.combinations_with_replacement(primes, k)
-        if all(seq.count(p) <= sn.exponent(p) for p in primes)
-    }
-    assert _factor_sequences(primes, bound, sn) == want
-    entries = len(want) + sum(map(len, want.values()))
-    assert _sequence_entries([sn.exponent(p) for p in primes], steps) == entries
-
-
-def test_sequence_entries_match_closed_forms_up_to_the_cap():
-    # k steps over r primes of unbounded exponent give C(k + r - 1, r - 1)
-    # tuples of length k; over n primes of exponent 1, C(n, k).  A tuple
-    # of length k holds k + 1 entries.
-    above = MAX_SEQUENCE_ENTRIES + 1
-
-    def capped(counts) -> int:
-        total = 0
-        for k, count in enumerate(counts):
-            total += (k + 1) * count
-            if total >= above:
-                return above
-        return total
-
-    for r in (1, 2, 3):
-        for steps in (0, 1, 10, 61, 62, 180, 181, 1998, 1999, 10**5, 10**9):
-            want = capped(math.comb(k + r - 1, r - 1) for k in range(steps + 1))
-            assert min(_sequence_entries([math.inf] * r, steps), above) == want
-    for n in (3, 17, 18, 40):
-        for steps in range(n + 1):
-            want = capped(math.comb(n, k) for k in range(steps + 1))
-            assert min(_sequence_entries([1] * n, steps), above) == want
 
 
 def test_classify_equivalent_after_one_ampliation():

@@ -18,6 +18,7 @@ from treealg.ampliation import TreeRefinementSpec, ampliate, build_tree_refineme
 from treealg.cli import _json_text, main
 from treealg.embeddings import standard_embedding
 from treealg.formats import graph_to_json
+from treealg.graphs import DirectedGraph, OutForest
 from treealg.tower import Tower
 
 from catalog import (
@@ -169,31 +170,12 @@ def test_classify_json_witness(capsys, tmp_path):
 
 def exhaust_pair(tmp_path):
     # The same skeleton, but A's root stays branching and B's root a chain
-    # under every ampliation, so the whole search runs over the sequences
-    # of 2s and 3s, each paired in one pass.
+    # under every ampliation, so no pair of ampliations makes the codes
+    # agree, and every bound ends Undetermined.
     a = {"vertices": ["r", "a", "b", "m"], "edges": [["r", "a"], ["r", "m"], ["m", "b"]]}
     b = {"vertices": ["p", "r", "a", "b"], "edges": [["p", "r"], ["r", "a"], ["r", "b"]]}
     return (write(tmp_path, "a.json", {"base": a, "stationary": 6}),
             write(tmp_path, "b.json", {"base": b, "stationary": 6}))
-
-
-def test_classify_bound_64_exhausts_in_under_two_seconds(capsys, tmp_path):
-    # 2145 sequences a side.
-    fa, fb = exhaust_pair(tmp_path)
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "classify", fa, fb, "--bound", "64")
-    assert time.perf_counter() - start < 2.0
-    assert code == 2 and out == "verdict: undetermined\nsearch bound: 64\n"
-
-
-def test_classify_bound_128_exhausts_in_under_one_second(capsys, tmp_path):
-    # 8385 sequences a side, each candidate one comparison of the affine
-    # weights of two code templates.
-    fa, fb = exhaust_pair(tmp_path)
-    start = time.perf_counter()
-    code, out, _ = run(capsys, "classify", fa, fb, "--bound", "128")
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == "verdict: undetermined\nsearch bound: 128\n"
 
 
 CAPPED_MAIN = """
@@ -204,19 +186,21 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def test_classify_bound_1024_exits_65_before_listing_any_sequence(tmp_path):
-    # 525,825 sequences of up to 1024 primes a side, which once took
-    # gigabytes to list, so the call runs in a child whose address space
-    # is capped at 1 GB.
+def test_classify_exhausts_any_bound_in_under_one_second(tmp_path):
+    # The nondecreasing sequences of 2s and 3s number 2145 a side at bound
+    # 64, 8385 at 128 and 525,825 at 1024, which once took gigabytes to
+    # list.  The search tries at most two candidates whatever the bound;
+    # each bound runs in a child whose address space is capped at 1 GB.
     fa, fb = exhaust_pair(tmp_path)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "classify", fa, fb, "--bound", "1024"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert time.perf_counter() - start < 1.0
-    assert done.returncode == 65 and done.stdout == ""
-    assert done.stderr == "treealg: error: the search to bound 1024 needs more than 2000000 stored entries\n"
+    for bound in (64, 128, 1024, 10**6):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "classify", fa, fb, "--bound", str(bound)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2 and done.stderr == ""
+        assert done.stdout == f"verdict: undetermined\nsearch bound: {bound}\n"
 
 
 @pytest.mark.parametrize("stationary", [999983, 4294967291])
@@ -244,6 +228,32 @@ def test_classify_finite_supernatural_search_stops_at_its_exponents(capsys, tmp_
     code, out, _ = run(capsys, "classify", fa, fb, "--bound", "3000")
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == "verdict: undetermined\nsearch bound: 3000\n"
+
+
+def caterpillar(spine: int, moved: bool = False) -> OutForest:
+    """A chain of spine vertices, each but the last with one leaf; moved
+    hangs the first leaf under the second spine vertex instead."""
+    vs = [f"s{i}" for i in range(spine)] + [f"l{i}" for i in range(spine - 1)]
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(spine - 1)]
+    edges += [(f"s{i + (moved and i == 0)}", f"l{i}") for i in range(spine - 1)]
+    return OutForest(DirectedGraph(vs, edges))
+
+
+def test_iso_and_classify_answer_on_a_deep_caterpillar(capsys, tmp_path):
+    # 2,999 vertices, 1,500 deep: codes are tuples of (depth, weight)
+    # pairs, since comparing nested ones recursed past Python's limit at a
+    # spine of 520.
+    cat = caterpillar(1500)
+    one, moved = (write(tmp_path, f"{name}.json", graph_to_json(t))
+                  for name, t in (("cat", cat), ("moved", caterpillar(1500, moved=True))))
+    assert run(capsys, "iso", one, one)[:2] == (0, "isomorphic: true\n")
+    assert run(capsys, "iso", one, moved)[:2] == (1, "isomorphic: false\n")
+    a, b = (write(tmp_path, f"{name}.json", {"base": graph_to_json(t), "stationary": 2})
+            for name, t in (("a", cat), ("b", ampliate(cat, 2))))
+    code, out, _ = run(capsys, "classify", a, a)
+    assert code == 0 and out.startswith("verdict: equivalent\nampliations: [] and []\n")
+    code, out, _ = run(capsys, "classify", a, b)
+    assert code == 0 and out.startswith("verdict: equivalent\nampliations: [2] and []\n")
 
 
 def test_reduce_contracts_chain(capsys, tmp_path):
