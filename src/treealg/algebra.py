@@ -24,7 +24,10 @@ O(N/64) machine words; _bits decodes a row with one per set bit.  With
   operations;
 * from_generators: one depth-first search that absorbs closed rows
   (see _closed), at most one row operation per generator, and two per
-  unit on a chain or a full order; Warshall's N^2 only on cyclic input;
+  unit on a chain or a full order; on cyclic input, one search for
+  strongly connected components over the generators names the first
+  two-cycle (see _cycle_pair): O(N) row operations and one decoding of
+  the generators;
 * upper_triangular, ampliated and placed: closed-form rows, each
   builder stating why they form an order, so nothing is checked;
   ampliated and placed give a row its unit's copies OR the images of
@@ -36,7 +39,8 @@ O(N/64) machine words; _bits decodes a row with one per set bit.  With
 * is_tree_semigroupoid: the strict sources of every unit x must be the
   row of one unit, x's one cover, which one dict from row key to unit
   finds: N lookups (on failure, |R| row operations name a failing
-  triple);
+  triple).  The algebra keeps the covers it finds (_parents), which
+  covering_pairs and the builders that translate rows read again;
 * solve_grading: one depth (popcount) per unit: O(N).
 
 has_pair reads one row bit; pairs() decodes every row (14 ms for the
@@ -96,7 +100,7 @@ def _columns(rows: tuple[int, ...]) -> list[int]:
 class DigraphAlgebra:
     """Block sizes plus a reflexive transitive antisymmetric unit relation."""
 
-    __slots__ = ("_blocks", "_units", "_index", "_rows")
+    __slots__ = ("_blocks", "_units", "_index", "_rows", "_tree")
 
     def __init__(self, blocks: Iterable[int], units: Iterable[Pair] = ()) -> None:
         bl, index, rows = self._rows_of(blocks, units)
@@ -158,13 +162,12 @@ class DigraphAlgebra:
         induction on the order in which units close, every closed row is
         its unit's closure, and a chain or a full order numbered either
         way costs at most two row operations per unit.  Meeting an open
-        unit closes a cycle, and only then does Warshall's closure finish
-        the rows (those met so far lie between the generators and their
-        closure, so it gives the same closure), for _raise_two_cycle to
-        name the first two-cycle.  Acyclic closed rows are distinct,
-        since equal rows i != j would hold both (i, j) and (j, i); so
-        nothing else is checked.
+        unit closes a cycle, and only then does _cycle_pair name, from
+        the generators, the first two-cycle of their closure.  Acyclic
+        closed rows are distinct, since equal rows i != j would hold both
+        (i, j) and (j, i); so nothing else is checked.
         """
+        generators = rows[:]
         done = bytearray(len(rows))  # 1 while open, 2 once closed
         for top in reversed(range(len(rows))):
             if done[top]:
@@ -189,10 +192,7 @@ class DigraphAlgebra:
                     frame[1] = acc | rows[g]
                     frame[2] = turn + 1
                 elif done[g]:
-                    for x, _, _ in path:
-                        rows[x] |= 1 << x
-                    _warshall(rows)
-                    _raise_two_cycle(tuple(index), rows)
+                    raise _two_cycle_error(tuple(index), *_cycle_pair(generators))
                 else:
                     done[g] = 1
                     rows[g] ^= 1 << g
@@ -311,11 +311,19 @@ class DigraphAlgebra:
                 return self._units[i], self._units[_lowest(row & ~theirs)]
         return None
 
+    def _parents(self) -> list[int] | None:
+        """_parents of this algebra, found on the first call and kept in
+        the slot _tree, which stays unset until then.  Every caller gets
+        the one list, and none changes it."""
+        if not hasattr(self, "_tree"):
+            self._tree = _parents(self)
+        return self._tree
+
     def _covers(self) -> list[list[int]]:
         """Per row i, the units j with (i, j) a covering pair: the one
         cover of _parents under the tree condition, else the strict row
         minus strict∘strict (Aho, Garey and Ullman, 1972)."""
-        parents = _parents(self)
+        parents = self._parents()
         if parents is not None:
             return [[c] if c >= 0 else [] for c in parents]
         strict = [row ^ 1 << i for i, row in enumerate(self._rows)]
@@ -378,17 +386,48 @@ def _check_order(units: tuple[Unit, ...], rows: list[int]) -> None:
         _raise_two_cycle(units, rows)
 
 
-def _warshall(rows: list[int]) -> None:
-    """Close the reflexive rows in place: after step k, every row holding
-    unit k also holds row k.  A step whose row holds only unit k changes
-    nothing and is skipped."""
-    for k in range(len(rows)):
-        bit, through = 1 << k, rows[k]
-        if through == bit:
-            continue
-        for i, row in enumerate(rows):
-            if row & bit:
-                rows[i] = row | through
+def _cycle_pair(rows: list[int]) -> tuple[int, int] | None:
+    """The first pairs (i, j), (j, i) with i != j of the closure of the
+    reflexive rows, as (i, j), or None.  In the closure they are i, the
+    least unit of a strongly connected component of two units or more,
+    and j, the next unit of that component.  Kosaraju's two searches
+    find the components: one over the rows, which lists the units as
+    they finish, then one against the pairs from the last finished unit
+    still unplaced.  The first costs O(N) row operations; the pairs are
+    decoded once, into lists of ranges per source, so that nothing of
+    N bits is built per unit."""
+    left, finished = (1 << len(rows)) - 1, []
+    while left:
+        path = [_lowest(left)]
+        left &= left - 1
+        while path:
+            ahead = rows[path[-1]] & left
+            if ahead:
+                path.append(_lowest(ahead))
+                left ^= ahead & -ahead
+            else:
+                finished.append(path.pop())
+    ranges: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in _bits(row ^ 1 << i):
+            ranges[j].append(i)
+    placed, pairs = bytearray(len(rows)), []
+    for root in reversed(finished):
+        if not placed[root]:
+            placed[root], part = 1, [root]
+            for x in part:
+                for i in ranges[x]:
+                    if not placed[i]:
+                        placed[i] = 1
+                        part.append(i)
+            if len(part) > 1:
+                pairs.append(tuple(sorted(part)[:2]))
+    return min(pairs, default=None)
+
+
+def _two_cycle_error(units: tuple[Unit, ...], i: int, j: int) -> ValueError:
+    ui, uj = units[i], units[j]
+    return ValueError(f"pairs ({ui},{uj}) and ({uj},{ui}) break antisymmetry")
 
 
 def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
@@ -396,19 +435,13 @@ def _raise_two_cycle(units: tuple[Unit, ...], rows: list[int]) -> None:
     for i, row in enumerate(rows):
         for j in _bits(row & ~(1 << i)):
             if rows[j] >> i & 1:
-                ui, uj = units[i], units[j]
-                raise ValueError(f"pairs ({ui},{uj}) and ({uj},{ui}) break antisymmetry")
+                raise _two_cycle_error(units, i, j)
 
 
 class NonTreeTriple(Record):
     """Units x, y, z with pairs (x, y) and (x, z) but y, z incomparable."""
 
     __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: Unit, y: Unit, z: Unit) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
 
     def __bool__(self) -> bool:
         return False
@@ -459,7 +492,7 @@ def is_tree_semigroupoid(a: DigraphAlgebra) -> "bool | NonTreeTriple":
     failure are the rows scanned for the triple to return, the first in
     sorted order: smallest x, then y, then z.
     """
-    if _parents(a) is not None:
+    if a._parents() is not None:
         return True
     rows, us = a._rows, a._units
     cols = _columns(rows)
@@ -490,10 +523,6 @@ class Grading(Record):
     """
 
     __slots__ = ("algebra", "depth")
-
-    def __init__(self, algebra: DigraphAlgebra, depth: tuple[int, ...]) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "depth", depth)
 
     def of(self, pair: Pair) -> int:
         """The grade of a pair; KeyError outside the relation."""

@@ -138,38 +138,13 @@ def reduce(g: OutForest, weights: bool = True) -> OutForest:
     return unchecked_forest(keep, parent, weight)
 
 
-class CanonicalCode(Record):
+class CanonicalCode(Record, order=True):
     """Total-order-comparable encoding deciding weighted isomorphism."""
 
-    # Codes compare as the 1-tuples of their data, and only with codes;
-    # Record gives equality and hash alike.
     __slots__ = ("data",)
-
-    def __init__(self, data: tuple) -> None:
-        object.__setattr__(self, "data", data)
 
     def __repr__(self) -> str:
         return f"CanonicalCode({self.data!r})"
-
-    def __lt__(self, other: CanonicalCode) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.data,) < (other.data,)
-        return NotImplemented
-
-    def __le__(self, other: CanonicalCode) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.data,) <= (other.data,)
-        return NotImplemented
-
-    def __gt__(self, other: CanonicalCode) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.data,) > (other.data,)
-        return NotImplemented
-
-    def __ge__(self, other: CanonicalCode) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.data,) >= (other.data,)
-        return NotImplemented
 
 
 def _preorder(t: OutForest, weight: Callable[[str], object] | None = None) -> list[tuple[str, int]]:
@@ -245,10 +220,6 @@ class SupernaturalNumber(Record):
 
     __slots__ = ("finite", "infinite")
 
-    def __init__(self, finite: tuple[tuple[int, int], ...], infinite: frozenset[int]) -> None:
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "infinite", infinite)
-
     def exponent(self, p: int) -> float:
         if p in self.infinite:
             return math.inf
@@ -311,21 +282,10 @@ class Equivalent(Record):
     verdict = "equivalent"
     __slots__ = ("ampliations", "bijection")
 
-    def __init__(
-        self,
-        ampliations: tuple[tuple[int, ...], tuple[int, ...]],
-        bijection: tuple[tuple[str, str], ...],
-    ) -> None:
-        object.__setattr__(self, "ampliations", ampliations)
-        object.__setattr__(self, "bijection", bijection)
-
 
 class Distinct(Record):
     verdict = "distinct"
     __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        object.__setattr__(self, "reason", reason)
 
 
 class Undetermined(Record):
@@ -335,9 +295,6 @@ class Undetermined(Record):
 
     verdict = "undetermined"
     __slots__ = ("bound",)
-
-    def __init__(self, bound: int) -> None:
-        object.__setattr__(self, "bound", bound)
 
 
 ClassificationResult = Equivalent | Distinct | Undetermined

@@ -126,13 +126,8 @@ MAX_FAMILY_ENTRIES = 2_000_000
 # is built, but verify_ckt still refuses a cutoff whose family is larger.
 
 
-class RelationCheck(Record):
+class RelationCheck(Record, defaults=("",)):
     __slots__ = ("residual", "exact", "note")
-
-    def __init__(self, residual: int, exact: bool, note: str = "") -> None:
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "note", note)
 
 
 class CKTReport(Record):
@@ -144,9 +139,6 @@ class CKTReport(Record):
     """
 
     __slots__ = ("checks",)
-
-    def __init__(self, checks: dict[str, RelationCheck]) -> None:
-        object.__setattr__(self, "checks", checks)
 
     @property
     def ok(self) -> bool:
@@ -201,12 +193,6 @@ def verify_ckt(g: DirectedGraph, cutoff: int = 4) -> CKTReport:
 
 class NeatCheck(Record):
     __slots__ = ("holds", "norm_x", "norm_y", "norm_sum")
-
-    def __init__(self, holds: bool, norm_x: float, norm_y: float, norm_sum: float) -> None:
-        object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "norm_x", norm_x)
-        object.__setattr__(self, "norm_y", norm_y)
-        object.__setattr__(self, "norm_sum", norm_sum)
 
     def __bool__(self) -> bool:
         return self.holds

@@ -68,7 +68,7 @@ from .embeddings import (
     tree_refinement_embedding,
 )
 from .errors import MismatchedLevels, NotATree, OutputTooLarge
-from .graphs import OutForest, unchecked_forest
+from .graphs import unchecked_forest
 from .records import Record
 
 MAX_LEVEL_UNITS = 512
@@ -84,17 +84,11 @@ class StandardRule(Record):
 
     __slots__ = ("m",)
 
-    def __init__(self, m: int) -> None:
-        object.__setattr__(self, "m", m)
-
 
 class RefinementRule(Record):
     """Repeat refinement embeddings of step l forever."""
 
     __slots__ = ("l",)
-
-    def __init__(self, l: int) -> None:
-        object.__setattr__(self, "l", l)
 
 
 class NestRule(Record):
@@ -107,10 +101,6 @@ class TreeRefinementRule(Record):
     """Keep ampliating the tree of the last stored level by l."""
 
     __slots__ = ("tree", "l")
-
-    def __init__(self, tree: OutForest, l: int) -> None:
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "l", l)
 
 
 Rule = StandardRule | RefinementRule | NestRule | TreeRefinementRule
@@ -232,39 +222,23 @@ class ChainGrades(Record):
 
     __slots__ = ("start_level", "pairs", "grades")
 
-    def __init__(self, start_level: int, pairs: tuple[Pair, ...], grades: tuple[int, ...]) -> None:
-        object.__setattr__(self, "start_level", start_level)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "grades", grades)
-
 
 class GradeGrowthWitness(Record):
     """A chain whose grade strictly rose across the step at this level."""
 
     __slots__ = ("chain", "level")
 
-    def __init__(self, chain: ChainGrades, level: int) -> None:
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "level", level)
 
-
-class NestRuleWitness(Record):
+class NestRuleWitness(
+    Record, defaults=("towers continued by full nest embeddings are never tensor algebras",)
+):
     __slots__ = ("note",)
-
-    def __init__(
-        self, note: str = "towers continued by full nest embeddings are never tensor algebras"
-    ) -> None:
-        object.__setattr__(self, "note", note)
 
 
 class LevelStructureWitness(Record):
     """A failure of the tree condition at one level that persists to the next."""
 
     __slots__ = ("level", "witness")
-
-    def __init__(self, level: int, witness: NonTreeTriple) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "witness", witness)
 
 
 class PresentationLevel(Record, eq=False):
@@ -278,50 +252,21 @@ class PresentationLevel(Record, eq=False):
 
     __slots__ = ("level", "forest", "algebra", "embedding")
 
-    def __init__(
-        self,
-        level: int,
-        forest: OutForest,
-        algebra: DigraphAlgebra,
-        embedding: RegularEmbedding | None,
-    ) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "forest", forest)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "embedding", embedding)
-
 
 class ForestPresentation(Record, eq=False):
     __slots__ = ("levels",)
 
-    def __init__(self, levels: tuple[PresentationLevel, ...]) -> None:
-        object.__setattr__(self, "levels", levels)
 
-
-class InconclusiveReport(Record):
+class InconclusiveReport(Record, defaults=((),)):
     __slots__ = ("reason", "unsettled")
-
-    def __init__(self, reason: str, unsettled: tuple[ChainGrades, ...] = ()) -> None:
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "unsettled", unsettled)
-
-
-Certificate = (
-    ForestPresentation
-    | GradeGrowthWitness
-    | NestRuleWitness
-    | LevelStructureWitness
-    | InconclusiveReport
-)
 
 
 class Decision(Record, eq=False):
-    __slots__ = ("verdict", "inspected_depth", "certificate")
+    """A verdict, the depth inspected, and a certificate: a
+    ForestPresentation, GradeGrowthWitness, NestRuleWitness,
+    LevelStructureWitness or InconclusiveReport."""
 
-    def __init__(self, verdict: Verdict, inspected_depth: int, certificate: Certificate) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "inspected_depth", inspected_depth)
-        object.__setattr__(self, "certificate", certificate)
+    __slots__ = ("verdict", "inspected_depth", "certificate")
 
 
 def _persists(w: NonTreeTriple, emb: RegularEmbedding, nxt: DigraphAlgebra) -> bool:

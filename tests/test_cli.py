@@ -754,6 +754,19 @@ def test_a_stored_chain_of_8000_units_decides_in_under_one_second(capsys, tmp_pa
     assert code == 2 and "too short without a rule" in out
 
 
+def test_a_stored_chain_closed_by_one_back_pair_exits_65_in_under_one_second(capsys, tmp_path):
+    # Every unit lies on the one cycle.  Warshall's closure, N^2 row steps,
+    # took 1.8 s to name its first two-cycle, import included (2-core x86
+    # VM, Python 3.11).
+    units = [[[0, i], [0, i + 1]] for i in range(1, 4000)] + [[[0, 4000], [0, 1]]]
+    path = write(tmp_path, "t.json", {"levels": [{"blocks": [4000], "units": units}], "maps": [], "rule": None})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check-tensor", path, "--depth", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 65 and out == ""
+    assert err.endswith("levels[0]: pairs ((0, 1),(0, 2)) and ((0, 2),(0, 1)) break antisymmetry\n")
+
+
 def test_unexpected_exception_exits_70(capsys, monkeypatch, tmp_path):
     def crash(*args, **kwargs):
         raise KeyError("boom")

@@ -301,3 +301,35 @@ def test_a_standard_step_holds_no_object_per_pair():
     finally:
         tracemalloc.stop()
     assert peak < 1_500_000
+
+
+def crown_map() -> tuple[DigraphAlgebra, DigraphAlgebra, dict]:
+    """The 4-unit crown, pairs (1,3), (2,3), (2,4) and (1,4), with unit u
+    sent to the copies 2u - 1 and 2u of an 8-unit target.  Every image
+    pairs copy c with copy c, except (1,4) -> {(1,8), (2,7)}."""
+    crown = [p(1, 3), p(2, 3), p(2, 4), p(1, 4)]
+    image = {p(u, u): {p(2 * u - 1, 2 * u - 1), p(2 * u, 2 * u)} for u in range(1, 5)}
+    for (_, i), (_, j) in crown:
+        image[p(i, j)] = {p(2 * i - 1, 2 * j - 1), p(2 * i, 2 * j)}
+    image[p(1, 4)] = {p(1, 8), p(2, 7)}
+    target = DigraphAlgebra([8], [q for v in image.values() for q in v if q[0] != q[1]])
+    return DigraphAlgebra([4], crown), target, image
+
+
+def test_the_crown_map_passes_every_law_but_star_extension():
+    source, target, image = crown_map()
+    # No pair of the crown composes with another, so no law on
+    # composable pairs sees the map.
+    assert source.composable_covers() == []
+    # Yet e13 e23* e24 = e14 in the matrix units, and the images do not
+    # agree: phi(e13) phi(e23)* phi(e24) is {(1,7), (2,8)}.
+    step = lambda left, right: {(a, d) for a, b in left for c, d in right if b == c}
+    adjoint = {(b, a) for a, b in image[p(2, 3)]}
+    extended = step(step(image[p(1, 3)], adjoint), image[p(2, 4)])
+    assert extended == {p(1, 7), p(2, 8)} != image[p(1, 4)]
+
+
+@pytest.mark.xfail(strict=True, reason="the laws checked miss a map that no *-homomorphism extends")
+def test_a_map_that_is_not_star_extendible_is_refused():
+    with pytest.raises(ValueError):
+        RegularEmbedding(*crown_map())

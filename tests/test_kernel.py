@@ -185,22 +185,23 @@ def _cyclic(closed) -> bool:
 
 
 def _closure_outcome(build):
-    """The relation built, or the message raised, and whether Warshall's
-    closure ran."""
-    with mock.patch.object(algebra, "_warshall", wraps=algebra._warshall) as warshall:
+    """The relation built, or the message raised, and whether the search
+    for strongly connected components ran."""
+    with mock.patch.object(algebra, "_cycle_pair", wraps=algebra._cycle_pair) as components:
         try:
             got = build().relation
         except ValueError as exc:
             got = str(exc)
-    return got, warshall.called
+    return got, components.called
 
 
 @settings(max_examples=400, deadline=None)
 @given(numbered_orders())
 def test_closure_of_numbered_orders_matches_reference(gen):
     # Whatever the numbering and listing, the search gives the reference
-    # closure, or the constructor's message on it, and runs Warshall's
-    # closure exactly when the generators hold a cycle.
+    # closure, or the constructor's message on it, and searches for
+    # strongly connected components exactly when the generators hold a
+    # cycle.
     blocks, pairs = gen
     closed = ref.closure(pairs)
     want, _ = _closure_outcome(lambda: DigraphAlgebra(blocks, closed))

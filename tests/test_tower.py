@@ -1,5 +1,8 @@
 """Decision procedure on towers: verdicts, witnesses, certificates."""
 
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from catalog import (
     triple_copy_tower,
 )
 from test_golden_decisions import DEPTHS, _diamond, towers as golden_towers
+from treealg import algebra
 from treealg.algebra import DigraphAlgebra, solve_grading, unit_name
 from treealg.ampliation import TreeRefinementSpec, build_tree_refinement_tower
 from treealg.embeddings import (
@@ -295,6 +299,38 @@ def test_the_corpus_has_sixteen_towers_with_a_rule():
 @pytest.mark.parametrize("name", list(ruled_golden_towers()))
 def test_tails_never_get_opposite_proof_verdicts(name):
     check_tails_agree(ruled_golden_towers()[name])
+
+
+@pytest.mark.parametrize("name", list(ruled_golden_towers()))
+def test_a_rule_towers_verdict_is_the_same_at_every_depth_past_its_stored_levels(name):
+    # Past the stored levels the verdict rests on the first generated
+    # step, so every depth up to the cap, where a level or the levels
+    # together pass MAX_LEVEL_UNITS, repeats the verdict one level past
+    # the stored ones.
+    t = ruled_golden_towers()[name]
+    first = decide_tensor(t, len(t.levels) + 1).verdict
+    for depth in itertools.count(len(t.levels) + 2):
+        try:
+            verdict = decide_tensor(t, depth).verdict
+        except OutputTooLarge:
+            break
+        assert verdict is first, f"depth {depth}: {verdict.value}, not {first.value}"
+    # Every tower of the corpus reaches its cap three depths or more past
+    # the first one compared.
+    assert depth > len(t.levels) + 4
+
+
+@pytest.mark.parametrize("tower, depth, most", [
+    (standard_tower(2, 2), 9, 10),
+    (triple_copy_tower(4), 4, 4),
+])
+def test_parents_are_found_once_per_algebra(tower, depth, most):
+    # The tree test, the covering pairs and the next rule step all read
+    # one level's parents list; the algebra keeps it after the first.
+    with mock.patch.object(algebra, "_parents", wraps=algebra._parents) as parents:
+        decide_tensor(tower, depth)
+    assert parents.call_count <= most
+    assert len({id(call.args[0]) for call in parents.call_args_list}) == parents.call_count
 
 
 def stored_step_towers():
